@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .postprocess import smooth_frames
+
 
 class Tensor:
     """Immutable array plus the bookkeeping needed for reverse mode."""
@@ -165,17 +167,14 @@ def sum_all(x: Tensor) -> Tensor:
     return Tensor([[x.data.sum()]], parents=(x,), backward=backward, validate=False)
 
 
-def time_matmul(matrix: np.ndarray, x: Tensor) -> Tensor:
-    """Apply a fixed (non-learnable) matrix along the frame axis: out = M @ x."""
-    m = np.asarray(matrix, dtype=np.float64)
-    _require_2d(x, "time_matmul")
-    if m.ndim != 2 or m.shape[1] != x.data.shape[0]:
-        raise ValueError(f"time_matmul: matrix {m.shape} does not match {x.data.shape[0]} frames")
+def time_smooth(x: Tensor, fps: float) -> Tensor:
+    """Fixed Gaussian smoothing along the frame axis (`postprocess.smooth_frames`)."""
+    _require_2d(x, "time_smooth")
 
     def backward(g):
-        _accumulate(x, m.T @ g)
+        _accumulate(x, smooth_frames(g, fps, adjoint=True))
 
-    return Tensor(m @ x.data, parents=(x,), backward=backward, validate=False)
+    return Tensor(smooth_frames(x.data, fps), parents=(x,), backward=backward, validate=False)
 
 
 def backward(loss: Tensor) -> None:

@@ -260,7 +260,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         lr_final=cfg.lr_final,
         warmup_epochs=cfg.warmup_epochs,
         smooth_targets=cfg.smooth_training,
-        smooth_inference=cfg.smooth_inference,
         seed=cfg.seed,
     )
     model, curve = train(dataset, model, train_cfg)

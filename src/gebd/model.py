@@ -181,6 +181,25 @@ class GebdModel:
             p.grad = None
 
 
+def parameter_count(config: ModelConfig) -> int:
+    """Learnable scalars in a model of this config, from its shapes alone.
+
+    Lets `load_checkpoint` check a header against the payload length before
+    it allocates anything.
+    """
+    n, d_out, d_head = config.branch_count, config.d_out, config.d_head
+    total = 0
+    for c in config.stage_dims:
+        depthwise = n - 1 if config.use_depthwise else 0  # every branch but dilation 1
+        total += depthwise * 4 * c + n * (3 * c * c + 3 * c)  # [depthwise] conv, norm
+        fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else c)
+        total += n * c * c + c + fuse_in * d_out + d_out  # compress, fuse
+    total += 3 * len(config.stage_dims) * d_out * d_out + 3 * d_out  # merge conv, norm
+    total += config.decoder_blocks * (3 * d_out * d_out + 3 * d_out)
+    total += 3 * d_out * d_head + d_head + d_head + 1  # head conv1, conv2
+    return total
+
+
 def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:
     """Raw (unsmoothed) per-frame boundary scores for one video."""
     check_features_compatible(model.config, video)
@@ -270,17 +289,18 @@ def load_checkpoint(path: str | Path) -> GebdModel:
         use_residual=bool(flags & _FLAG_USE_RESIDUAL),
         use_depthwise=bool(flags & _FLAG_USE_DEPTHWISE),
     )
+    need = 4 * parameter_count(config)
+    have = len(raw) - offset
+    if have < need:
+        raise ValueError(
+            f"{path}: truncated parameters at offset {offset}: header implies {need} bytes, "
+            f"have {have}"
+        )
+    if have > need:
+        raise ValueError(f"{path}: {have - need} trailing bytes at offset {offset + need}")
     model = GebdModel.build(config, seed=0)
-    for name, p in model.parameters():
-        need = p.data.size * 4
-        if offset + need > len(raw):
-            raise ValueError(
-                f"{path}: truncated parameter {name!r} at offset {offset}: "
-                f"need {need} bytes, have {len(raw) - offset}"
-            )
+    for _, p in model.parameters():
         block = np.frombuffer(raw, dtype="<f4", count=p.data.size, offset=offset)
         p.update_data(block.astype(np.float64).reshape(p.data.shape))
-        offset += need
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes at offset {offset}")
+        offset += p.data.size * 4
     return model

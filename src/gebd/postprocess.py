@@ -12,6 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Clip
 from .util import atomic_write_text
@@ -73,7 +74,10 @@ def smoothing_taps(fps: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def smoothing_matrix(num_frames: int, fps: float) -> np.ndarray:
-    """T x T smoothing operator; edge rows renormalize over the in-range taps."""
+    """Dense T x T form of `smooth_frames`, kept as the reference tests compare
+    against; edge rows renormalize over the in-range taps. The package itself
+    never builds it: at T = 6000 one matrix is 288 MB.
+    """
     taps = smoothing_taps(fps)
     half = len(taps) // 2
     m = np.zeros((num_frames, num_frames))
@@ -86,8 +90,38 @@ def smoothing_matrix(num_frames: int, fps: float) -> np.ndarray:
     return m
 
 
+def _correlate_frames(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Zero-padded correlation with symmetric `taps` along axis 0, length len(x).
+
+    The full convolution has len(x) + 2 * half samples for any len(x), so the
+    centered slice stays exact when len(x) is shorter than the taps.
+    """
+    half, t = len(taps) // 2, len(x)
+    cols = x.reshape(t, -1)
+    out = np.empty(cols.shape)
+    for k in range(cols.shape[1]):
+        out[:, k] = np.convolve(cols[:, k], taps)[half:half + t]
+    return out.reshape(x.shape)
+
+
+def smooth_frames(x: np.ndarray, fps: float, adjoint: bool = False) -> np.ndarray:
+    """Gaussian smoothing along axis 0 in O(T x taps) time and O(T) extra memory.
+
+    The zero-padded correlation with `smoothing_taps(fps)` is divided by the
+    same correlation of a vector of ones, so edge frames renormalize over
+    their in-range taps. adjoint=True applies the transpose instead, which is
+    the same correlation of x / norm because the taps are symmetric.
+    """
+    taps = smoothing_taps(fps)
+    norm = _correlate_frames(np.ones(len(x)), taps).reshape((-1,) + (1,) * (x.ndim - 1))
+    if adjoint:
+        return _correlate_frames(x / norm, taps)
+    return _correlate_frames(x, taps) / norm
+
+
 def gaussian_smooth(s: BoundaryScores) -> BoundaryScores:
-    smoothed = smoothing_matrix(len(s.scores), s.fps) @ s.scores
+    """Smoothed copy of a score signal (see `smooth_frames`)."""
+    smoothed = smooth_frames(s.scores, s.fps)
     return BoundaryScores(s.video_id, s.fps, smoothed, smoothed=True)
 
 
@@ -101,20 +135,12 @@ def pick_peaks(
     On a plateau of equal window-maxima only the earliest frame fires.
     """
     x = s.scores
-    t = len(x)
     w = int(math.floor(neighbor_seconds * s.fps + 1e-9))
-    candidate = np.zeros(t, dtype=bool)
-    for f in range(t):
-        lo = max(0, f - w)
-        hi = min(t, f + w + 1)
-        if x[f] > threshold and x[f] >= x[lo:hi].max():
-            candidate[f] = True
-    stamps = []
-    for f in np.flatnonzero(candidate):
-        if f > 0 and candidate[f - 1] and x[f - 1] == x[f]:
-            continue
-        stamps.append((f + 0.5) / s.fps)
-    return DetectionList(s.video_id, stamps)
+    window_max = sliding_window_view(np.pad(x, w, constant_values=-np.inf), 2 * w + 1).max(axis=1)
+    candidate = (x > threshold) & (x >= window_max)
+    fires = candidate.copy()
+    fires[1:] &= ~(candidate[:-1] & (x[:-1] == x[1:]))
+    return DetectionList(s.video_id, ((np.flatnonzero(fires) + 0.5) / s.fps).tolist())
 
 
 def merge_clip_scores(scored_clips: list[tuple[Clip, BoundaryScores]]) -> BoundaryScores:

@@ -86,22 +86,42 @@ def neighbor_distances(r: Tensor, radius: int) -> Tensor:
 
     Column order is [-radius .. -1, 1 .. radius]; out-of-range neighbors are
     clamped to the edge frame, so corner slots compare a frame with itself.
+    These are the 2*radius diagonal bands of the frame self-distance matrix,
+    computed in time and memory linear in T: on r padded with `radius`
+    copies of each edge row, the pairs q frames apart are two contiguous
+    slices, and one distance vector per q fills both the -q and the +q
+    column. No T x 2radius x d difference tensor is built, and the backward
+    recomputes each difference from r instead of keeping it.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     _require_2d(r, "neighbor_distances")
     t, d = r.data.shape
-    offsets = np.array(list(range(-radius, 0)) + list(range(1, radius + 1)))
-    idx = np.clip(np.arange(t)[:, None] + offsets[None, :], 0, t - 1)
-    diff = r.data[:, None, :] - r.data[idx]
-    out = np.einsum("tqd,tqd->tq", diff, diff)
+    clamped = np.clip(np.arange(-radius, t + radius), 0, t - 1)
+    padded = r.data[clamped]
+    out = np.empty((t, 2 * radius))
+    for q in range(1, radius + 1):
+        diff = padded[:-q] - padded[q:]  # row i pairs padded rows i and i + q
+        dist = np.einsum("td,td->t", diff, diff)
+        out[:, radius - q] = dist[radius - q:radius - q + t]
+        out[:, radius + q - 1] = dist[radius:radius + t]
 
     def backward(g):
         if not r.requires_grad:
             return
-        w = 2.0 * diff * g[:, :, None]
-        dr = w.sum(axis=1)
-        np.subtract.at(dr, idx.ravel(), w.reshape(-1, d))
+        padded = r.data[clamped]
+        dpad = np.zeros((t + 2 * radius, d))
+        for q in range(1, radius + 1):
+            gq = np.zeros(t + 2 * radius - q)
+            gq[radius - q:radius - q + t] += g[:, radius - q]
+            gq[radius:radius + t] += g[:, radius + q - 1]
+            w = (padded[:-q] - padded[q:]) * (2.0 * gq)[:, None]
+            dpad[:-q] += w
+            dpad[q:] -= w
+        # pad rows are copies of the edge rows: fold their adjoints back
+        dr = dpad[radius:radius + t]
+        dr[0] += dpad[:radius].sum(axis=0)
+        dr[-1] += dpad[radius + t:].sum(axis=0)
         _accumulate(r, dr)
 
     return Tensor(out, parents=(r,), backward=backward, validate=False)

@@ -14,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, add, backward, scale, time_matmul
+from .autodiff import Tensor, _accumulate, add, backward, scale, time_smooth
 from .data import VideoFeatures
 from .model import GebdModel
-from .postprocess import smoothing_matrix
 from .util import atomic_write_text
 
 BCE_CLAMP = 1e-7
@@ -35,7 +34,6 @@ class TrainConfig:
     lr_final: float = 4e-6
     warmup_epochs: int = 2
     smooth_targets: bool = True
-    smooth_inference: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -149,7 +147,7 @@ def train(
                 video, labels = dataset[i]
                 pred = model.forward(video.stages)
                 if cfg.smooth_targets:
-                    pred = time_matmul(smoothing_matrix(video.num_frames, video.fps), pred)
+                    pred = time_smooth(pred, video.fps)
                 loss = bce_loss(pred, labels)
                 total = loss if total is None else add(total, loss)
             total = scale(total, 1.0 / len(batch))

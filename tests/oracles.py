@@ -79,6 +79,39 @@ def naive_neighbor_distances(r, radius):
     return out
 
 
+def naive_neighbor_distances_backward(r, radius, g):
+    """Adjoint of naive_neighbor_distances for the output adjoint g, one term at a time."""
+    t_len = r.shape[0]
+    offsets = list(range(-radius, 0)) + list(range(1, radius + 1))
+    dr = np.zeros_like(r)
+    for t in range(t_len):
+        for slot, q in enumerate(offsets):
+            u = min(max(t + q, 0), t_len - 1)
+            w = 2.0 * (r[t] - r[u]) * g[t, slot]
+            dr[t] += w
+            dr[u] -= w
+    return dr
+
+
+def loop_pick_peaks(x, fps, threshold=0.1, neighbor_seconds=0.5):
+    """Frame-by-frame peak picking: timestamps of frames above threshold that
+    reach their window maximum, keeping only the earliest of equal neighbors."""
+    t = len(x)
+    w = int(math.floor(neighbor_seconds * fps + 1e-9))
+    candidate = np.zeros(t, dtype=bool)
+    for f in range(t):
+        lo = max(0, f - w)
+        hi = min(t, f + w + 1)
+        if x[f] > threshold and x[f] >= x[lo:hi].max():
+            candidate[f] = True
+    stamps = []
+    for f in np.flatnonzero(candidate):
+        if f > 0 and candidate[f - 1] and x[f - 1] == x[f]:
+            continue
+        stamps.append(float((f + 0.5) / fps))
+    return stamps
+
+
 def naive_stage_forward(x, stage, radius, fuse_distances=True, use_residual=True):
     """Straight-line reimplementation of one similarity stage (numpy only)."""
     branch_outputs = []

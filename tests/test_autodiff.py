@@ -13,8 +13,9 @@ from gebd.autodiff import (
     scale,
     seq_tensor,
     sum_all,
-    time_matmul,
+    time_smooth,
 )
+from gebd.postprocess import smoothing_matrix
 from gradcheck import check_op_gradients, rel_err
 
 
@@ -207,19 +208,18 @@ class TestFiniteDifferences:
         w = Tensor(rng.uniform(-1, 1, size=(6, 5)))
         check_op_gradients(lambda: sum_all(mul(l2_normalize_rows(x, 1e-6), w)), [x])
 
-    def test_scale_and_time_matmul(self):
+    def test_scale_and_time_smooth(self):
         rng = np.random.default_rng(11)
         x = rnd(rng, 5, 3)
-        m = rng.uniform(-1, 1, size=(4, 5))
-        w = Tensor(rng.uniform(-1, 1, size=(4, 3)))
-        check_op_gradients(lambda: sum_all(mul(scale(time_matmul(m, x), 0.7), w)), [x])
+        w = Tensor(rng.uniform(-1, 1, size=(5, 3)))
+        check_op_gradients(lambda: sum_all(mul(scale(time_smooth(x, 5.0), 0.7), w)), [x])
 
 
-def test_time_matmul_matches_numpy():
+def test_time_smooth_matches_dense_operator():
     rng = np.random.default_rng(12)
-    m = rng.standard_normal((4, 6))
     x = Tensor(rng.standard_normal((6, 3)))
-    np.testing.assert_allclose(time_matmul(m, x).data, m @ x.data, rtol=1e-12)
+    np.testing.assert_allclose(time_smooth(x, 5.0).data, smoothing_matrix(6, 5.0) @ x.data,
+                               rtol=1e-12)
 
 
 def test_rel_err_helper_flags_disagreement():

@@ -1,13 +1,15 @@
 """End-to-end command line behavior, run in-process via cli.main()."""
 
 import json
+import struct
 
 import numpy as np
 
 from gebd import cli
-from gebd.data import load_annotations, load_features
-from gebd.model import load_checkpoint
-from gebd.postprocess import load_detections, load_scores
+from gebd.data import load_annotations, load_features, split_clips
+from gebd.model import GebdModel, load_checkpoint
+from gebd.postprocess import load_detections, load_scores, smoothing_matrix
+from oracles import accumulate_clip_scores
 
 
 SMALL = [
@@ -174,6 +176,43 @@ class TestInfer:
         assert seen == [[0, 25, 50]]
         s = load_scores(next((out / "scores").glob("*.json")))
         assert len(s.scores) == 100
+
+    def test_clip_mode_long_video_sums_smoothed_clip_scores(self, tmp_path):
+        data = tmp_path / "long"
+        code = run(["synth", "--out", str(data), "--num-videos", "1", "--frames", "3000",
+                    "--fps", "5", "--stage-dims", "6,6,6,6"])
+        assert code == 0
+        run_dir = train_small(tmp_path, data, epochs=0)
+        out = tmp_path / "clipinfer"
+        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
+                    "--features", str(data), "--out", str(out), "--fps", "5", "--clip-mode"])
+        assert code == 0
+        got = load_scores(next((out / "scores").glob("*.json")))
+        assert got.smoothed
+
+        model = load_checkpoint(run_dir / "model.gebw")
+        video = load_features(next(data.glob("*.gebf")), fps=5.0)
+        clips = split_clips(video, 10.0, 5.0)
+        smoothed = [smoothing_matrix(c.num_frames, 5.0) @ model.forward(c.stages).data[:, 0]
+                    for c in clips]
+        want = accumulate_clip_scores([(c.start_frame, c.end_frame) for c in clips], smoothed,
+                                      video.num_frames)
+        np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
+
+    def test_checkpoint_header_payload_mismatch_clean_error(self, tmp_path, capsys, monkeypatch):
+        data = synth_small(tmp_path, n=1)
+        ckpt = tmp_path / "huge.gebw"
+        ckpt.write_bytes(b"GEBW" + struct.pack("<9I", 1, 4, 6, 6, 6, 6, 4, 3, 60000)
+                         + struct.pack("<3I", 128, 5, 7))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("GebdModel.build called before the payload length was checked")
+
+        monkeypatch.setattr(GebdModel, "build", fail)
+        code = run(["infer", "--checkpoint", str(ckpt), "--features", str(data),
+                    "--out", str(tmp_path / "o"), "--fps", "5"])
+        assert code == 1
+        assert cli.ERROR_PREFIX in capsys.readouterr().err
 
     def test_checkpoint_mismatch_names_field(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=1)

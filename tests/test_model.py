@@ -1,5 +1,7 @@
 """Decoder, head, full model forward, and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gebd.model import (
     init_head,
     load_checkpoint,
     model_forward,
+    parameter_count,
     save_checkpoint,
     sd_forward,
 )
@@ -181,6 +184,15 @@ class TestParameters:
         model = GebdModel.build(cfg, seed=6)
         assert not any("depthwise" in n for n, _ in model.parameters())
 
+    @pytest.mark.parametrize("cfg", [
+        TINY,
+        ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12, d_head=6,
+                    neighbor_radius=3, fuse_distances=False, use_depthwise=False),
+    ])
+    def test_parameter_count_matches_built_model(self, cfg):
+        model = GebdModel.build(cfg, seed=7)
+        assert parameter_count(cfg) == sum(p.data.size for _, p in model.parameters())
+
     def test_zero_grads(self):
         from gebd.autodiff import backward
         from gebd.train import bce_loss
@@ -238,8 +250,25 @@ class TestCheckpoint:
         path.write_bytes(raw[:-3])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+        path.write_bytes(raw + bytes(4))
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
         path.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_header_checked_against_payload_before_build(self, tmp_path, monkeypatch):
+        # 40-byte file, one stage, d_out=60000: building it first would draw
+        # an 80.5 GiB merge conv before noticing the missing payload
+        path = tmp_path / "huge.gebw"
+        path.write_bytes(b"GEBW" + struct.pack("<9I", 1, 1, 8, 4, 3, 60000, 128, 5, 7))
+        assert path.stat().st_size == 40
+
+        def fail(*args, **kwargs):
+            raise AssertionError("GebdModel.build called before the payload length was checked")
+
+        monkeypatch.setattr(GebdModel, "build", fail)
+        with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
     def test_compatibility_check_names_field(self):

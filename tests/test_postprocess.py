@@ -1,5 +1,7 @@
 """Gaussian smoothing, peak picking, and clip-score merging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ from gebd.postprocess import (
     pick_peaks,
     save_detections,
     save_scores,
+    smooth_frames,
     smoothing_matrix,
     smoothing_taps,
     smoothing_window,
 )
-from oracles import accumulate_clip_scores
+from oracles import accumulate_clip_scores, loop_pick_peaks
 
 
 def scores_of(values, fps=5.0, video_id="v", smoothed=False):
@@ -67,6 +70,21 @@ class TestSmoothing:
     def test_matrix_rows_sum_to_one(self):
         m = smoothing_matrix(12, 5.0)
         np.testing.assert_allclose(m.sum(axis=1), np.ones(12), atol=1e-12)
+
+    @pytest.mark.parametrize("fps", [5.0, 10.0, 30.0])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 16, 31, 32, 100])
+    def test_kernel_and_adjoint_match_dense_matrix(self, t_len, fps):
+        # T at or below the tap window is where a "same"-mode convolution
+        # would return max(T, taps) samples
+        rng = np.random.default_rng(t_len)
+        m = smoothing_matrix(t_len, fps)
+        x = rng.uniform(0, 1, size=t_len)
+        np.testing.assert_allclose(smooth_frames(x, fps), m @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth_frames(x, fps, adjoint=True), m.T @ x, rtol=0, atol=1e-12)
+        xs = rng.standard_normal((t_len, 3))
+        np.testing.assert_allclose(smooth_frames(xs, fps), m @ xs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth_frames(xs, fps, adjoint=True), m.T @ xs,
+                                   rtol=0, atol=1e-12)
 
     def test_taps_symmetric_and_normalized(self):
         taps = smoothing_taps(5.0)
@@ -119,6 +137,19 @@ class TestPickPeaks:
         b = pick_peaks(scores_of(x)).timestamps
         assert a == b == sorted(a)
 
+    @pytest.mark.parametrize("fps", [1.0, 2.0, 5.0, 10.0, 30.0])
+    def test_matches_frame_loop_oracle(self, fps):
+        rng = np.random.default_rng(int(fps))
+        cases = [rng.uniform(0, 1, size=t) for t in (1, 2, 3)]
+        for _ in range(200):
+            t = int(rng.integers(1, 150))
+            cases.append(rng.uniform(0, 1, size=t))
+            # plateau-heavy: few distinct levels, long runs of equal values
+            cases.append(np.repeat(rng.integers(0, 4, size=t) / 3.0,
+                                   rng.integers(1, 6, size=t))[:t])
+        for x in cases:
+            assert pick_peaks(scores_of(x, fps=fps)).timestamps == loop_pick_peaks(x, fps)
+
     def test_smoothing_reduces_detections_on_noisy_corpus(self):
         # medians over 100 seeded noisy signals: smoothed <= raw
         rng = np.random.default_rng(3)
@@ -129,6 +160,21 @@ class TestPickPeaks:
             raw_counts.append(len(pick_peaks(s).timestamps))
             smooth_counts.append(len(pick_peaks(gaussian_smooth(s)).timestamps))
         assert np.median(smooth_counts) <= np.median(raw_counts)
+
+
+def test_whole_video_postprocess_memory_linear_in_frames():
+    # 200 s at 30 fps: a dense T x T smoothing operator would be 288 MB
+    t_len, fps = 6000, 30.0
+    x = np.random.default_rng(6).uniform(0, 1, size=t_len)
+    s = scores_of(x, fps=fps)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        pick_peaks(gaussian_smooth(s))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * t_len * 8
 
 
 class TestMergeClipScores:

@@ -18,7 +18,7 @@ from gebd.tps import (
     stage_forward,
     tps_forward,
 )
-from oracles import naive_stage_forward
+from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward
 
 
 def make_stage(seed=0, channels=6, n=4, d_out=8, radius=2, **kwargs):
@@ -124,6 +124,19 @@ class TestNeighborDistances:
             lambda: sum_all(mul(neighbor_distances(x, 2), w)), [x]
         )
 
+
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("radius", [1, 2, 5])
+    def test_forward_and_backward_match_clamped_index_oracle(self, t_len, radius):
+        rng = np.random.default_rng(100 * t_len + radius)
+        x = rng.standard_normal((t_len, 6))
+        g = rng.standard_normal((t_len, 2 * radius))
+        r = Tensor(x, requires_grad=True)
+        out = neighbor_distances(r, radius)
+        np.testing.assert_allclose(out.data, naive_neighbor_distances(x, radius), rtol=0, atol=1e-12)
+        out._backward(g)
+        np.testing.assert_allclose(r.grad, naive_neighbor_distances_backward(x, radius, g),
+                                   rtol=0, atol=1e-12)
 
 class TestComprehensiveRep:
     def test_output_shape_matches_stage_width(self):
