@@ -6,7 +6,7 @@ peak picking -> F1 at relative distance.
 """
 
 from .autodiff import Tensor, backward, seq_tensor
-from .data import Annotation, Clip, VideoFeatures, load_annotations, load_features, save_annotations, save_features, split_clips, synth_video
+from .data import Annotation, Clip, VideoFeatures, frame_labels, load_annotations, load_features, save_annotations, save_features, split_clips, synth_video
 from .evaluate import DEFAULT_TAUS, EvalReport, f1_at, f1_sweep, match_detections, rel_dis_error
 from .model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
 from .postprocess import BoundaryScores, DetectionList, gaussian_smooth, merge_clip_scores, pick_peaks
@@ -32,6 +32,7 @@ __all__ = [
     "bce_loss",
     "f1_at",
     "f1_sweep",
+    "frame_labels",
     "gaussian_smooth",
     "load_annotations",
     "load_checkpoint",

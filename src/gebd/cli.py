@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -90,37 +91,15 @@ def _parse_float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-_FIELD_PARSERS = {
-    "num_videos": int,
-    "frames": int,
-    "fps": float,
-    "stage_dims": _parse_int_tuple,
-    "snr": float,
-    "min_boundaries": int,
-    "max_boundaries": int,
-    "min_gap_seconds": float,
-    "seed": int,
-    "d_out": int,
-    "d_head": int,
-    "branch_count": int,
-    "decoder_blocks": int,
-    "fuse_distances": _parse_bool,
-    "use_residual": _parse_bool,
-    "use_depthwise": _parse_bool,
-    "epochs": int,
-    "batch_size": int,
-    "lr_peak": float,
-    "lr_final": float,
-    "warmup_epochs": int,
-    "smooth_training": _parse_bool,
-    "positive_radius_frames": int,
-    "smooth_inference": _parse_bool,
-    "clip_mode": _parse_bool,
-    "clip_seconds": float,
-    "overlap_seconds": float,
-    "taus": _parse_float_tuple,
-    "eval_average": str,
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[float, ...]": _parse_float_tuple,
 }
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def _format_value(value) -> str:
@@ -192,6 +171,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"stage_dims must be positive, got {cfg.stage_dims}")
     if not 0 <= cfg.min_boundaries <= cfg.max_boundaries:
         raise ValueError("need 0 <= min_boundaries <= max_boundaries")
+    if not (math.isfinite(cfg.fps) and cfg.fps > 0):
+        raise ValueError(f"fps must be finite and positive, got {cfg.fps}")
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")

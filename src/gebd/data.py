@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import atomic_write_bytes, atomic_write_text
+from .util import atomic_write_bytes, atomic_write_text, read_u32
 
 FEATURE_MAGIC = b"GEBF"
 FEATURE_VERSION = 1
@@ -35,8 +35,8 @@ class VideoFeatures:
     stages: list[np.ndarray]
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"{self.video_id}: fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValueError(f"{self.video_id}: fps must be finite and positive, got {self.fps}")
         if not self.stages:
             raise ValueError(f"{self.video_id}: at least one feature stage required")
         self.stages = [np.asarray(s, dtype=np.float64) for s in self.stages]
@@ -66,8 +66,8 @@ class Annotation:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError(f"{self.video_id}: duration must be positive")
-        if self.fps <= 0:
-            raise ValueError(f"{self.video_id}: fps must be positive")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValueError(f"{self.video_id}: fps must be finite and positive, got {self.fps}")
         self.boundaries = tuple(float(b) for b in self.boundaries)
         for i, b in enumerate(self.boundaries):
             if not 0 <= b < self.duration:
@@ -104,31 +104,25 @@ def save_features(path: str | Path, video: VideoFeatures) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
-def _read_u32(raw: bytes, offset: int, path, what: str) -> int:
-    if offset + 4 > len(raw):
-        raise ValueError(f"{path}: truncated while reading {what} at offset {offset}")
-    return struct.unpack_from("<I", raw, offset)[0]
-
-
 def load_features(path: str | Path, fps: float = 5.0, video_id: str | None = None) -> VideoFeatures:
     """Read a feature file; fps travels with annotations, so callers supply it."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[0:4] != FEATURE_MAGIC:
         raise ValueError(f"{path}: bad magic at offset 0, expected {FEATURE_MAGIC!r}")
-    version = _read_u32(raw, 4, path, "version")
+    version = read_u32(raw, 4, path, "version")
     if version != FEATURE_VERSION:
         raise ValueError(f"{path}: unsupported version {version} at offset 4")
-    t = _read_u32(raw, 8, path, "frame count")
+    t = read_u32(raw, 8, path, "frame count")
     if t < 1:
         raise ValueError(f"{path}: frame count must be >= 1 at offset 8")
-    num_stages = _read_u32(raw, 12, path, "stage count")
+    num_stages = read_u32(raw, 12, path, "stage count")
     if num_stages < 1:
         raise ValueError(f"{path}: stage count must be >= 1 at offset 12")
     dims = []
     offset = 16
     for k in range(num_stages):
-        d = _read_u32(raw, offset, path, f"stage {k} channel dim")
+        d = read_u32(raw, offset, path, f"stage {k} channel dim")
         if d < 1:
             raise ValueError(f"{path}: stage {k} channel dim must be >= 1 at offset {offset}")
         dims.append(d)

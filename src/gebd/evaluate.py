@@ -8,6 +8,7 @@ one-to-one matching so the score does not depend on detection order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -118,6 +119,11 @@ def f1_sweep(
         raise ValueError("f1_sweep: empty corpus")
     if average not in ("micro", "macro"):
         raise ValueError(f"average must be 'micro' or 'macro', got {average!r}")
+    if not len(taus):
+        raise ValueError("f1_sweep: empty threshold list")
+    for tau in taus:
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"f1_sweep: thresholds must be finite and positive, got {tau}")
     rows = []
     for tau in taus:
         if average == "micro":

@@ -1,5 +1,12 @@
 """Full scoring model: similarity features, dilated decoder, per-frame head.
 
+The parameter tree is written once, in the `init_*` constructors: each
+takes a parameter source (`nn.ParamSource`) and requests every parameter
+in the field order of its dataclass. `GebdModel.build` passes a seeded
+random source; `load_checkpoint` passes a reader over the payload, so a
+loaded model is never randomly initialized first. `GebdModel.parameters()`
+walks the dataclass fields in declaration order, which is the same order.
+
 Checkpoint layout (little endian):
     magic "GEBW" | u32 version=1 | u32 num_stages | num_stages x u32 stage dims |
     u32 branch_count | u32 decoder_blocks | u32 d_out | u32 d_head |
@@ -10,24 +17,37 @@ Checkpoint layout (little endian):
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, seq_tensor
 from .data import VideoFeatures
-from .nn import Conv1dKernel, LayerNormAffine, conv1d, gelu, init_conv1d, init_layer_norm, layer_norm, sigmoid
+from .nn import (
+    Conv1dKernel,
+    LayerNormAffine,
+    ParamSource,
+    conv1d,
+    gelu,
+    init_conv1d,
+    init_layer_norm,
+    layer_norm,
+    random_params,
+    sigmoid,
+)
 from .postprocess import BoundaryScores
 from .tps import TpsParams, init_tps, tps_forward
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, read_u32
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
 _FLAG_FUSE_DISTANCES = 1
 _FLAG_USE_RESIDUAL = 2
 _FLAG_USE_DEPTHWISE = 4
+_HEADER_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius", "flags")
 
 
 @dataclass
@@ -89,46 +109,60 @@ def head_forward(x: Tensor, params: HeadParams) -> Tensor:
     return sigmoid(conv1d(gelu(conv1d(x, params.conv1)), params.conv2))
 
 
-def init_decoder(rng: np.random.Generator, config: ModelConfig) -> SdParams:
-    blocks = [
+def init_decoder(new: ParamSource, config: ModelConfig) -> SdParams:
+    return SdParams([
         SdBlock(
-            conv=init_conv1d(rng, config.d_out, config.d_out, width=3, dilation=2 ** (i + 1)),
-            norm=init_layer_norm(config.d_out),
+            conv=init_conv1d(new, config.d_out, config.d_out, width=3, dilation=2 ** (i + 1)),
+            norm=init_layer_norm(new, config.d_out),
         )
         for i in range(config.decoder_blocks)
-    ]
-    return SdParams(blocks)
+    ])
 
 
-def init_head(rng: np.random.Generator, config: ModelConfig) -> HeadParams:
+def init_head(new: ParamSource, config: ModelConfig) -> HeadParams:
     return HeadParams(
-        conv1=init_conv1d(rng, config.d_out, config.d_head, width=3),
-        conv2=init_conv1d(rng, config.d_head, 1, width=1),
+        conv1=init_conv1d(new, config.d_out, config.d_head, width=3),
+        conv2=init_conv1d(new, config.d_head, 1, width=1),
     )
 
 
+def init_model(new: ParamSource, config: ModelConfig) -> "GebdModel":
+    tps = init_tps(
+        new,
+        config.stage_dims,
+        config.branch_count,
+        config.d_out,
+        config.neighbor_radius,
+        config.fuse_distances,
+        config.use_depthwise,
+    )
+    return GebdModel(config, tps, init_decoder(new, config), init_head(new, config))
+
+
+def _leaves(obj, prefix: str):
+    """(field path, tensor) for every Tensor under obj, in declaration order."""
+    if isinstance(obj, Tensor):
+        yield prefix[:-1], obj
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{prefix}{i}/")
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{prefix}{f.name}/")
+
+
+@dataclass(eq=False)
 class GebdModel:
     """Model parameters plus the forward pass from stage features to scores."""
 
-    def __init__(self, config: ModelConfig, tps: TpsParams, decoder: SdParams, head: HeadParams):
-        self.config = config
-        self.tps = tps
-        self.decoder = decoder
-        self.head = head
+    config: ModelConfig
+    tps: TpsParams
+    decoder: SdParams
+    head: HeadParams
 
     @classmethod
     def build(cls, config: ModelConfig, seed: int = 0) -> "GebdModel":
-        rng = np.random.default_rng(seed)
-        tps = init_tps(
-            rng,
-            config.stage_dims,
-            config.branch_count,
-            config.d_out,
-            config.neighbor_radius,
-            config.fuse_distances,
-            config.use_depthwise,
-        )
-        return cls(config, tps, init_decoder(rng, config), init_head(rng, config))
+        return init_model(random_params(np.random.default_rng(seed)), config)
 
     def forward(self, stages: list[np.ndarray]) -> Tensor:
         if len(stages) != len(self.config.stage_dims):
@@ -145,59 +179,13 @@ class GebdModel:
         return head_forward(sd_forward(t, self.decoder), self.head)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """Every learnable leaf in the fixed checkpoint order."""
-        out: list[tuple[str, Tensor]] = []
-        for k, stage in enumerate(self.tps.stages):
-            for i, br in enumerate(stage.branches):
-                prefix = f"stage{k}/branch{i}"
-                if br.depthwise is not None:
-                    out.append((f"{prefix}/depthwise/weights", br.depthwise.weights))
-                    out.append((f"{prefix}/depthwise/bias", br.depthwise.bias))
-                out.append((f"{prefix}/conv/weights", br.conv.weights))
-                out.append((f"{prefix}/conv/bias", br.conv.bias))
-                out.append((f"{prefix}/norm/gamma", br.norm.gamma))
-                out.append((f"{prefix}/norm/beta", br.norm.beta))
-            out.append((f"stage{k}/compress/weights", stage.compress.weights))
-            out.append((f"stage{k}/compress/bias", stage.compress.bias))
-            out.append((f"stage{k}/fuse/weights", stage.fuse.weights))
-            out.append((f"stage{k}/fuse/bias", stage.fuse.bias))
-        out.append(("merge/conv/weights", self.tps.merge_conv.weights))
-        out.append(("merge/conv/bias", self.tps.merge_conv.bias))
-        out.append(("merge/norm/gamma", self.tps.merge_norm.gamma))
-        out.append(("merge/norm/beta", self.tps.merge_norm.beta))
-        for i, block in enumerate(self.decoder.blocks):
-            out.append((f"decoder{i}/conv/weights", block.conv.weights))
-            out.append((f"decoder{i}/conv/bias", block.conv.bias))
-            out.append((f"decoder{i}/norm/gamma", block.norm.gamma))
-            out.append((f"decoder{i}/norm/beta", block.norm.beta))
-        out.append(("head/conv1/weights", self.head.conv1.weights))
-        out.append(("head/conv1/bias", self.head.conv1.bias))
-        out.append(("head/conv2/weights", self.head.conv2.weights))
-        out.append(("head/conv2/bias", self.head.conv2.bias))
-        return out
+        """Every learnable leaf with its field path (e.g.
+        "tps/stages/0/branches/1/conv/weights"), in checkpoint order."""
+        return list(_leaves(self, ""))
 
     def zero_grads(self) -> None:
         for _, p in self.parameters():
             p.grad = None
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Learnable scalars in a model of this config, from its shapes alone.
-
-    Lets `load_checkpoint` check a header against the payload length before
-    it allocates anything.
-    """
-    n, d_out, d_head = config.branch_count, config.d_out, config.d_head
-    total = 0
-    for c in config.stage_dims:
-        depthwise = n - 1 if config.use_depthwise else 0  # every branch but dilation 1
-        total += depthwise * 4 * c + n * (3 * c * c + 3 * c)  # [depthwise] conv, norm
-        fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else c)
-        total += n * c * c + c + fuse_in * d_out + d_out  # compress, fuse
-    total += 3 * len(config.stage_dims) * d_out * d_out + 3 * d_out  # merge conv, norm
-    total += config.decoder_blocks * (3 * d_out * d_out + 3 * d_out)
-    total += 3 * d_out * d_head + d_head + d_head + 1  # head conv1, conv2
-    return total
 
 
 def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:
@@ -253,31 +241,44 @@ def save_checkpoint(path: str | Path, model: GebdModel) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
+class _PayloadReader:
+    """Parameter source that returns the next f32 block of a checkpoint
+    payload, checking the length before it allocates anything."""
+
+    def __init__(self, raw: bytes, offset: int, path: Path):
+        self.raw, self.offset, self.path = raw, offset, path
+
+    def __call__(self, shape: tuple[int, ...], kind: str) -> np.ndarray:
+        count = math.prod(shape)
+        have = len(self.raw) - self.offset
+        if 4 * count > have:
+            raise ValueError(
+                f"{self.path}: truncated parameters at offset {self.offset}: "
+                f"{kind} block needs {4 * count} bytes, have {have}"
+            )
+        block = np.frombuffer(self.raw, dtype="<f4", count=count, offset=self.offset)
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"{self.path}: non-finite values in {kind} block at offset {self.offset}")
+        self.offset += 4 * count
+        out = block.astype(np.float64).reshape(shape)
+        out.setflags(write=False)  # the Tensor takes it without a copy
+        return out
+
+
 def load_checkpoint(path: str | Path) -> GebdModel:
     path = Path(path)
     raw = path.read_bytes()
     if raw[0:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic at offset 0, expected {CHECKPOINT_MAGIC!r}")
-
-    def u32(offset: int, what: str) -> int:
-        if offset + 4 > len(raw):
-            raise ValueError(f"{path}: truncated while reading {what} at offset {offset}")
-        return struct.unpack_from("<I", raw, offset)[0]
-
-    version = u32(4, "version")
+    version = read_u32(raw, 4, path, "version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported version {version} at offset 4")
-    num_stages = u32(8, "stage count")
-    offset = 12
-    dims = []
-    for k in range(num_stages):
-        dims.append(u32(offset, f"stage {k} dim"))
-        offset += 4
-    fields = []
-    for what in ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius", "flags"):
-        fields.append(u32(offset, what))
-        offset += 4
-    branch_count, decoder_blocks, d_out, d_head, radius, flags = fields
+    num_stages = read_u32(raw, 8, path, "stage count")
+    dims = [read_u32(raw, 12 + 4 * k, path, f"stage {k} dim") for k in range(num_stages)]
+    offset = 12 + 4 * num_stages
+    branch_count, decoder_blocks, d_out, d_head, radius, flags = [
+        read_u32(raw, offset + 4 * i, path, what) for i, what in enumerate(_HEADER_FIELDS)
+    ]
     config = ModelConfig(
         stage_dims=tuple(dims),
         branch_count=branch_count,
@@ -289,18 +290,8 @@ def load_checkpoint(path: str | Path) -> GebdModel:
         use_residual=bool(flags & _FLAG_USE_RESIDUAL),
         use_depthwise=bool(flags & _FLAG_USE_DEPTHWISE),
     )
-    need = 4 * parameter_count(config)
-    have = len(raw) - offset
-    if have < need:
-        raise ValueError(
-            f"{path}: truncated parameters at offset {offset}: header implies {need} bytes, "
-            f"have {have}"
-        )
-    if have > need:
-        raise ValueError(f"{path}: {have - need} trailing bytes at offset {offset + need}")
-    model = GebdModel.build(config, seed=0)
-    for _, p in model.parameters():
-        block = np.frombuffer(raw, dtype="<f4", count=p.data.size, offset=offset)
-        p.update_data(block.astype(np.float64).reshape(p.data.shape))
-        offset += p.data.size * 4
+    payload = _PayloadReader(raw, offset + 4 * len(_HEADER_FIELDS), path)
+    model = init_model(payload, config)
+    if payload.offset != len(raw):
+        raise ValueError(f"{path}: {len(raw) - payload.offset} trailing bytes at offset {payload.offset}")
     return model

@@ -4,16 +4,25 @@ All operate on T x d sequence tensors, preserve the frame count ("same"
 length, zero padding outside the sequence), and are differentiable through
 the autodiff graph. Convolution tap j of a width 2m+1 kernel multiplies
 frame t + dilation*j; `weights[..., j + m]` holds that tap.
+
+The `init_*` constructors take a `ParamSource`, `new(shape, kind) -> array`,
+called once per parameter in field order with kind the field name
+("weights", "bias", "gamma", "beta"): `random_params` draws a fresh model,
+a checkpoint reader returns the stored blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
 
 from .autodiff import Tensor, _accumulate, _require_2d
+
+ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -217,32 +226,40 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(s, parents=(x,), backward=backward, validate=False)
 
 
-def init_conv1d(rng: np.random.Generator, in_channels: int, out_channels: int,
+def random_params(rng: np.random.Generator) -> ParamSource:
+    """Seeded parameter source: fan-in uniform weights, unit gammas, zero
+    biases and betas. Only weights draw from rng, in request order."""
+
+    def new(shape: tuple[int, ...], kind: str) -> np.ndarray:
+        if kind == "weights":
+            bound = (1.0 / math.prod(shape[1:])) ** 0.5
+            return rng.uniform(-bound, bound, size=shape)
+        return np.ones(shape) if kind == "gamma" else np.zeros(shape)
+
+    return new
+
+
+def init_conv1d(new: ParamSource, in_channels: int, out_channels: int,
                 width: int, dilation: int = 1) -> Conv1dKernel:
-    """Fan-in uniform weights, zero bias."""
-    bound = (1.0 / (in_channels * width)) ** 0.5
-    w = rng.uniform(-bound, bound, size=(out_channels, in_channels, width))
     return Conv1dKernel(
-        Tensor(w, requires_grad=True),
-        Tensor(np.zeros(out_channels), requires_grad=True),
+        Tensor(new((out_channels, in_channels, width), "weights"), requires_grad=True),
+        Tensor(new((out_channels,), "bias"), requires_grad=True),
         dilation,
     )
 
 
-def init_depthwise(rng: np.random.Generator, channels: int, width: int,
+def init_depthwise(new: ParamSource, channels: int, width: int,
                    dilation: int = 1) -> DepthwiseKernel:
-    bound = (1.0 / width) ** 0.5
-    w = rng.uniform(-bound, bound, size=(channels, width))
     return DepthwiseKernel(
-        Tensor(w, requires_grad=True),
-        Tensor(np.zeros(channels), requires_grad=True),
+        Tensor(new((channels, width), "weights"), requires_grad=True),
+        Tensor(new((channels,), "bias"), requires_grad=True),
         dilation,
     )
 
 
-def init_layer_norm(channels: int, eps: float = 1e-5) -> LayerNormAffine:
+def init_layer_norm(new: ParamSource, channels: int, eps: float = 1e-5) -> LayerNormAffine:
     return LayerNormAffine(
-        Tensor(np.ones(channels), requires_grad=True),
-        Tensor(np.zeros(channels), requires_grad=True),
+        Tensor(new((channels,), "gamma"), requires_grad=True),
+        Tensor(new((channels,), "beta"), requires_grad=True),
         eps,
     )

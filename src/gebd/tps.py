@@ -14,6 +14,7 @@ from .nn import (
     Conv1dKernel,
     DepthwiseKernel,
     LayerNormAffine,
+    ParamSource,
     conv1d,
     depthwise_conv1d,
     gelu,
@@ -179,20 +180,17 @@ def tps_forward(
     return gelu(y)
 
 
-def init_branch(rng: np.random.Generator, channels: int, dilation: int,
+def init_branch(new: ParamSource, channels: int, dilation: int,
                 use_depthwise: bool = True) -> TpsBranchParams:
-    depthwise = None
-    if dilation > 1 and use_depthwise:
-        depthwise = init_depthwise(rng, channels, width=3, dilation=1)
     return TpsBranchParams(
-        depthwise=depthwise,
-        conv=init_conv1d(rng, channels, channels, width=3, dilation=dilation),
-        norm=init_layer_norm(channels),
+        depthwise=init_depthwise(new, channels, width=3) if dilation > 1 and use_depthwise else None,
+        conv=init_conv1d(new, channels, channels, width=3, dilation=dilation),
+        norm=init_layer_norm(new, channels),
     )
 
 
 def init_stage(
-    rng: np.random.Generator,
+    new: ParamSource,
     channels: int,
     branch_count: int,
     d_out: int,
@@ -200,19 +198,16 @@ def init_stage(
     fuse_distances: bool = True,
     use_depthwise: bool = True,
 ) -> TpsStageParams:
-    branches = [
-        init_branch(rng, channels, 2 ** i, use_depthwise) for i in range(branch_count)
-    ]
     fuse_in = (branch_count + 1) * (2 * radius if fuse_distances else channels)
     return TpsStageParams(
-        branches=branches,
-        compress=init_conv1d(rng, branch_count * channels, channels, width=1),
-        fuse=init_conv1d(rng, fuse_in, d_out, width=1),
+        branches=[init_branch(new, channels, 2 ** i, use_depthwise) for i in range(branch_count)],
+        compress=init_conv1d(new, branch_count * channels, channels, width=1),
+        fuse=init_conv1d(new, fuse_in, d_out, width=1),
     )
 
 
 def init_tps(
-    rng: np.random.Generator,
+    new: ParamSource,
     stage_dims: tuple[int, ...],
     branch_count: int,
     d_out: int,
@@ -220,13 +215,12 @@ def init_tps(
     fuse_distances: bool = True,
     use_depthwise: bool = True,
 ) -> TpsParams:
-    stages = [
-        init_stage(rng, d, branch_count, d_out, radius, fuse_distances, use_depthwise)
-        for d in stage_dims
-    ]
     return TpsParams(
-        stages=stages,
-        merge_conv=init_conv1d(rng, len(stage_dims) * d_out, d_out, width=3),
-        merge_norm=init_layer_norm(d_out),
+        stages=[
+            init_stage(new, d, branch_count, d_out, radius, fuse_distances, use_depthwise)
+            for d in stage_dims
+        ],
+        merge_conv=init_conv1d(new, len(stage_dims) * d_out, d_out, width=3),
+        merge_norm=init_layer_norm(new, d_out),
         neighbor_radius=radius,
     )

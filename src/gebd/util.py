@@ -1,8 +1,9 @@
-"""Shared filesystem and environment helpers."""
+"""Shared filesystem, binary header and environment helpers."""
 
 from __future__ import annotations
 
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,13 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_u32(raw: bytes, offset: int, path, what: str) -> int:
+    """Little-endian u32 of a binary header; names the field when truncated."""
+    if offset + 4 > len(raw):
+        raise ValueError(f"{path}: truncated while reading {what} at offset {offset}")
+    return struct.unpack_from("<I", raw, offset)[0]
 
 
 def worker_count() -> int:

@@ -14,7 +14,7 @@ from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, mul, scale
 from gebd.data import frame_labels, random_boundary_times, split_clips, synth_video, VideoFeatures
 from gebd.evaluate import f1_sweep, match_detections, rel_dis_error
 from gebd.model import GebdModel, ModelConfig, head_forward, model_forward, sd_forward
-from gebd.nn import conv1d, depthwise_conv1d, gelu, init_layer_norm, layer_norm, sigmoid
+from gebd.nn import conv1d, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
 from gebd.tps import branch_forward, neighbor_distances, stage_forward, tps_forward
 from gebd.train import TrainConfig, bce_loss, train
@@ -120,7 +120,7 @@ def test_criterion_2_gradient_suite():
     wd = Tensor(rng.uniform(-1, 1, size=(7, 3)))
     worst = max(worst, check_op_gradients(
         lambda: sum_all(mul(depthwise_conv1d(x, dk), wd)), [x, dk.weights, dk.bias], tol))
-    a = init_layer_norm(3)
+    a = init_layer_norm(random_params(rng), 3)
     worst = max(worst, check_op_gradients(
         lambda: sum_all(mul(layer_norm(x, a), wd)), [x, a.gamma, a.beta], tol))
     we = Tensor(rng.uniform(-1, 1, size=(7, 3)))

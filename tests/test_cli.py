@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -75,6 +76,17 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(cli.ERROR_PREFIX)
         assert "stage_dims" in err
+
+    def test_non_positive_or_non_finite_fps_rejected(self, tmp_path, capsys):
+        for fps in ("0", "-5", "nan", "inf"):
+            out = tmp_path / f"fps{fps}"
+            code = run(["synth", "--out", str(out), "--num-videos", "1",
+                        "--frames", "30", "--fps", fps, "--stage-dims", "6,6"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(cli.ERROR_PREFIX)
+            assert "fps must be finite and positive" in err
+            assert not out.exists()
 
     def test_annotation_fps_matches(self, tmp_path):
         out = synth_small(tmp_path, n=2)
@@ -223,6 +235,15 @@ class TestInfer:
         assert code == 1
         assert "neighbor_radius" in capsys.readouterr().err
 
+    def test_non_finite_fps_clean_error(self, tmp_path, capsys):
+        data = synth_small(tmp_path, n=1)
+        run_dir = train_small(tmp_path, data, epochs=0)
+        for fps in ("inf", "nan"):
+            code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
+                        "--features", str(data), "--out", str(tmp_path / "bad"), "--fps", fps])
+            assert code == 1
+            assert "fps must be finite and positive" in capsys.readouterr().err
+
 
 class TestEval:
     def write_perfect_detections(self, tmp_path, data):
@@ -275,6 +296,21 @@ class TestEval:
         assert code == 1
         assert "without detections" in capsys.readouterr().err
 
+    def test_empty_or_non_finite_taus_rejected(self, tmp_path, capsys):
+        data = synth_small(tmp_path, n=2)
+        det_dir = self.write_perfect_detections(tmp_path, data)
+        report = tmp_path / "r.csv"
+        for taus, message in (("", "empty threshold list"), ("nan", "finite and positive"),
+                              ("0.05,nan", "finite and positive")):
+            code = run(["eval", "--detections", str(det_dir),
+                        "--annotations", str(data / "annotations.json"),
+                        "--out", str(report), "--taus", taus])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(cli.ERROR_PREFIX)
+            assert message in err
+            assert not report.exists()
+
 
 class TestConfigFile:
     def test_file_then_flags_precedence(self, tmp_path):
@@ -306,6 +342,9 @@ class TestConfigFile:
         assert parsed["frames"] == 30
         assert parsed["stage_dims"] == (6, 6, 6, 6)
         assert parsed["smooth_inference"] is True
+        defaults = tmp_path / "defaults.txt"
+        defaults.write_text(cli.format_config(cli.RunConfig()))
+        assert cli.load_config_file(defaults) == asdict(cli.RunConfig())
 
 
 class TestWorkerCount:

@@ -235,6 +235,15 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="outside"):
             Annotation("v", 10.0, (11.0,))
 
+    def test_non_finite_fps_rejected(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('[{"video_id": "a", "duration": 5, "fps": Infinity, "boundaries": []}]')
+        with pytest.raises(ValueError, match="finite and positive"):
+            load_annotations(path)
+        for fps in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                VideoFeatures("v", fps, [np.zeros((3, 2))])
+
 
 class TestRandomBoundaryTimes:
     def test_respects_gap_and_margins(self):

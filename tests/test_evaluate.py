@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gebd import evaluate
 from gebd.evaluate import (
     DEFAULT_TAUS,
     EvalReport,
@@ -165,6 +166,20 @@ class TestF1Sweep:
     def test_bad_average_rejected(self):
         with pytest.raises(ValueError, match="average"):
             f1_sweep([([1.0], [1.0], 10.0)], average="weird")
+
+    def test_empty_threshold_list_rejected(self):
+        with pytest.raises(ValueError, match="empty threshold list"):
+            f1_sweep([([1.0], [1.0], 10.0)], taus=())
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.05])
+    def test_non_finite_or_non_positive_threshold_rejected_before_matching(self, tau, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("matched before the thresholds were checked")
+
+        monkeypatch.setattr(evaluate, "match_detections", fail)
+        for average in ("micro", "macro"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                f1_sweep([([1.0], [1.0], 10.0)], taus=(0.05, tau), average=average)
 
 
 class TestReportCsv:

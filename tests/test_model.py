@@ -1,6 +1,8 @@
 """Decoder, head, full model forward, and checkpoint round trips."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +19,28 @@ from gebd.model import (
     init_head,
     load_checkpoint,
     model_forward,
-    parameter_count,
     save_checkpoint,
     sd_forward,
 )
-from gebd.nn import layer_norm, gelu
+from gebd.nn import gelu, layer_norm, random_params
 
 
 TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2)
+NO_DEPTHWISE = ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12,
+                           d_head=6, neighbor_radius=3, fuse_distances=False, use_depthwise=False)
+BENCH = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
+
+# sha256 of save_checkpoint(GebdModel.build(cfg, seed)). Seeded checkpoints
+# are reproducible artifacts: a change to the parameter tree code must not
+# move a byte of them.
+GOLDEN_CHECKPOINTS = [
+    (TINY, 0, "b5ceb6e994f2fe933ecda92a9865225f46a4400b637b5c3402cbd0f22f861196"),
+    (TINY, 7, "2958a03d588497ee9f656add8557a2110e36a192bdfccb03f01a5e640aa7d375"),
+    (NO_DEPTHWISE, 0, "a4bf9d02fe72e5fff40d14de45a01fc6627c90ba9f920acd6cb9277150989664"),
+    (NO_DEPTHWISE, 7, "b749266f9b79b33938028044ac86d9fa0101f1316efc6f01619af7652b3f1aef"),
+    (BENCH, 0, "e00d1c4c5e2244193ebf1ba4fe92491565978ad909d6dda6298a9dd7a525ce08"),
+    (BENCH, 7, "9d3089410bd34802ded025c154e6aa23205196b90b7b856a673ac538c6a702a9"),
+]
 
 
 def tiny_stages(seed=0, t=12, dims=(8, 8, 8, 8)):
@@ -35,12 +51,12 @@ def tiny_stages(seed=0, t=12, dims=(8, 8, 8, 8)):
 class TestSdForward:
     def test_shape_preserved(self):
         rng = np.random.default_rng(0)
-        decoder = init_decoder(rng, TINY)
+        decoder = init_decoder(random_params(rng), TINY)
         x = seq_tensor(rng.standard_normal((15, 8)))
         assert sd_forward(x, decoder).data.shape == (15, 8)
 
     def test_dilations_ascending_powers(self):
-        decoder = init_decoder(np.random.default_rng(1), TINY)
+        decoder = init_decoder(random_params(np.random.default_rng(1)), TINY)
         assert [b.conv.dilation for b in decoder.blocks] == [2, 4, 8]
         assert all(b.conv.width == 3 for b in decoder.blocks)
 
@@ -53,7 +69,7 @@ class TestSdForward:
     def test_receptive_field_bound(self):
         # width 3 at dilations 2+4+8 reaches at most 14 frames
         rng = np.random.default_rng(3)
-        decoder = init_decoder(rng, TINY)
+        decoder = init_decoder(random_params(rng), TINY)
         x = rng.standard_normal((40, 8))
         base = sd_forward(seq_tensor(x), decoder).data
         xp = x.copy()
@@ -65,7 +81,7 @@ class TestSdForward:
 
     def test_identity_conv_blocks_reduce_to_norm_gelu_chain(self):
         rng = np.random.default_rng(4)
-        decoder = init_decoder(rng, TINY)
+        decoder = init_decoder(random_params(rng), TINY)
         eye = np.zeros((8, 8, 3))
         eye[:, :, 1] = np.eye(8)
         for block in decoder.blocks:
@@ -80,7 +96,7 @@ class TestSdForward:
 
     def test_zero_is_fixed_point_of_identity_blocks(self):
         rng = np.random.default_rng(5)
-        decoder = init_decoder(rng, TINY)
+        decoder = init_decoder(random_params(rng), TINY)
         eye = np.zeros((8, 8, 3))
         eye[:, :, 1] = np.eye(8)
         for block in decoder.blocks:
@@ -93,7 +109,7 @@ class TestSdForward:
 class TestHeadForward:
     def test_scores_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(6)
-        head = init_head(rng, TINY)
+        head = init_head(random_params(rng), TINY)
         x = seq_tensor(rng.standard_normal((14, 8)) * 5)
         out = head_forward(x, head).data
         assert out.shape == (14, 1)
@@ -101,7 +117,7 @@ class TestHeadForward:
 
     def test_zero_weights_give_half(self):
         rng = np.random.default_rng(7)
-        head = init_head(rng, TINY)
+        head = init_head(random_params(rng), TINY)
         head.conv1.weights.update_data(np.zeros_like(head.conv1.weights.data))
         head.conv1.bias.update_data(np.zeros(8))
         head.conv2.weights.update_data(np.zeros_like(head.conv2.weights.data))
@@ -111,7 +127,7 @@ class TestHeadForward:
 
     def test_raising_final_bias_raises_every_score(self):
         rng = np.random.default_rng(9)
-        head = init_head(rng, TINY)
+        head = init_head(random_params(rng), TINY)
         x = seq_tensor(rng.standard_normal((11, 8)))
         base = head_forward(x, head).data
         head.conv2.bias.update_data(head.conv2.bias.data + 0.5)
@@ -173,8 +189,8 @@ class TestParameters:
     def test_fixed_order_and_depthwise_presence(self):
         model = GebdModel.build(TINY, seed=5)
         names = [n for n, _ in model.parameters()]
-        assert names[0] == "stage0/branch0/conv/weights"  # r=1 branch: no depthwise
-        assert "stage0/branch1/depthwise/weights" in names
+        assert names[0] == "tps/stages/0/branches/0/conv/weights"  # r=1 branch: no depthwise
+        assert "tps/stages/0/branches/1/depthwise/weights" in names
         assert names[-1] == "head/conv2/bias"
         assert len(names) == len(set(names))
 
@@ -183,15 +199,6 @@ class TestParameters:
                           neighbor_radius=2, use_depthwise=False)
         model = GebdModel.build(cfg, seed=6)
         assert not any("depthwise" in n for n, _ in model.parameters())
-
-    @pytest.mark.parametrize("cfg", [
-        TINY,
-        ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12, d_head=6,
-                    neighbor_radius=3, fuse_distances=False, use_depthwise=False),
-    ])
-    def test_parameter_count_matches_built_model(self, cfg):
-        model = GebdModel.build(cfg, seed=7)
-        assert parameter_count(cfg) == sum(p.data.size for _, p in model.parameters())
 
     def test_zero_grads(self):
         from gebd.autodiff import backward
@@ -206,6 +213,26 @@ class TestParameters:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("cfg, seed, digest", GOLDEN_CHECKPOINTS, ids=[
+        "tiny-0", "tiny-7", "no_depthwise-0", "no_depthwise-7", "bench-0", "bench-7"])
+    def test_seeded_checkpoint_bytes_pinned(self, tmp_path, cfg, seed, digest):
+        path = tmp_path / "m.gebw"
+        save_checkpoint(path, GebdModel.build(cfg, seed=seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.gebw"
+        save_checkpoint(path, GebdModel.build(TINY, seed=3))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("load_checkpoint initialized parameters at random")
+
+        monkeypatch.setattr(GebdModel, "build", fail)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        again = tmp_path / "again.gebw"
+        save_checkpoint(again, load_checkpoint(path))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_round_trip_bit_identical(self, tmp_path):
         model = GebdModel.build(TINY, seed=8)
         p1, p2 = tmp_path / "a.gebw", tmp_path / "b.gebw"
@@ -258,17 +285,40 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_checked_against_payload_before_build(self, tmp_path, monkeypatch):
-        # 40-byte file, one stage, d_out=60000: building it first would draw
-        # an 80.5 GiB merge conv before noticing the missing payload
-        path = tmp_path / "huge.gebw"
-        path.write_bytes(b"GEBW" + struct.pack("<9I", 1, 1, 8, 4, 3, 60000, 128, 5, 7))
-        assert path.stat().st_size == 40
+        # 40-byte files, one stage, no payload. Allocating what the header
+        # claims before reading would take 80.5 GiB for d_out=60000, 86 GiB
+        # for a stage dim of 60000, or 2**31 branches and decoder blocks.
+        headers = [
+            (1, 1, 8, 4, 3, 60000, 128, 5, 7),
+            (1, 1, 60000, 4, 3, 8, 8, 5, 7),
+            (1, 1, 8, 2 ** 31, 2 ** 31, 8, 8, 5, 7),
+        ]
 
         def fail(*args, **kwargs):
             raise AssertionError("GebdModel.build called before the payload length was checked")
 
         monkeypatch.setattr(GebdModel, "build", fail)
-        with pytest.raises(ValueError, match="truncated"):
+        path = tmp_path / "huge.gebw"
+        for header in headers:
+            path.write_bytes(b"GEBW" + struct.pack("<9I", *header))
+            assert path.stat().st_size == 40
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="truncated"):
+                    load_checkpoint(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (header, peak)
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        path = tmp_path / "nan.gebw"
+        save_checkpoint(path, GebdModel.build(TINY, seed=14))
+        raw = bytearray(path.read_bytes())
+        header = 4 + 4 * (2 + len(TINY.stage_dims) + 6)
+        raw[header:header + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"non-finite values in weights block at offset {header}"):
             load_checkpoint(path)
 
     def test_compatibility_check_names_field(self):

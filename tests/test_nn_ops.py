@@ -16,6 +16,7 @@ from gebd.nn import (
     init_depthwise,
     init_layer_norm,
     layer_norm,
+    random_params,
     sigmoid,
 )
 from gradcheck import check_op_gradients
@@ -138,7 +139,7 @@ class TestDepthwiseConv1d:
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
-        a = init_layer_norm(4)
+        a = init_layer_norm(random_params(np.random.default_rng(0)), 4)
         x = seq_tensor(np.full((3, 4), 7.5))
         np.testing.assert_allclose(layer_norm(x, a).data, np.zeros((3, 4)), atol=1e-9)
 
@@ -149,7 +150,7 @@ class TestLayerNorm:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(9)
-        a = init_layer_norm(5)
+        a = init_layer_norm(random_params(rng), 5)
         x = rng.standard_normal((4, 5))
         base = layer_norm(seq_tensor(x), a).data
         shifted = layer_norm(seq_tensor(x + 3.25), a).data
@@ -165,7 +166,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(layer_norm(seq_tensor(x), a).data, want, atol=1e-12)
 
     def test_affine_size_check(self):
-        a = init_layer_norm(3)
+        a = init_layer_norm(random_params(np.random.default_rng(0)), 3)
         with pytest.raises(ValueError, match="channels"):
             layer_norm(seq_tensor(np.zeros((2, 4))), a)
 
@@ -227,7 +228,7 @@ class TestGradients:
     def test_layer_norm(self):
         rng = np.random.default_rng(25)
         x = Tensor(rng.uniform(-2, 2, size=(5, 6)), requires_grad=True)
-        a = init_layer_norm(6)
+        a = init_layer_norm(random_params(rng), 6)
         a.gamma.update_data(rng.uniform(0.5, 1.5, size=6))
         a.beta.update_data(rng.uniform(-0.5, 0.5, size=6))
         w = Tensor(rng.uniform(-1, 1, size=(5, 6)))
@@ -250,7 +251,7 @@ class TestGradients:
         rng = np.random.default_rng(28)
         x = Tensor(rng.uniform(-2, 2, size=(7, 3)), requires_grad=True)
         k = make_conv(rng, 3, 3, 3, 2)
-        a = init_layer_norm(3)
+        a = init_layer_norm(random_params(rng), 3)
         w = Tensor(rng.uniform(-1, 1, size=(7, 3)))
 
         def loss():
@@ -262,7 +263,7 @@ class TestGradients:
 class TestInit:
     def test_fan_in_bounds_and_zero_bias(self):
         rng = np.random.default_rng(29)
-        k = init_conv1d(rng, 16, 8, 3, dilation=2)
+        k = init_conv1d(random_params(rng), 16, 8, 3, dilation=2)
         bound = (1.0 / (16 * 3)) ** 0.5
         assert np.all(np.abs(k.weights.data) <= bound)
         np.testing.assert_array_equal(k.bias.data, np.zeros(8))
@@ -270,10 +271,10 @@ class TestInit:
 
     def test_depthwise_fan_in(self):
         rng = np.random.default_rng(30)
-        k = init_depthwise(rng, 4, 3)
+        k = init_depthwise(random_params(rng), 4, 3)
         assert np.all(np.abs(k.weights.data) <= (1.0 / 3) ** 0.5)
 
     def test_layer_norm_identity_affine(self):
-        a = init_layer_norm(5)
+        a = init_layer_norm(random_params(np.random.default_rng(0)), 5)
         np.testing.assert_array_equal(a.gamma.data, np.ones(5))
         np.testing.assert_array_equal(a.beta.data, np.zeros(5))

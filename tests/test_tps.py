@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gebd.autodiff import Tensor, backward, seq_tensor, sum_all
-from gebd.nn import Conv1dKernel
+from gebd.nn import Conv1dKernel, random_params
 from gebd.tps import (
     TpsParams,
     branch_forward,
@@ -23,14 +23,14 @@ from oracles import naive_neighbor_distances, naive_neighbor_distances_backward,
 
 def make_stage(seed=0, channels=6, n=4, d_out=8, radius=2, **kwargs):
     rng = np.random.default_rng(seed)
-    return init_stage(rng, channels, n, d_out, radius, **kwargs)
+    return init_stage(random_params(rng), channels, n, d_out, radius, **kwargs)
 
 
 class TestBranchStructure:
     def test_depthwise_present_iff_dilated(self):
         rng = np.random.default_rng(0)
         dilations = [2 ** i for i in range(4)]
-        branches = [init_branch(rng, 6, r) for r in dilations]
+        branches = [init_branch(random_params(rng), 6, r) for r in dilations]
         assert branches[0].depthwise is None  # r=1
         for br in branches[1:]:  # r in {2, 4, 8}
             assert br.depthwise is not None
@@ -41,12 +41,12 @@ class TestBranchStructure:
         rng = np.random.default_rng(1)
         x = seq_tensor(rng.standard_normal((11, 6)))
         for r in (1, 2, 4, 8):
-            out = branch_forward(x, init_branch(rng, 6, r))
+            out = branch_forward(x, init_branch(random_params(rng), 6, r))
             assert out.data.shape == (11, 6)
 
     def test_zero_input_zero_params_gives_zero(self):
         # with zero biases and beta=0: norm(0)=0, gelu(0)=0
-        br = init_branch(np.random.default_rng(2), 4, 2)
+        br = init_branch(random_params(np.random.default_rng(2)), 4, 2)
         out = branch_forward(seq_tensor(np.zeros((6, 4))), br)
         np.testing.assert_allclose(out.data, np.zeros((6, 4)), atol=1e-15)
 
@@ -208,7 +208,7 @@ class TestStageForward:
 class TestTpsForward:
     def make_params(self, seed=19, dims=(4, 4, 4, 4), d_out=6, radius=2, **kwargs):
         rng = np.random.default_rng(seed)
-        return init_tps(rng, dims, 4, d_out, radius, **kwargs)
+        return init_tps(random_params(rng), dims, 4, d_out, radius, **kwargs)
 
     def make_inputs(self, seed, dims, t=20):
         rng = np.random.default_rng(seed)
