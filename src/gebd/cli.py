@@ -167,6 +167,8 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if cfg.num_videos < 1:
+        raise ValueError(f"num_videos must be >= 1, got {cfg.num_videos}")
     if any(d <= 0 for d in cfg.stage_dims):
         raise ValueError(f"stage_dims must be positive, got {cfg.stage_dims}")
     if not 0 <= cfg.min_boundaries <= cfg.max_boundaries:
@@ -253,8 +255,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _score_video(video, model: GebdModel, cfg: RunConfig) -> post_mod.BoundaryScores:
-    clip_len = round(cfg.clip_seconds * video.fps)
-    if cfg.clip_mode and video.num_frames > clip_len:
+    if cfg.clip_mode and video.num_frames > round(cfg.clip_seconds * video.fps):
         clips = data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds)
         scored = []
         for clip in clips:
@@ -272,6 +273,10 @@ def _score_video(video, model: GebdModel, cfg: RunConfig) -> post_mod.BoundarySc
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if not (math.isfinite(cfg.clip_seconds) and math.isfinite(cfg.overlap_seconds)):
+        raise ValueError(
+            f"clip_seconds and overlap_seconds must be finite, got {cfg.clip_seconds}/{cfg.overlap_seconds}"
+        )
     model = load_checkpoint(args.checkpoint)
     features_path = Path(args.features)
     files = sorted(features_path.glob("*.gebf")) if features_path.is_dir() else [features_path]

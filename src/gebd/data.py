@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import atomic_write_bytes, atomic_write_text, read_u32
+from .util import BlockReader, atomic_write_text, write_blocks
 
 FEATURE_MAGIC = b"GEBF"
 FEATURE_VERSION = 1
@@ -64,8 +63,8 @@ class Annotation:
     fps: float = 5.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"{self.video_id}: duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"{self.video_id}: duration must be finite and positive, got {self.duration}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError(f"{self.video_id}: fps must be finite and positive, got {self.fps}")
         self.boundaries = tuple(float(b) for b in self.boundaries)
@@ -92,57 +91,29 @@ class Clip:
 
 
 def save_features(path: str | Path, video: VideoFeatures) -> None:
-    t = video.num_frames
     dims = video.stage_dims
-    parts = [
-        FEATURE_MAGIC,
-        struct.pack("<III", FEATURE_VERSION, t, len(dims)),
-        struct.pack(f"<{len(dims)}I", *dims),
-    ]
-    for s in video.stages:
-        parts.append(np.ascontiguousarray(s, dtype="<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    header = (FEATURE_VERSION, video.num_frames, len(dims), *dims)
+    write_blocks(path, FEATURE_MAGIC, header, video.stages)
 
 
 def load_features(path: str | Path, fps: float = 5.0, video_id: str | None = None) -> VideoFeatures:
     """Read a feature file; fps travels with annotations, so callers supply it."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[0:4] != FEATURE_MAGIC:
-        raise ValueError(f"{path}: bad magic at offset 0, expected {FEATURE_MAGIC!r}")
-    version = read_u32(raw, 4, path, "version")
-    if version != FEATURE_VERSION:
-        raise ValueError(f"{path}: unsupported version {version} at offset 4")
-    t = read_u32(raw, 8, path, "frame count")
+    reader = BlockReader(path, FEATURE_MAGIC, FEATURE_VERSION)
+    t = reader.u32("frame count")
     if t < 1:
         raise ValueError(f"{path}: frame count must be >= 1 at offset 8")
-    num_stages = read_u32(raw, 12, path, "stage count")
+    num_stages = reader.u32("stage count")
     if num_stages < 1:
         raise ValueError(f"{path}: stage count must be >= 1 at offset 12")
     dims = []
-    offset = 16
     for k in range(num_stages):
-        d = read_u32(raw, offset, path, f"stage {k} channel dim")
+        d = reader.u32(f"stage {k} channel dim")
         if d < 1:
-            raise ValueError(f"{path}: stage {k} channel dim must be >= 1 at offset {offset}")
+            raise ValueError(f"{path}: stage {k} channel dim must be >= 1 at offset {reader.offset - 4}")
         dims.append(d)
-        offset += 4
-    stages = []
-    for k, d in enumerate(dims):
-        need = t * d * 4
-        if offset + need > len(raw):
-            raise ValueError(
-                f"{path}: truncated stage {k} payload at offset {offset}: "
-                f"need {need} bytes, have {len(raw) - offset}"
-            )
-        block = np.frombuffer(raw, dtype="<f4", count=t * d, offset=offset)
-        block = block.astype(np.float64).reshape(t, d)
-        if not np.all(np.isfinite(block)):
-            raise ValueError(f"{path}: non-finite values in stage {k} payload at offset {offset}")
-        stages.append(block)
-        offset += need
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes at offset {offset}")
+    stages = [reader.f32((t, d), f"stage {k} payload") for k, d in enumerate(dims)]
+    reader.finish()
     return VideoFeatures(video_id or path.stem, fps, stages)
 
 
@@ -165,7 +136,7 @@ def synth_video(
         raise ValueError("num_frames must be >= 1")
     if fps <= 0:
         raise ValueError("fps must be positive")
-    if snr is not None and snr <= 0:
+    if snr is not None and not snr > 0:
         raise ValueError("snr must be positive (or None for noiseless)")
     duration = num_frames / fps
     bts = [float(b) for b in boundary_times]
@@ -200,7 +171,7 @@ def random_boundary_times(
     """Boundary times separated by >= min_gap from each other and both video edges."""
     if count == 0:
         return []
-    if (count + 1) * min_gap > duration:
+    if not (count + 1) * min_gap <= duration:
         raise ValueError(f"cannot fit {count} boundaries with gap {min_gap} in {duration}s")
     for _ in range(1000):
         pts = np.sort(rng.uniform(min_gap, duration - min_gap, size=count))
@@ -240,8 +211,10 @@ def split_clips(
     The final window ends exactly at the last frame, overlapping more than
     the nominal stride when the length is not a multiple of it.
     """
-    if not clip_seconds > overlap_seconds >= 0:
-        raise ValueError(f"need clip_seconds > overlap_seconds >= 0, got {clip_seconds}/{overlap_seconds}")
+    if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
+        raise ValueError(
+            f"need finite clip_seconds > overlap_seconds >= 0, got {clip_seconds}/{overlap_seconds}"
+        )
     t = video.num_frames
     clip_len = round(clip_seconds * video.fps)
     stride = round((clip_seconds - overlap_seconds) * video.fps)

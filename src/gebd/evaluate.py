@@ -4,6 +4,11 @@ and the 10-threshold sweep.
 A detection is correct at threshold tau when |detected - truth| / video_length
 <= tau; per threshold, true positives are counted by a maximum-cardinality
 one-to-one matching so the score does not depend on detection order.
+
+The matching is a two-pointer greedy over sorted times, and it is maximum:
+each detection's window is a contiguous run of sorted truths whose ends move
+right as the detection does, so giving each detection, in ascending order,
+the earliest free truth in its window never loses a match.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .util import atomic_write_text
 
@@ -34,26 +37,39 @@ def match_detections(
 ) -> list[tuple[int, int]]:
     """Maximum-cardinality one-to-one matching of detections to ground truth.
 
-    Edge (d, g) exists iff the relative error is <= tau; returns matched
-    index pairs, so TP is the number of pairs.
+    Edge (d, g) exists iff rel_dis_error(d, g, video_len) <= tau; returns
+    matched (det_index, gt_index) pairs in detection-index order, so TP is
+    the number of pairs. Inputs need not be sorted.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if video_len <= 0:
         raise ValueError(f"video length must be positive, got {video_len}")
-    if not len(dets) or not len(gts):
-        return []
-    d = np.asarray(dets, dtype=np.float64)[:, None]
-    g = np.asarray(gts, dtype=np.float64)[None, :]
-    ok = np.abs(d - g) / video_len <= tau
-    rows, cols = np.nonzero(ok)
-    if rows.size == 0:
-        return []
-    graph = csr_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(len(dets), len(gts))
-    )
-    col_of_row = maximum_bipartite_matching(graph, perm_type="column")
-    return [(i, int(j)) for i, j in enumerate(col_of_row) if j >= 0]
+    d = np.asarray(dets, dtype=np.float64)
+    g = np.asarray(gts, dtype=np.float64)
+    d_order = np.argsort(d, kind="stable")
+    g_order = np.argsort(g, kind="stable")
+    truths = g[g_order].tolist()
+    pairs = []
+    j = 0
+    for i, det in zip(d_order.tolist(), d[d_order].tolist()):
+        # a truth below this detection's window is below every later one's
+        while j < len(truths) and truths[j] < det and rel_dis_error(det, truths[j], video_len) > tau:
+            j += 1
+        if j < len(truths) and rel_dis_error(det, truths[j], video_len) <= tau:
+            pairs.append((i, int(g_order[j])))
+            j += 1
+    return sorted(pairs)
+
+
+def _prf(tp: int, nd: int, ng: int) -> tuple[float, float, float]:
+    """(precision, recall, f1) from match counts; both sides empty is perfect."""
+    if nd == 0 and ng == 0:
+        return 1.0, 1.0, 1.0
+    p = tp / nd if nd else 0.0
+    r = tp / ng if ng else 0.0
+    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+    return p, r, f1
 
 
 def f1_at(
@@ -64,13 +80,7 @@ def f1_at(
     Both sides empty scores a perfect (1, 1, 1); an empty side against a
     non-empty one scores zero.
     """
-    if not len(dets) and not len(gts):
-        return 1.0, 1.0, 1.0
-    tp = len(match_detections(dets, gts, tau, video_len)) if len(dets) and len(gts) else 0
-    p = tp / len(dets) if len(dets) else 0.0
-    r = tp / len(gts) if len(gts) else 0.0
-    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f1
+    return _prf(len(match_detections(dets, gts, tau, video_len)), len(dets), len(gts))
 
 
 @dataclass
@@ -124,21 +134,13 @@ def f1_sweep(
     for tau in taus:
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"f1_sweep: thresholds must be finite and positive, got {tau}")
+    nd = sum(len(dets) for dets, _, _ in corpus)
+    ng = sum(len(gts) for _, gts, _ in corpus)
     rows = []
     for tau in taus:
         if average == "micro":
-            tp = nd = ng = 0
-            for dets, gts, video_len in corpus:
-                if len(dets) and len(gts):
-                    tp += len(match_detections(dets, gts, tau, video_len))
-                nd += len(dets)
-                ng += len(gts)
-            if nd == 0 and ng == 0:
-                p = r = f1 = 1.0
-            else:
-                p = tp / nd if nd else 0.0
-                r = tp / ng if ng else 0.0
-                f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+            tp = sum(len(match_detections(dets, gts, tau, video_len)) for dets, gts, video_len in corpus)
+            p, r, f1 = _prf(tp, nd, ng)
         else:
             per_video = [f1_at(dets, gts, tau, video_len) for dets, gts, video_len in corpus]
             p, r, f1 = (float(np.mean([v[i] for v in per_video])) for i in range(3))

@@ -17,8 +17,6 @@ Checkpoint layout (little endian):
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -40,7 +38,7 @@ from .nn import (
 )
 from .postprocess import BoundaryScores
 from .tps import TpsParams, init_tps, tps_forward
-from .util import atomic_write_bytes, read_u32
+from .util import BlockReader, write_blocks
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
@@ -222,62 +220,26 @@ def _config_flags(config: ModelConfig) -> int:
 
 def save_checkpoint(path: str | Path, model: GebdModel) -> None:
     cfg = model.config
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<II", CHECKPOINT_VERSION, len(cfg.stage_dims)),
-        struct.pack(f"<{len(cfg.stage_dims)}I", *cfg.stage_dims),
-        struct.pack(
-            "<IIIIII",
-            cfg.branch_count,
-            cfg.decoder_blocks,
-            cfg.d_out,
-            cfg.d_head,
-            cfg.neighbor_radius,
-            _config_flags(cfg),
-        ),
-    ]
-    for _, p in model.parameters():
-        parts.append(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
-
-
-class _PayloadReader:
-    """Parameter source that returns the next f32 block of a checkpoint
-    payload, checking the length before it allocates anything."""
-
-    def __init__(self, raw: bytes, offset: int, path: Path):
-        self.raw, self.offset, self.path = raw, offset, path
-
-    def __call__(self, shape: tuple[int, ...], kind: str) -> np.ndarray:
-        count = math.prod(shape)
-        have = len(self.raw) - self.offset
-        if 4 * count > have:
-            raise ValueError(
-                f"{self.path}: truncated parameters at offset {self.offset}: "
-                f"{kind} block needs {4 * count} bytes, have {have}"
-            )
-        block = np.frombuffer(self.raw, dtype="<f4", count=count, offset=self.offset)
-        if not np.all(np.isfinite(block)):
-            raise ValueError(f"{self.path}: non-finite values in {kind} block at offset {self.offset}")
-        self.offset += 4 * count
-        out = block.astype(np.float64).reshape(shape)
-        out.setflags(write=False)  # the Tensor takes it without a copy
-        return out
+    header = (
+        CHECKPOINT_VERSION,
+        len(cfg.stage_dims),
+        *cfg.stage_dims,
+        cfg.branch_count,
+        cfg.decoder_blocks,
+        cfg.d_out,
+        cfg.d_head,
+        cfg.neighbor_radius,
+        _config_flags(cfg),
+    )
+    write_blocks(path, CHECKPOINT_MAGIC, header, [p.data for _, p in model.parameters()])
 
 
 def load_checkpoint(path: str | Path) -> GebdModel:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[0:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic at offset 0, expected {CHECKPOINT_MAGIC!r}")
-    version = read_u32(raw, 4, path, "version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version} at offset 4")
-    num_stages = read_u32(raw, 8, path, "stage count")
-    dims = [read_u32(raw, 12 + 4 * k, path, f"stage {k} dim") for k in range(num_stages)]
-    offset = 12 + 4 * num_stages
+    reader = BlockReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    num_stages = reader.u32("stage count")
+    dims = [reader.u32(f"stage {k} dim") for k in range(num_stages)]
     branch_count, decoder_blocks, d_out, d_head, radius, flags = [
-        read_u32(raw, offset + 4 * i, path, what) for i, what in enumerate(_HEADER_FIELDS)
+        reader.u32(what) for what in _HEADER_FIELDS
     ]
     config = ModelConfig(
         stage_dims=tuple(dims),
@@ -290,8 +252,6 @@ def load_checkpoint(path: str | Path) -> GebdModel:
         use_residual=bool(flags & _FLAG_USE_RESIDUAL),
         use_depthwise=bool(flags & _FLAG_USE_DEPTHWISE),
     )
-    payload = _PayloadReader(raw, offset + 4 * len(_HEADER_FIELDS), path)
-    model = init_model(payload, config)
-    if payload.offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - payload.offset} trailing bytes at offset {payload.offset}")
+    model = init_model(lambda shape, kind: reader.f32(shape, f"{kind} block"), config)
+    reader.finish()
     return model

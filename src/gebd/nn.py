@@ -117,33 +117,46 @@ def _shift_rows(a: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
+def _tap_loop(x: Tensor, weights: Tensor, bias: Tensor, dilation: int,
+              forward, weight_grad, input_grad) -> Tensor:
+    """Tap loop of both convolutions: tap `tap` reads frame t + dilation*(tap - m)
+    with weights `weights[..., tap]`. The kernel supplies the per-tap products:
+    forward(sx, w_tap), weight_grad(g, sx) and input_grad(g, w_tap)."""
+    w = weights.data
+    width = w.shape[-1]
+    m = width // 2
+    shifted = [_shift_rows(x.data, dilation * j) for j in range(-m, m + 1)]
+    out = np.tile(bias.data, (x.data.shape[0], 1))
+    for tap, sx in enumerate(shifted):
+        out += forward(sx, w[..., tap])
+
+    def backward(g):
+        if weights.requires_grad:
+            dw = np.empty_like(w)
+            for tap, sx in enumerate(shifted):
+                dw[..., tap] = weight_grad(g, sx)
+            _accumulate(weights, dw)
+        _accumulate(bias, g.sum(axis=0))
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            for tap in range(width):
+                dx += _shift_rows(input_grad(g, w[..., tap]), -dilation * (tap - m))
+            _accumulate(x, dx)
+
+    return Tensor(out, parents=(x, weights, bias), backward=backward, validate=False)
+
+
 def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
     """Dilated 1D convolution with zero padding, output T x out_channels."""
     _require_2d(x, "conv1d")
     if x.data.shape[1] != k.in_channels:
         raise ValueError(f"conv1d: input has {x.data.shape[1]} channels, kernel expects {k.in_channels}")
-    m = k.width // 2
-    w = k.weights.data
-    shifted = [_shift_rows(x.data, k.dilation * j) for j in range(-m, m + 1)]
-    out = np.tile(k.bias.data, (x.data.shape[0], 1))
-    for tap, sx in enumerate(shifted):
-        out += sx @ w[:, :, tap].T
-
-    def backward(g):
-        if k.weights.requires_grad:
-            dw = np.empty_like(w)
-            for tap, sx in enumerate(shifted):
-                dw[:, :, tap] = g.T @ sx
-            _accumulate(k.weights, dw)
-        _accumulate(k.bias, g.sum(axis=0))
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for tap in range(k.width):
-                j = tap - m
-                dx += _shift_rows(g @ w[:, :, tap], -k.dilation * j)
-            _accumulate(x, dx)
-
-    return Tensor(out, parents=(x, k.weights, k.bias), backward=backward, validate=False)
+    return _tap_loop(
+        x, k.weights, k.bias, k.dilation,
+        forward=lambda sx, w: sx @ w.T,
+        weight_grad=lambda g, sx: g.T @ sx,
+        input_grad=lambda g, w: g @ w,
+    )
 
 
 def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
@@ -151,28 +164,12 @@ def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
     _require_2d(x, "depthwise_conv1d")
     if x.data.shape[1] != k.channels:
         raise ValueError(f"depthwise_conv1d: input has {x.data.shape[1]} channels, kernel expects {k.channels}")
-    m = k.width // 2
-    w = k.weights.data
-    shifted = [_shift_rows(x.data, k.dilation * j) for j in range(-m, m + 1)]
-    out = np.tile(k.bias.data, (x.data.shape[0], 1))
-    for tap, sx in enumerate(shifted):
-        out += sx * w[None, :, tap]
-
-    def backward(g):
-        if k.weights.requires_grad:
-            dw = np.empty_like(w)
-            for tap, sx in enumerate(shifted):
-                dw[:, tap] = (g * sx).sum(axis=0)
-            _accumulate(k.weights, dw)
-        _accumulate(k.bias, g.sum(axis=0))
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for tap in range(k.width):
-                j = tap - m
-                dx += _shift_rows(g * w[None, :, tap], -k.dilation * j)
-            _accumulate(x, dx)
-
-    return Tensor(out, parents=(x, k.weights, k.bias), backward=backward, validate=False)
+    return _tap_loop(
+        x, k.weights, k.bias, k.dilation,
+        forward=lambda sx, w: sx * w,
+        weight_grad=lambda g, sx: (g * sx).sum(axis=0),
+        input_grad=lambda g, w: g * w,
+    )
 
 
 def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:

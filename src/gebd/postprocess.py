@@ -53,6 +53,8 @@ class DetectionList:
 
     def __post_init__(self):
         self.timestamps = [float(t) for t in self.timestamps]
+        if not all(math.isfinite(t) for t in self.timestamps):
+            raise ValueError(f"{self.video_id}: timestamps must be finite")
         if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
             raise ValueError(f"{self.video_id}: timestamps must be strictly increasing")
 

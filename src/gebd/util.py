@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -29,11 +33,62 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_u32(raw: bytes, offset: int, path, what: str) -> int:
-    """Little-endian u32 of a binary header; names the field when truncated."""
-    if offset + 4 > len(raw):
-        raise ValueError(f"{path}: truncated while reading {what} at offset {offset}")
-    return struct.unpack_from("<I", raw, offset)[0]
+def write_blocks(path: str | Path, magic: bytes, header: Sequence[int],
+                 blocks: Sequence[np.ndarray]) -> None:
+    """Write the container `BlockReader` reads: magic, the u32 header fields
+    (version first), then each block as row-major little-endian f32."""
+    parts = [magic, struct.pack(f"<{len(header)}I", *header)]
+    parts += [np.ascontiguousarray(b, dtype="<f4").tobytes() for b in blocks]
+    atomic_write_bytes(path, b"".join(parts))
+
+
+class BlockReader:
+    """Reader of the GEBF/GEBW container: magic, u32 version, u32 header
+    fields, f32 blocks, nothing after them. Each read checks that it fits in
+    the file before it allocates, and names the field and offset if not."""
+
+    def __init__(self, path: str | Path, magic: bytes, version: int):
+        self.path = Path(path)
+        self.raw = self.path.read_bytes()
+        if self.raw[0:4] != magic:
+            raise ValueError(f"{self.path}: bad magic at offset 0, expected {magic!r}")
+        self.offset = 4
+        found = self.u32("version")
+        if found != version:
+            raise ValueError(f"{self.path}: unsupported version {found} at offset 4")
+
+    def u32(self, what: str) -> int:
+        """The next little-endian u32 header field."""
+        if self.offset + 4 > len(self.raw):
+            raise ValueError(f"{self.path}: truncated while reading {what} at offset {self.offset}")
+        value = struct.unpack_from("<I", self.raw, self.offset)[0]
+        self.offset += 4
+        return value
+
+    def f32(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next block as a read-only float64 array of `shape`; rejects
+        a block that does not fit in the file or holds non-finite values."""
+        count = math.prod(shape)
+        have = len(self.raw) - self.offset
+        if 4 * count > have:
+            raise ValueError(
+                f"{self.path}: truncated {what} at offset {self.offset}: "
+                f"need {4 * count} bytes, have {have}"
+            )
+        block = np.frombuffer(self.raw, dtype="<f4", count=count, offset=self.offset)
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"{self.path}: non-finite values in {what} at offset {self.offset}")
+        self.offset += 4 * count
+        out = block.astype(np.float64).reshape(shape)
+        out.setflags(write=False)  # a Tensor takes it without a copy
+        return out
+
+    def finish(self) -> None:
+        """Reject bytes left after the last block."""
+        if self.offset != len(self.raw):
+            raise ValueError(
+                f"{self.path}: {len(self.raw) - self.offset} trailing bytes at offset {self.offset}"
+            )
 
 
 def worker_count() -> int:

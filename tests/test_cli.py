@@ -5,6 +5,7 @@ import struct
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from gebd import cli
 from gebd.data import load_annotations, load_features, split_clips
@@ -87,6 +88,19 @@ class TestSynth:
             assert err.startswith(cli.ERROR_PREFIX)
             assert "fps must be finite and positive" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-gap-seconds", "nan"], "cannot fit"),
+        (["--snr", "nan"], "snr must be positive"),
+        (["--num-videos", "-1"], "num_videos must be >= 1"),
+        (["--num-videos", "0"], "num_videos must be >= 1"),
+    ])
+    def test_nan_or_non_positive_settings_rejected(self, tmp_path, capsys, flags, message):
+        code = run(["synth", "--out", str(tmp_path / "x"), "--num-videos", "1", *SMALL, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX)
+        assert message in err
 
     def test_annotation_fps_matches(self, tmp_path):
         out = synth_small(tmp_path, n=2)
@@ -244,6 +258,19 @@ class TestInfer:
             assert code == 1
             assert "fps must be finite and positive" in capsys.readouterr().err
 
+    def test_non_finite_clip_settings_clean_error(self, tmp_path, capsys):
+        # the clip settings are checked even when clip mode is off
+        data = synth_small(tmp_path, n=1)
+        run_dir = train_small(tmp_path, data, epochs=0)
+        for flags in (["--clip-seconds", "inf"], ["--clip-seconds", "nan"],
+                      ["--overlap-seconds", "inf"], ["--clip-mode", "--clip-seconds", "inf"]):
+            code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
+                        "--features", str(data), "--out", str(tmp_path / "bad"), "--fps", "5", *flags])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(cli.ERROR_PREFIX)
+            assert "must be finite" in err
+
 
 class TestEval:
     def write_perfect_detections(self, tmp_path, data):
@@ -295,6 +322,26 @@ class TestEval:
                     "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "without detections" in capsys.readouterr().err
+
+    def test_non_finite_detections_or_duration_rejected(self, tmp_path, capsys):
+        dets = tmp_path / "v.json"
+        anns = tmp_path / "annotations.json"
+        report = tmp_path / "r.csv"
+        for timestamps, duration, message in (
+            ("[1.0, NaN, 3.0]", "6.0", "timestamps must be finite"),
+            ("[1.0, Infinity]", "6.0", "timestamps must be finite"),
+            ("[1.0, 3.0]", "NaN", "duration must be finite"),
+            ("[1.0, 3.0]", "Infinity", "duration must be finite"),
+        ):
+            dets.write_text(f'{{"video_id": "v", "timestamps": {timestamps}}}')
+            anns.write_text(f'[{{"video_id": "v", "duration": {duration}, "fps": 5, "boundaries": [1.0, 3.0]}}]')
+            code = run(["eval", "--detections", str(dets), "--annotations", str(anns),
+                        "--out", str(report)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(cli.ERROR_PREFIX)
+            assert message in err
+            assert not report.exists()
 
     def test_empty_or_non_finite_taus_rejected(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=2)

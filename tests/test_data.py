@@ -198,6 +198,8 @@ class TestSplitClips:
     def test_param_validation(self):
         with pytest.raises(ValueError, match="overlap"):
             split_clips(self.make_video(10), 5.0, 5.0)
+        with pytest.raises(ValueError, match="finite"):
+            split_clips(self.make_video(10), float("inf"), 5.0)
 
 
 class TestAnnotations:

@@ -1,5 +1,11 @@
 """Relative-distance error, one-to-one matching, F1, and the threshold sweep."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,14 +62,24 @@ class TestMatchDetections:
         assert len(pairs) == 1
 
     def test_cardinality_equals_brute_force_4x4(self):
+        # sorted, unsorted, duplicate times, and times on a 0.1 grid where
+        # |d - g| / L == tau ties occur at the grid taus
         rng = np.random.default_rng(1)
+        cases = []
         for _ in range(200):
-            dets = sorted(rng.uniform(0, 10, size=4))
-            gts = sorted(rng.uniform(0, 10, size=4))
-            tau = float(rng.uniform(0.02, 0.3))
-            got = len(match_detections(dets, gts, tau, 10.0))
-            want = brute_force_max_matching(dets, gts, tau, 10.0)
-            assert got == want
+            cases.append((sorted(rng.uniform(0, 10, size=4)), sorted(rng.uniform(0, 10, size=4)),
+                          float(rng.uniform(0.02, 0.3))))
+            cases.append((list(rng.uniform(0, 10, size=4)), list(rng.uniform(0, 10, size=4)),
+                          float(rng.uniform(0.02, 0.3))))
+            cases.append((list(rng.integers(0, 4, size=4) * 1.5), list(rng.integers(0, 4, size=4) * 1.5),
+                          float(rng.choice(DEFAULT_TAUS))))
+            cases.append((list(np.round(rng.uniform(0, 3, size=4), 1)),
+                          list(np.round(rng.uniform(0, 3, size=4), 1)), float(rng.choice(DEFAULT_TAUS))))
+        for dets, gts, tau in cases:
+            pairs = match_detections(dets, gts, tau, 10.0)
+            assert len(pairs) == brute_force_max_matching(dets, gts, tau, 10.0)
+            assert all(rel_dis_error(dets[i], gts[j], 10.0) <= tau for i, j in pairs)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
 
     def test_crafted_tie_needs_maximum_matching(self):
         # greedy-by-time would match d0-g0 and strand d1; the optimum is 2
@@ -83,6 +99,27 @@ class TestMatchDetections:
     def test_tau_validated(self):
         with pytest.raises(ValueError, match="tau"):
             match_detections([1.0], [1.0], 0.0, 10.0)
+
+    def test_memory_linear_in_inputs(self):
+        # a dense 5000 x 5000 edge matrix alone would be 200 MB at float64
+        rng = np.random.default_rng(5)
+        dets = list(rng.uniform(0, 100, size=5000))
+        gts = list(rng.uniform(0, 100, size=5000))
+        tracemalloc.start()
+        try:
+            pairs = match_detections(dets, gts, 0.05, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) > 4000
+        assert peak < 16_000_000, peak
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        src = str(Path(evaluate.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, gebd; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestF1At:
