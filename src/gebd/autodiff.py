@@ -1,11 +1,19 @@
 """Reverse-mode automatic differentiation over small dense arrays.
 
-Sequence values are T x d float64 matrices (frames x channels); parameters
-may be arrays of any shape. Every operation returns a new `Tensor` node
-that remembers its inputs and how to push an adjoint back to them, so the
-graph built during a forward pass doubles as the gradient tape.
-`backward` seeds the loss adjoint with 1 and accumulates `grad` on every
-node reachable from the loss whose value influences it.
+Sequence values are T x d matrices (frames x channels); parameters may be
+arrays of any shape. Values are float32 when the input is float32 and
+float64 otherwise; every op of the model forward keeps float32 inputs in
+float32.
+
+`requires_grad` passes from parents to children. A node that requires grad
+remembers its inputs and how to push an adjoint back to them, so the graph
+built during a forward pass doubles as the gradient tape. A node that does
+not require grad keeps neither: no adjoint can ever reach it, so an
+inference forward over parameters that do not require grad (a loaded
+checkpoint) holds no tape, and each intermediate is freed as soon as the
+next op no longer needs it. `backward` seeds the loss adjoint with 1 and
+accumulates `grad` on every node reachable from the loss whose value
+influences it.
 
 Tensor values are immutable (the wrapped array is frozen at construction)
 and safe to share across threads; a graph must stay on the thread that
@@ -19,6 +27,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .postprocess import smooth_frames
+
+
+def _as_value(data) -> np.ndarray:
+    """Contiguous float32 if `data` is float32, else contiguous float64."""
+    arr = np.asarray(data)
+    return np.ascontiguousarray(arr, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
 
 
 class Tensor:
@@ -35,7 +49,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None] | None = None,
         validate: bool = True,
     ):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        arr = _as_value(data)
         if validate:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("tensor data must be finite")
@@ -45,8 +59,9 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents)
-        self._backward = backward
+        # only a node that can receive an adjoint keeps the tape
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,7 +69,7 @@ class Tensor:
 
     def update_data(self, new) -> None:
         """Swap in a new value of the same shape (optimizer updates)."""
-        arr = np.ascontiguousarray(np.asarray(new, dtype=np.float64))
+        arr = _as_value(new)
         if arr.shape != self.data.shape:
             raise ValueError(f"shape mismatch: {arr.shape} vs {self.data.shape}")
         if arr is new and arr.flags.writeable:

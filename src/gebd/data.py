@@ -18,7 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import BlockReader, atomic_write_text, write_blocks
+from .util import (
+    BlockReader,
+    atomic_write_text,
+    json_number,
+    json_numbers,
+    json_str,
+    read_json,
+    write_blocks,
+)
 
 FEATURE_MAGIC = b"GEBF"
 FEATURE_VERSION = 1
@@ -253,21 +261,17 @@ def save_annotations(path: str | Path, annotations: Iterable[Annotation]) -> Non
 
 
 def load_annotations(path: str | Path) -> dict[str, Annotation]:
-    path = Path(path)
-    try:
-        records = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON: {e}") from e
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of annotation records")
     out: dict[str, Annotation] = {}
     for i, rec in enumerate(records):
         try:
             ann = Annotation(
-                video_id=str(rec["video_id"]),
-                duration=float(rec["duration"]),
-                boundaries=tuple(float(b) for b in rec["boundaries"]),
-                fps=float(rec["fps"]),
+                video_id=json_str(rec["video_id"], "video_id"),
+                duration=json_number(rec["duration"], "duration"),
+                boundaries=tuple(json_numbers(rec["boundaries"], "boundaries")),
+                fps=json_number(rec["fps"], "fps"),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: annotations[{i}]: {e}") from e

@@ -163,13 +163,16 @@ class GebdModel:
         return init_model(random_params(np.random.default_rng(seed)), config)
 
     def forward(self, stages: list[np.ndarray]) -> Tensor:
+        """Per-frame scores (T x 1) in the parameters' dtype: the stage inputs
+        are cast to it, so a loaded float32 model runs in float32."""
         if len(stages) != len(self.config.stage_dims):
             raise ValueError(
                 f"expected {len(self.config.stage_dims)} stages, got {len(stages)}"
             )
+        dtype = self.head.conv2.weights.data.dtype
         inputs = []
         for k, (arr, d) in enumerate(zip(stages, self.config.stage_dims)):
-            x = seq_tensor(arr)
+            x = seq_tensor(np.asarray(arr, dtype=dtype))
             if x.data.shape[1] != d:
                 raise ValueError(f"stage {k}: expected {d} channels, got {x.data.shape[1]}")
             inputs.append(x)
@@ -235,6 +238,9 @@ def save_checkpoint(path: str | Path, model: GebdModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> GebdModel:
+    """An inference model: every parameter is a read-only float32 view into
+    the file bytes with requires_grad False, so its forward runs in float32
+    and keeps no tape. `train` rejects it; train a built model instead."""
     reader = BlockReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     num_stages = reader.u32("stage count")
     dims = [reader.u32(f"stage {k} dim") for k in range(num_stages)]
@@ -254,4 +260,6 @@ def load_checkpoint(path: str | Path) -> GebdModel:
     )
     model = init_model(lambda shape, kind: reader.f32(shape, f"{kind} block"), config)
     reader.finish()
+    for _, p in model.parameters():
+        p.requires_grad = False
     return model

@@ -24,8 +24,9 @@ from .autodiff import Tensor, _accumulate, _require_2d
 
 ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy float64 scalars, so float32 inputs stay float32
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Clip
-from .util import atomic_write_text
+from .util import atomic_write_text, json_number, json_numbers, json_str, read_json
 
 PEAK_THRESHOLD = 0.1
 PEAK_NEIGHBOR_SECONDS = 0.5
@@ -190,13 +190,15 @@ def save_scores(path: str | Path, s: BoundaryScores) -> None:
 
 
 def load_scores(path: str | Path) -> BoundaryScores:
-    path = Path(path)
+    rec = read_json(path)
     try:
-        rec = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(rec["smoothed"], bool):
+            raise ValueError("smoothed must be a JSON bool")
         return BoundaryScores(
-            str(rec["video_id"]), float(rec["fps"]), np.asarray(rec["scores"]), bool(rec["smoothed"])
+            json_str(rec["video_id"], "video_id"), json_number(rec["fps"], "fps"),
+            json_numbers(rec["scores"], "scores"), rec["smoothed"],
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: invalid score file: {e}") from e
 
 
@@ -206,9 +208,9 @@ def save_detections(path: str | Path, d: DetectionList) -> None:
 
 
 def load_detections(path: str | Path) -> DetectionList:
-    path = Path(path)
+    rec = read_json(path)
     try:
-        rec = json.loads(path.read_text(encoding="utf-8"))
-        return DetectionList(str(rec["video_id"]), [float(t) for t in rec["timestamps"]])
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        return DetectionList(json_str(rec["video_id"], "video_id"),
+                             json_numbers(rec["timestamps"], "timestamps"))
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: invalid detection file: {e}") from e

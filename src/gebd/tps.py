@@ -100,7 +100,7 @@ def neighbor_distances(r: Tensor, radius: int) -> Tensor:
     t, d = r.data.shape
     clamped = np.clip(np.arange(-radius, t + radius), 0, t - 1)
     padded = r.data[clamped]
-    out = np.empty((t, 2 * radius))
+    out = np.empty((t, 2 * radius), dtype=r.data.dtype)
     for q in range(1, radius + 1):
         diff = padded[:-q] - padded[q:]  # row i pairs padded rows i and i + q
         dist = np.einsum("td,td->t", diff, diff)

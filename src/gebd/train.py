@@ -126,9 +126,17 @@ def train(
 
     When cfg.smooth_targets is on, predictions are Gaussian-smoothed before
     the loss so training optimizes the smoothed scores; targets stay hard.
+    Every parameter must require grad: a loaded checkpoint does not, and
+    would silently take zero steps.
     """
     if not len(dataset):
         raise ValueError("train: empty dataset")
+    frozen = [name for name, p in model.parameters() if not p.requires_grad]
+    if frozen:
+        raise ValueError(
+            f"train: parameter {frozen[0]} does not require grad ({len(frozen)} in all); "
+            "a loaded checkpoint is for inference only, train a model from GebdModel.build"
+        )
     if cfg.epochs == 0:
         return model, []
     params = [p for _, p in model.parameters()]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -66,8 +67,9 @@ class BlockReader:
         return value
 
     def f32(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The next block as a read-only float64 array of `shape`; rejects
-        a block that does not fit in the file or holds non-finite values."""
+        """The next block as a read-only little-endian float32 view of `shape`
+        into the file bytes (no copy); rejects a block that does not fit in
+        the file or holds non-finite values."""
         count = math.prod(shape)
         have = len(self.raw) - self.offset
         if 4 * count > have:
@@ -79,9 +81,7 @@ class BlockReader:
         if not np.all(np.isfinite(block)):
             raise ValueError(f"{self.path}: non-finite values in {what} at offset {self.offset}")
         self.offset += 4 * count
-        out = block.astype(np.float64).reshape(shape)
-        out.setflags(write=False)  # a Tensor takes it without a copy
-        return out
+        return block.reshape(shape)
 
     def finish(self) -> None:
         """Reject bytes left after the last block."""
@@ -89,6 +89,39 @@ class BlockReader:
             raise ValueError(
                 f"{self.path}: {len(self.raw) - self.offset} trailing bytes at offset {self.offset}"
             )
+
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file. Bad UTF-8, bad syntax, an integer literal too
+    long to parse and nesting too deep to parse are each a ValueError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"{path}: invalid JSON: {e}") from e
+
+
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; a string, bool, array or object is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+
+
+def json_numbers(value, what: str) -> list[float]:
+    """A JSON array of numbers as floats; a string is not read as an array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array of numbers, got {type(value).__name__}")
+    return [json_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string; a number, array or object is not turned into one."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a JSON string, got {type(value).__name__}")
+    return value
 
 
 def worker_count() -> int:

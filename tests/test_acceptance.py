@@ -13,7 +13,15 @@ import pytest
 from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, mul, scale, seq_tensor, sum_all, time_smooth
 from gebd.data import frame_labels, random_boundary_times, split_clips, synth_video, VideoFeatures
 from gebd.evaluate import f1_sweep, match_detections, rel_dis_error
-from gebd.model import GebdModel, ModelConfig, head_forward, model_forward, sd_forward
+from gebd.model import (
+    GebdModel,
+    ModelConfig,
+    head_forward,
+    load_checkpoint,
+    model_forward,
+    save_checkpoint,
+    sd_forward,
+)
 from gebd.nn import conv1d, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
 from gebd.tps import branch_forward, neighbor_distances, stage_forward, tps_forward
@@ -251,6 +259,24 @@ def test_criterion_6_synthetic_end_to_end(benchmark_run):
     ok = f1_005 >= 0.80 and f1_025 >= 0.90 and elapsed < 900.0
     report(6, "synthetic end-to-end", ok,
            f" (F1@0.05 {f1_005:.3f} >= 0.80, F1@0.25 {f1_025:.3f} >= 0.90, {elapsed:.0f} s)")
+
+
+def test_float32_inference_matches_trained_float64(benchmark_run, tmp_path):
+    # The trained model, saved and loaded, scores the held-out corpus in
+    # float32 without a tape: scores within 1e-4, detections identical.
+    model, _, _ = benchmark_run
+    path = tmp_path / "model.gebw"
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    worst = 0.0
+    same = True
+    for video, _ in make_benchmark_corpus(50, 90_000):
+        ref = gaussian_smooth(model_forward(video, model))
+        got = gaussian_smooth(model_forward(video, loaded))
+        worst = max(worst, float(np.abs(got.scores - ref.scores).max()))
+        same = same and pick_peaks(got).timestamps == pick_peaks(ref).timestamps
+    assert worst < 1e-4, worst
+    assert same
 
 
 def test_criterion_7_ablation_directions():

@@ -185,6 +185,54 @@ class TestBackwardContract:
         np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
 
 
+class TestTapeRule:
+    """Only a node that requires grad keeps its parents and backward."""
+
+    def test_node_without_grad_keeps_no_tape(self):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.standard_normal((4, 3)))
+        b = Tensor(rng.standard_normal((4, 2)))
+        for out in (add(a, a), mul(a, a), scale(a, 2.0), concat_channels([a, b]),
+                    l2_normalize_rows(a), sum_all(a), time_smooth(a, 5.0)):
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+
+    def test_node_with_grad_keeps_tape_and_passes_it_on(self):
+        rng = np.random.default_rng(14)
+        a = rnd(rng, 4, 3)
+        c = Tensor(rng.standard_normal((4, 3)))
+        out = mul(add(a, c), c)
+        assert out.requires_grad
+        assert len(out._parents) == 2 and out._backward is not None
+        backward(sum_all(out))
+        np.testing.assert_allclose(a.grad, c.data)
+        assert c.grad is None
+
+    def test_float32_kept_other_dtypes_become_float64(self):
+        f32 = np.ones((2, 3), dtype=np.float32)
+        assert Tensor(f32).data.dtype == np.float32
+        for data in (np.ones((2, 3), dtype=np.float16), np.ones((2, 3), dtype=np.int64),
+                     [[1, 2, 3]], np.ones((2, 3))):
+            assert Tensor(data).data.dtype == np.float64
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        t.update_data(f32)
+        assert t.data.dtype == np.float32
+
+    def test_float32_read_only_input_is_taken_without_a_copy(self):
+        f32 = np.ones((2, 3), dtype=np.float32)
+        f32.setflags(write=False)
+        assert Tensor(f32).data is f32
+
+    def test_ops_keep_float32(self):
+        rng = np.random.default_rng(15)
+        a = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal((5, 2)).astype(np.float32))
+        for out in (add(a, a), mul(a, a), scale(a, 0.5), concat_channels([a, b]),
+                    l2_normalize_rows(a), sum_all(a)):
+            assert out.data.dtype == np.float32
+
+
 class TestFiniteDifferences:
     """Every differentiable core op against central differences (rel err < 1e-4)."""
 

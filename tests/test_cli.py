@@ -343,6 +343,38 @@ class TestEval:
             assert message in err
             assert not report.exists()
 
+    def test_json_values_of_the_wrong_type_rejected(self, tmp_path, capsys):
+        # a string is not an array of numbers, and an id must be a string
+        dets = tmp_path / "v.json"
+        anns = tmp_path / "annotations.json"
+        report = tmp_path / "r.csv"
+        good_det = '{"video_id": "v", "timestamps": [1.0, 5.0]}'
+        good_ann = '[{"video_id": "v", "duration": 10.0, "fps": 5, "boundaries": [1.0, 5.0]}]'
+        for det, ann, message in (
+            (good_det, '[{"video_id": "v", "duration": 10.0, "fps": 5, "boundaries": "123"}]',
+             "boundaries must be a JSON array of numbers"),
+            ('{"video_id": "v", "timestamps": "159"}', good_ann,
+             "timestamps must be a JSON array of numbers"),
+            ('{"video_id": ["v"], "timestamps": [1.0]}', good_ann, "video_id must be a JSON string"),
+            (good_det, '[{"video_id": ["v"], "duration": 10.0, "fps": 5, "boundaries": []}]',
+             "video_id must be a JSON string"),
+            ('{"video_id": "v", "timestamps": [true, 5.0]}', good_ann, "timestamps[0] must be a JSON number"),
+            ('{"video_id": "v", "timestamps": ["1.0", 5.0]}', good_ann, "timestamps[0] must be a JSON number"),
+            (good_det, '[{"video_id": "v", "duration": "10", "fps": 5, "boundaries": []}]',
+             "duration must be a JSON number"),
+            ('{"video_id": "v", "timestamps": [1e999999999]}', good_ann, "timestamps must be finite"),
+            ('{"video_id": "v", "timestamps": [1' + "0" * 400 + ']}', good_ann, "out of float range"),
+        ):
+            dets.write_text(det)
+            anns.write_text(ann)
+            code = run(["eval", "--detections", str(dets), "--annotations", str(anns),
+                        "--out", str(report)])
+            assert code == 1, (det, ann)
+            err = capsys.readouterr().err
+            assert err.startswith(cli.ERROR_PREFIX)
+            assert message in err, err
+            assert not report.exists()
+
     def test_empty_or_non_finite_taus_rejected(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=2)
         det_dir = self.write_perfect_detections(tmp_path, data)

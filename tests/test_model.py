@@ -212,6 +212,26 @@ class TestParameters:
         assert all(p.grad is None for _, p in model.parameters())
 
 
+def test_whole_video_forward_memory_per_frame(tmp_path):
+    # A loaded model keeps no tape, so a whole-video forward holds a few
+    # layers of float32 activations at a time: about 5 KB per frame for
+    # this model, where the taped float64 forward held about 80 KB.
+    path = tmp_path / "m.gebw"
+    save_checkpoint(path, GebdModel.build(BENCH, seed=17))
+    model = load_checkpoint(path)
+    t = 18000
+    rng = np.random.default_rng(17)
+    video = VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)])
+    tracemalloc.start()
+    try:
+        scores = model_forward(video, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores.scores) == t
+    assert peak < 8_000 * t, peak / t
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("cfg, seed, digest", GOLDEN_CHECKPOINTS, ids=[
         "tiny-0", "tiny-7", "no_depthwise-0", "no_depthwise-7", "bench-0", "bench-7"])
@@ -320,6 +340,31 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"non-finite values in weights block at offset {header}"):
             load_checkpoint(path)
+
+    def test_loaded_model_is_float32_and_keeps_no_tape(self, tmp_path):
+        path = tmp_path / "m.gebw"
+        built = GebdModel.build(TINY, seed=15)
+        save_checkpoint(path, built)
+        loaded = load_checkpoint(path)
+        for _, p in loaded.parameters():
+            assert p.data.dtype == np.float32 and not p.requires_grad
+            assert not p.data.flags.owndata  # a view into the checkpoint bytes
+        out = loaded.forward(tiny_stages(15))
+        assert out.data.dtype == np.float32
+        assert out._parents == () and out._backward is None
+        ref = built.forward(tiny_stages(15))
+        assert ref.data.dtype == np.float64
+        assert ref._parents and ref._backward is not None
+
+    def test_loaded_scores_within_1e_4_of_built_float64(self, tmp_path):
+        path = tmp_path / "m.gebw"
+        built = GebdModel.build(BENCH, seed=16)
+        save_checkpoint(path, built)
+        loaded = load_checkpoint(path)
+        rng = np.random.default_rng(16)
+        video = VideoFeatures("v", 5.0, [rng.standard_normal((200, 32)) for _ in range(4)])
+        np.testing.assert_allclose(model_forward(video, loaded).scores,
+                                   model_forward(video, built).scores, rtol=0, atol=1e-4)
 
     def test_compatibility_check_names_field(self):
         model = GebdModel.build(TINY, seed=13)

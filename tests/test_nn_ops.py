@@ -260,6 +260,24 @@ class TestGradients:
         check_op_gradients(loss, [x, k.weights, k.bias, a.gamma, a.beta])
 
 
+def test_float32_in_float32_out():
+    # gelu's constants are Python floats: NumPy float64 scalars would promote
+    rng = np.random.default_rng(30)
+    x = seq_tensor(rng.standard_normal((9, 4)).astype(np.float32))
+
+    def f32(t):
+        return Tensor(t.data.astype(np.float32))
+
+    conv = make_conv(rng, 4, 3, 3, 2)
+    conv = Conv1dKernel(f32(conv.weights), f32(conv.bias), conv.dilation)
+    dw = make_depthwise(rng, 4, 3, 2)
+    dw = DepthwiseKernel(f32(dw.weights), f32(dw.bias), dw.dilation)
+    norm = LayerNormAffine(Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32)))
+    for out in (conv1d(x, conv), depthwise_conv1d(x, dw), layer_norm(x, norm), gelu(x), sigmoid(x)):
+        assert out.data.dtype == np.float32
+        assert out._parents == () and out._backward is None
+
+
 class TestInit:
     def test_fan_in_bounds_and_zero_bias(self):
         rng = np.random.default_rng(29)

@@ -1,5 +1,6 @@
 """Gaussian smoothing, peak picking, and clip-score merging."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -259,6 +260,20 @@ class TestScoreAndDetectionFiles:
             load_scores(path)
         with pytest.raises(ValueError, match="invalid"):
             load_detections(path)
+
+    def test_score_file_values_of_the_wrong_type_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        good = {"video_id": "v", "fps": 5.0, "scores": [0.1, 0.2], "smoothed": False}
+        for key, value, message in (("scores", "0.5", "scores must be a JSON array"),
+                                    ("scores", [0.1, "0.2"], r"scores\[1\] must be a JSON number"),
+                                    ("smoothed", "false", "smoothed must be a JSON bool"),
+                                    ("fps", "5", "fps must be a JSON number"),
+                                    ("video_id", 7, "video_id must be a JSON string")):
+            path.write_text(json.dumps({**good, key: value}))
+            with pytest.raises(ValueError, match=message):
+                load_scores(path)
+        path.write_text(json.dumps(good))
+        assert load_scores(path).scores.tolist() == [0.1, 0.2]
 
     def test_detections_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -7,7 +7,7 @@ import pytest
 
 from gebd.autodiff import Tensor
 from gebd.data import frame_labels, synth_video
-from gebd.model import GebdModel, ModelConfig
+from gebd.model import GebdModel, ModelConfig, load_checkpoint, save_checkpoint
 from gebd.train import (
     AdamState,
     TrainConfig,
@@ -194,6 +194,14 @@ class TestTrainLoop:
         assert curve == []
         for b, (_, p) in zip(before, model.parameters()):
             np.testing.assert_array_equal(b, p.data)
+
+    def test_loaded_checkpoint_rejected(self, tmp_path):
+        # its parameters do not require grad: every step would be a zero step
+        path = tmp_path / "m.gebw"
+        save_checkpoint(path, GebdModel.build(TINY, seed=6))
+        model = load_checkpoint(path)
+        with pytest.raises(ValueError, match="loaded checkpoint is for inference"):
+            train(tiny_dataset(8, 1), model, TrainConfig(epochs=1, warmup_epochs=0))
 
     def test_empty_dataset_rejected(self):
         model = GebdModel.build(TINY, seed=6)
