@@ -1,9 +1,15 @@
 """Reverse-mode automatic differentiation over small dense arrays.
 
-Sequence values are T x d matrices (frames x channels); parameters may be
-arrays of any shape. Values are float32 when the input is float32 and
-float64 otherwise; every op of the model forward keeps float32 inputs in
-float32.
+Sequence values are T x d matrices (frames x channels), or B x T x d
+batches of B equal-length videos; parameters may be arrays of any shape.
+Every sequence op works on frames along axis -2 and channels along axis -1,
+so a (T, d) value and a (B, T, d) batch take the same code path, and each
+video of a batch gets the bits it would get alone. A parameter's adjoint is
+computed per video and folded onto its `grad` one video at a time, in batch
+order (`_accumulate_videos`): that is the order in which the tapes of
+separate per-video forwards add into it, so batching keeps gradient bits.
+Values are float32 when the input is float32 and float64 otherwise; every
+op of the model forward keeps float32 inputs in float32.
 
 `requires_grad` passes from parents to children. A node that requires grad
 remembers its inputs and how to push an adjoint back to them, so the graph
@@ -82,10 +88,13 @@ class Tensor:
 
 
 def seq_tensor(data, requires_grad: bool = False) -> Tensor:
-    """Leaf constructor enforcing the T x d sequence contract."""
+    """Leaf constructor enforcing the (T, d) or (B, T, d) sequence contract."""
     t = Tensor(data, requires_grad)
-    if t.data.ndim != 2 or t.data.shape[0] < 1 or t.data.shape[1] < 1:
-        raise ValueError(f"sequence tensor must be 2-D with T,d >= 1, got shape {t.data.shape}")
+    if t.data.ndim not in (2, 3) or min(t.data.shape) < 1:
+        raise ValueError(
+            f"sequence tensor must be 2-D (T, d) or 3-D (B, T, d) with every size >= 1, "
+            f"got shape {t.data.shape}"
+        )
     return t
 
 
@@ -97,9 +106,21 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _require_2d(x: Tensor, what: str) -> None:
-    if x.data.ndim != 2:
-        raise ValueError(f"{what}: expected a 2-D sequence tensor, got shape {x.data.shape}")
+def _videos(a: np.ndarray) -> np.ndarray:
+    """A (T, d) or (B, T, d) array as a (B, T, d) view: a 2-D value is one video."""
+    return a.reshape((-1,) + a.shape[-2:])
+
+
+def _accumulate_videos(t: Tensor, per_video: Iterable[np.ndarray]) -> None:
+    """Fold per-video adjoints of a parameter onto its grad, one video at a
+    time in batch order, as separate per-video tapes would add them."""
+    for g in per_video:
+        _accumulate(t, g)
+
+
+def _require_seq(x: Tensor, what: str) -> None:
+    if x.data.ndim not in (2, 3):
+        raise ValueError(f"{what}: expected a (T, d) or (B, T, d) sequence tensor, got shape {x.data.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -142,35 +163,67 @@ def concat_channels(parts: Iterable[Tensor]) -> Tensor:
     if not parts:
         raise ValueError("concat_channels: empty part list")
     for p in parts:
-        _require_2d(p, "concat_channels")
-    rows = parts[0].data.shape[0]
-    if any(p.data.shape[0] != rows for p in parts):
+        _require_seq(p, "concat_channels")
+    rows = parts[0].data.shape[:-1]
+    if any(p.data.shape[:-1] != rows for p in parts):
         raise ValueError("concat_channels: all parts must share the frame count")
-    widths = [p.data.shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
+    widths = [p.data.shape[-1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=-1)
 
     def backward(g):
         off = 0
         for p, w in zip(parts, widths):
-            _accumulate(p, g[:, off:off + w])
+            _accumulate(p, g[..., off:off + w])
             off += w
 
     return Tensor(out, parents=tuple(parts), backward=backward, validate=False)
+
+
+def unstack(x: Tensor) -> list[Tensor]:
+    """The videos of a (B, T, d) batch as B separate (T, d) tensors."""
+    if x.data.ndim != 3:
+        raise ValueError(f"unstack: expected a (B, T, d) batch, got shape {x.data.shape}")
+
+    def video(b: int) -> Tensor:
+        def backward(g):
+            # -0.0 is the exact additive identity: the other videos' slots
+            # leave their adjoints bit for bit, signed zeros included
+            dx = np.full(x.data.shape, -0.0)
+            dx[b] = g
+            _accumulate(x, dx)
+
+        return Tensor(x.data[b], parents=(x,), backward=backward, validate=False)
+
+    return [video(b) for b in range(x.data.shape[0])]
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Equally shaped (T, d) tensors as one (B, T, d) batch, in order."""
+    parts = list(parts)
+    if not parts or any(p.data.ndim != 2 or p.data.shape != parts[0].data.shape for p in parts):
+        raise ValueError("stack: expected one or more equally shaped (T, d) tensors")
+
+    def backward(g):
+        for p, gp in zip(parts, g):
+            _accumulate(p, gp)
+
+    return Tensor(np.stack([p.data for p in parts]), parents=tuple(parts), backward=backward,
+                  validate=False)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Divide each row by sqrt(|row|^2 + eps^2); zero rows map to zero."""
     if eps <= 0:
         raise ValueError("l2_normalize_rows: eps must be positive")
-    _require_2d(x, "l2_normalize_rows")
-    norms = np.sqrt((x.data ** 2).sum(axis=1) + eps * eps)
+    _require_seq(x, "l2_normalize_rows")
+    norms = np.sqrt((x.data ** 2).sum(axis=-1) + eps * eps)[..., None]
 
     def backward(g):
-        dot = (g * x.data).sum(axis=1)
-        dx = g / norms[:, None] - x.data * (dot / norms ** 3)[:, None]
+        dot = (g * x.data).sum(axis=-1)[..., None]
+        dx = g / norms - x.data * (dot / norms ** 3)
         _accumulate(x, dx)
 
-    return Tensor(x.data / norms[:, None], parents=(x,), backward=backward, validate=False)
+    return Tensor(x.data / norms, parents=(x,), backward=backward, validate=False)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -182,9 +235,30 @@ def sum_all(x: Tensor) -> Tensor:
     return Tensor([[x.data.sum()]], parents=(x,), backward=backward, validate=False)
 
 
+def fold_sum(parts: Iterable[Tensor]) -> Tensor:
+    """Every entry of every part, added left to right into a 1x1 scalar carrier.
+
+    A left fold, not `np.sum` (pairwise from 8 entries on): per-video losses
+    add in the order a chain of `add` calls over the videos would.
+    """
+    parts = list(parts)
+    if not parts:
+        raise ValueError("fold_sum: empty part list")
+    entries = [v for p in parts for v in p.data.reshape(-1)]
+    total = entries[0]
+    for v in entries[1:]:
+        total = total + v
+
+    def backward(g):
+        for p in parts:
+            _accumulate(p, np.full(p.data.shape, g[0, 0]))
+
+    return Tensor([[total]], parents=tuple(parts), backward=backward, validate=False)
+
+
 def time_smooth(x: Tensor, fps: float) -> Tensor:
     """Fixed Gaussian smoothing along the frame axis (`postprocess.smooth_frames`)."""
-    _require_2d(x, "time_smooth")
+    _require_seq(x, "time_smooth")
 
     def backward(g):
         _accumulate(x, smooth_frames(g, fps, adjoint=True))

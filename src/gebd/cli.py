@@ -14,6 +14,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,19 @@ from .model import (
     ModelConfig,
     check_features_compatible,
     load_checkpoint,
-    model_forward,
     save_checkpoint,
+    stack_videos,
 )
 from .train import TrainConfig, train, write_loss_curve
 from .util import atomic_write_text, worker_count
 
 PROG = "gebd"
 ERROR_PREFIX = f"{PROG}: error: "
+# `infer` scores consecutive feature files of at most this many bytes in all
+# as one group: one batched forward per run of equal length, and one thread
+# pool task. Ten 50-frame files of four 32-dim stages fit; a longer or wider
+# video is a group of its own.
+INFER_GROUP_BYTES = 256 * 1024
 
 
 @dataclass
@@ -254,21 +260,43 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_video(video, model: GebdModel, cfg: RunConfig) -> post_mod.BoundaryScores:
-    if cfg.clip_mode and video.num_frames > round(cfg.clip_seconds * video.fps):
-        clips = data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds)
-        scored = []
-        for clip in clips:
-            pred = model.forward(clip.stages)
-            sc = post_mod.BoundaryScores(video.video_id, video.fps, pred.data[:, 0].copy())
-            if cfg.smooth_inference:
-                sc = post_mod.gaussian_smooth(sc)
-            scored.append((clip, sc))
-        return post_mod.merge_clip_scores(scored)
-    scores = model_forward(video, model)
-    if cfg.smooth_inference:
-        scores = post_mod.gaussian_smooth(scores)
-    return scores
+def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[post_mod.BoundaryScores]:
+    """Scores of consecutive videos. The pieces scored (whole videos, or in
+    clip mode a long video's clips) take one forward per run of consecutive
+    equal-length pieces, and each piece gets the bits it would get alone."""
+    pieces = []  # (video index, clip or None for the whole video)
+    for i, video in enumerate(videos):
+        if cfg.clip_mode and video.num_frames > round(cfg.clip_seconds * video.fps):
+            pieces += [(i, clip) for clip in data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds)]
+        else:
+            pieces.append((i, None))
+    raw = []
+    stage_lists = [(clip or videos[i]).stages for i, clip in pieces]
+    for _, run in groupby(stage_lists, key=lambda stages: stages[0].shape[0]):
+        run = list(run)
+        raw += [x.copy() for x in model.forward(stack_videos(run)).data.reshape(len(run), -1)]
+    scored = [[] for _ in videos]
+    for (i, clip), x in zip(pieces, raw):
+        sc = post_mod.BoundaryScores(videos[i].video_id, videos[i].fps, x)
+        if cfg.smooth_inference:
+            sc = post_mod.gaussian_smooth(sc)
+        scored[i].append((clip, sc))
+    return [parts[0][1] if parts[0][0] is None else post_mod.merge_clip_scores(parts) for parts in scored]
+
+
+def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
+    """Consecutive files whose summed size stays within `limit`; a larger
+    file is a group of its own."""
+    groups, size = [], 0
+    for f in files:
+        n = f.stat().st_size
+        if groups and size + n <= limit:
+            groups[-1].append(f)
+            size += n
+        else:
+            groups.append([f])
+            size = n
+    return groups
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -286,19 +314,22 @@ def cmd_infer(args: argparse.Namespace) -> int:
     (out / "scores").mkdir(parents=True, exist_ok=True)
     (out / "detections").mkdir(parents=True, exist_ok=True)
 
-    def run(path: Path):
-        video = data_mod.load_features(path, fps=cfg.fps)
-        check_features_compatible(model.config, video)
-        scores = _score_video(video, model, cfg)
-        detections = post_mod.pick_peaks(scores)
-        post_mod.save_scores(out / "scores" / f"{video.video_id}.json", scores)
-        post_mod.save_detections(out / "detections" / f"{video.video_id}.json", detections)
-        return video.video_id, len(detections.timestamps)
+    def run(group: list[Path]):
+        videos = [data_mod.load_features(path, fps=cfg.fps) for path in group]
+        for video in videos:
+            check_features_compatible(model.config, video)
+        counts = []
+        for video, scores in zip(videos, _score_videos(videos, model, cfg)):
+            detections = post_mod.pick_peaks(scores)
+            post_mod.save_scores(out / "scores" / f"{video.video_id}.json", scores)
+            post_mod.save_detections(out / "detections" / f"{video.video_id}.json", detections)
+            counts.append(len(detections.timestamps))
+        return counts
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(run, files))
+        results = [n for counts in pool.map(run, _file_groups(files, INFER_GROUP_BYTES)) for n in counts]
     _echo_config(out, cfg)
-    total = sum(n for _, n in results)
+    total = sum(results)
     print(f"scored {len(results)} videos, {total} boundaries detected")
     return 0
 

@@ -11,8 +11,9 @@ Checkpoint layout (little endian):
     magic "GEBW" | u32 version=1 | u32 num_stages | num_stages x u32 stage dims |
     u32 branch_count | u32 decoder_blocks | u32 d_out | u32 d_head |
     u32 neighbor_radius | u32 flags (bit0 fuse_distances, bit1 use_residual,
-    bit2 use_depthwise) | flat f32 blocks for every parameter in
-    `GebdModel.parameters()` order (shapes follow from the config).
+    bit2 use_depthwise; any other bit is rejected) | flat f32 blocks for
+    every parameter in `GebdModel.parameters()` order (shapes follow from
+    the config).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ CHECKPOINT_VERSION = 1
 _FLAG_FUSE_DISTANCES = 1
 _FLAG_USE_RESIDUAL = 2
 _FLAG_USE_DEPTHWISE = 4
+_KNOWN_FLAGS = _FLAG_FUSE_DISTANCES | _FLAG_USE_RESIDUAL | _FLAG_USE_DEPTHWISE
 _HEADER_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius", "flags")
 
 
@@ -164,7 +166,9 @@ class GebdModel:
 
     def forward(self, stages: list[np.ndarray]) -> Tensor:
         """Per-frame scores (T x 1) in the parameters' dtype: the stage inputs
-        are cast to it, so a loaded float32 model runs in float32."""
+        are cast to it, so a loaded float32 model runs in float32. Stage
+        inputs stacked as (B, T, d) score B equal-length videos in one pass
+        and give (B, T, 1), each video's scores bit-identical to its own pass."""
         if len(stages) != len(self.config.stage_dims):
             raise ValueError(
                 f"expected {len(self.config.stage_dims)} stages, got {len(stages)}"
@@ -173,8 +177,8 @@ class GebdModel:
         inputs = []
         for k, (arr, d) in enumerate(zip(stages, self.config.stage_dims)):
             x = seq_tensor(np.asarray(arr, dtype=dtype))
-            if x.data.shape[1] != d:
-                raise ValueError(f"stage {k}: expected {d} channels, got {x.data.shape[1]}")
+            if x.data.shape[-1] != d:
+                raise ValueError(f"stage {k}: expected {d} channels, got {x.data.shape[-1]}")
             inputs.append(x)
         t = tps_forward(inputs, self.tps, self.config.fuse_distances, self.config.use_residual)
         return head_forward(sd_forward(t, self.decoder), self.head)
@@ -187,6 +191,15 @@ class GebdModel:
     def zero_grads(self) -> None:
         for _, p in self.parameters():
             p.grad = None
+
+
+def stack_videos(stage_lists: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """`GebdModel.forward` input for equal-length videos, given each video's
+    stage arrays: one (B, T, d) array per stage, or a lone video's own
+    (T, d) arrays, which are not copied."""
+    if len(stage_lists) == 1:
+        return list(stage_lists[0])
+    return [np.stack(arrays) for arrays in zip(*stage_lists)]
 
 
 def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:
@@ -247,6 +260,9 @@ def load_checkpoint(path: str | Path) -> GebdModel:
     branch_count, decoder_blocks, d_out, d_head, radius, flags = [
         reader.u32(what) for what in _HEADER_FIELDS
     ]
+    if flags & ~_KNOWN_FLAGS:
+        # a bit that no config sets could never be saved back: reject it
+        raise ValueError(f"{reader.path}: unknown bits {flags:#x} in flags at offset {reader.offset - 4}")
     config = ModelConfig(
         stage_dims=tuple(dims),
         branch_count=branch_count,

@@ -1,9 +1,12 @@
 """Neural building blocks: dilated 1D convolutions, layer norm, GELU, sigmoid.
 
-All operate on T x d sequence tensors, preserve the frame count ("same"
-length, zero padding outside the sequence), and are differentiable through
-the autodiff graph. Convolution tap j of a width 2m+1 kernel multiplies
-frame t + dilation*j; `weights[..., j + m]` holds that tap.
+All operate on T x d sequence tensors or B x T x d batches of equal-length
+videos (frames on axis -2, channels on axis -1, one code path for both),
+preserve the frame count ("same" length, zero padding outside each video),
+and are differentiable through the autodiff graph. Each parameter adjoint
+is computed per video and folded onto `grad` in batch order. Convolution
+tap j of a width 2m+1 kernel multiplies frame t + dilation*j;
+`weights[..., j + m]` holds that tap.
 
 The `init_*` constructors take a `ParamSource`, `new(shape, kind) -> array`,
 called once per parameter in field order with kind the field name
@@ -20,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Tensor, _accumulate, _require_2d
+from .autodiff import Tensor, _accumulate, _accumulate_videos, _require_seq, _videos
 
 ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 
@@ -107,14 +110,14 @@ class LayerNormAffine:
 
 
 def _shift_rows(a: np.ndarray, offset: int) -> np.ndarray:
-    """out[t] = a[t + offset], zero outside [0, T)."""
+    """out[..., t, :] = a[..., t + offset, :], zero outside [0, T)."""
     if offset == 0:
         return a
     out = np.zeros_like(a)
     if offset > 0:
-        out[:-offset] = a[offset:]
+        out[..., :-offset, :] = a[..., offset:, :]
     else:
-        out[-offset:] = a[:offset]
+        out[..., -offset:, :] = a[..., :offset, :]
     return out
 
 
@@ -122,22 +125,25 @@ def _tap_loop(x: Tensor, weights: Tensor, bias: Tensor, dilation: int,
               forward, weight_grad, input_grad) -> Tensor:
     """Tap loop of both convolutions: tap `tap` reads frame t + dilation*(tap - m)
     with weights `weights[..., tap]`. The kernel supplies the per-tap products:
-    forward(sx, w_tap), weight_grad(g, sx) and input_grad(g, w_tap)."""
+    forward(sx, w_tap) and input_grad(g, w_tap) on the whole (batched) value,
+    weight_grad(g, sx) on one video's (T, channels) slices."""
     w = weights.data
     width = w.shape[-1]
     m = width // 2
     shifted = [_shift_rows(x.data, dilation * j) for j in range(-m, m + 1)]
-    out = np.tile(bias.data, (x.data.shape[0], 1))
+    out = np.tile(bias.data, x.data.shape[:-1] + (1,))
     for tap, sx in enumerate(shifted):
         out += forward(sx, w[..., tap])
 
     def backward(g):
         if weights.requires_grad:
-            dw = np.empty_like(w)
-            for tap, sx in enumerate(shifted):
-                dw[..., tap] = weight_grad(g, sx)
-            _accumulate(weights, dw)
-        _accumulate(bias, g.sum(axis=0))
+            for gv, *sxv in zip(_videos(g), *map(_videos, shifted)):
+                dw = np.empty_like(w)
+                for tap, sx in enumerate(sxv):
+                    dw[..., tap] = weight_grad(gv, sx)
+                _accumulate(weights, dw)  # per video, in batch order
+                del dw  # free it before the next video's: one weight-sized array at a time
+        _accumulate_videos(bias, _videos(g).sum(axis=1))
         if x.requires_grad:
             dx = np.zeros_like(x.data)
             for tap in range(width):
@@ -148,10 +154,10 @@ def _tap_loop(x: Tensor, weights: Tensor, bias: Tensor, dilation: int,
 
 
 def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
-    """Dilated 1D convolution with zero padding, output T x out_channels."""
-    _require_2d(x, "conv1d")
-    if x.data.shape[1] != k.in_channels:
-        raise ValueError(f"conv1d: input has {x.data.shape[1]} channels, kernel expects {k.in_channels}")
+    """Dilated 1D convolution with zero padding, output (..., T, out_channels)."""
+    _require_seq(x, "conv1d")
+    if x.data.shape[-1] != k.in_channels:
+        raise ValueError(f"conv1d: input has {x.data.shape[-1]} channels, kernel expects {k.in_channels}")
     return _tap_loop(
         x, k.weights, k.bias, k.dilation,
         forward=lambda sx, w: sx @ w.T,
@@ -162,9 +168,9 @@ def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
 
 def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
     """Per-channel dilated 1D convolution; channel c depends only on channel c."""
-    _require_2d(x, "depthwise_conv1d")
-    if x.data.shape[1] != k.channels:
-        raise ValueError(f"depthwise_conv1d: input has {x.data.shape[1]} channels, kernel expects {k.channels}")
+    _require_seq(x, "depthwise_conv1d")
+    if x.data.shape[-1] != k.channels:
+        raise ValueError(f"depthwise_conv1d: input has {x.data.shape[-1]} channels, kernel expects {k.channels}")
     return _tap_loop(
         x, k.weights, k.bias, k.dilation,
         forward=lambda sx, w: sx * w,
@@ -175,26 +181,26 @@ def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
 
 def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
     """Normalize each frame to zero mean / unit variance, then apply gamma/beta."""
-    _require_2d(x, "layer_norm")
-    d = x.data.shape[1]
+    _require_seq(x, "layer_norm")
+    d = x.data.shape[-1]
     if a.gamma.data.shape[0] != d:
         raise ValueError(f"layer_norm: affine sized {a.gamma.data.shape[0]}, input has {d} channels")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered ** 2).mean(axis=1, keepdims=True)
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.eps)
     xhat = centered * inv
     out = xhat * a.gamma.data + a.beta.data
 
     def backward(g):
-        _accumulate(a.beta, g.sum(axis=0))
-        _accumulate(a.gamma, (g * xhat).sum(axis=0))
+        _accumulate_videos(a.beta, _videos(g).sum(axis=1))
+        _accumulate_videos(a.gamma, _videos(g * xhat).sum(axis=1))
         if x.requires_grad:
             dxhat = g * a.gamma.data
             dx = inv * (
                 dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
             _accumulate(x, dx)
 

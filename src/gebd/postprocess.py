@@ -107,7 +107,10 @@ def _correlate_frames(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def smooth_frames(x: np.ndarray, fps: float, adjoint: bool = False) -> np.ndarray:
-    """Gaussian smoothing along axis 0 in O(T x taps) time and O(T) extra memory.
+    """Gaussian smoothing along the frame axis in O(T x taps) time and O(T)
+    extra memory per column. Frames are axis 0 of a 1-D signal and axis -2
+    otherwise, so (T,), (T, d) and a (B, T, d) batch all work; every column
+    is smoothed on its own.
 
     The zero-padded correlation with `smoothing_taps(fps)` is divided by the
     same correlation of a vector of ones, so edge frames renormalize over
@@ -115,10 +118,13 @@ def smooth_frames(x: np.ndarray, fps: float, adjoint: bool = False) -> np.ndarra
     the same correlation of x / norm because the taps are symmetric.
     """
     taps = smoothing_taps(fps)
-    norm = _correlate_frames(np.ones(len(x)), taps).reshape((-1,) + (1,) * (x.ndim - 1))
+    frames = np.moveaxis(x, -2, 0) if x.ndim > 1 else x
+    norm = _correlate_frames(np.ones(len(frames)), taps).reshape((-1,) + (1,) * (x.ndim - 1))
     if adjoint:
-        return _correlate_frames(x / norm, taps)
-    return _correlate_frames(x, taps) / norm
+        out = _correlate_frames(frames / norm, taps)
+    else:
+        out = _correlate_frames(frames, taps) / norm
+    return np.moveaxis(out, 0, -2) if x.ndim > 1 else out
 
 
 def gaussian_smooth(s: BoundaryScores) -> BoundaryScores:

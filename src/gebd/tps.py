@@ -1,6 +1,10 @@
 """Temporal pyramid similarity: multi-dilation branches over each feature stage,
 residual-normalized representations, neighbor squared-distance vectors, and the
 projections that fuse them into one T x d_out sequence per stage and overall.
+
+Every function takes a (T, d) video or a (B, T, d) batch of equal-length
+videos (frames on axis -2, channels on axis -1) and returns the same
+layout; each video of a batch gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -9,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, _require_2d, add, concat_channels, l2_normalize_rows
+from .autodiff import (
+    Tensor,
+    _accumulate,
+    _require_seq,
+    add,
+    concat_channels,
+    l2_normalize_rows,
+    stack,
+    unstack,
+)
 from .nn import (
     Conv1dKernel,
     DepthwiseKernel,
@@ -92,37 +105,38 @@ def neighbor_distances(r: Tensor, radius: int) -> Tensor:
     copies of each edge row, the pairs q frames apart are two contiguous
     slices, and one distance vector per q fills both the -q and the +q
     column. No T x 2radius x d difference tensor is built, and the backward
-    recomputes each difference from r instead of keeping it.
+    recomputes each difference from r instead of keeping it. A (B, T, d)
+    batch gives (B, T, 2*radius), each video padded at its own edges.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    _require_2d(r, "neighbor_distances")
-    t, d = r.data.shape
+    _require_seq(r, "neighbor_distances")
+    *batch, t, d = r.data.shape
     clamped = np.clip(np.arange(-radius, t + radius), 0, t - 1)
-    padded = r.data[clamped]
-    out = np.empty((t, 2 * radius), dtype=r.data.dtype)
+    padded = r.data[..., clamped, :]
+    out = np.empty((*batch, t, 2 * radius), dtype=r.data.dtype)
     for q in range(1, radius + 1):
-        diff = padded[:-q] - padded[q:]  # row i pairs padded rows i and i + q
-        dist = np.einsum("td,td->t", diff, diff)
-        out[:, radius - q] = dist[radius - q:radius - q + t]
-        out[:, radius + q - 1] = dist[radius:radius + t]
+        diff = padded[..., :-q, :] - padded[..., q:, :]  # row i pairs padded rows i and i + q
+        dist = np.einsum("...td,...td->...t", diff, diff)
+        out[..., radius - q] = dist[..., radius - q:radius - q + t]
+        out[..., radius + q - 1] = dist[..., radius:radius + t]
 
     def backward(g):
         if not r.requires_grad:
             return
-        padded = r.data[clamped]
-        dpad = np.zeros((t + 2 * radius, d))
+        padded = r.data[..., clamped, :]
+        dpad = np.zeros((*batch, t + 2 * radius, d))
         for q in range(1, radius + 1):
-            gq = np.zeros(t + 2 * radius - q)
-            gq[radius - q:radius - q + t] += g[:, radius - q]
-            gq[radius:radius + t] += g[:, radius + q - 1]
-            w = (padded[:-q] - padded[q:]) * (2.0 * gq)[:, None]
-            dpad[:-q] += w
-            dpad[q:] -= w
+            gq = np.zeros((*batch, t + 2 * radius - q))
+            gq[..., radius - q:radius - q + t] += g[..., radius - q]
+            gq[..., radius:radius + t] += g[..., radius + q - 1]
+            w = (padded[..., :-q, :] - padded[..., q:, :]) * (2.0 * gq)[..., None]
+            dpad[..., :-q, :] += w
+            dpad[..., q:, :] -= w
         # pad rows are copies of the edge rows: fold their adjoints back
-        dr = dpad[radius:radius + t]
-        dr[0] += dpad[:radius].sum(axis=0)
-        dr[-1] += dpad[radius + t:].sum(axis=0)
+        dr = dpad[..., radius:radius + t, :]
+        dr[..., 0, :] += dpad[..., :radius, :].sum(axis=-2)
+        dr[..., -1, :] += dpad[..., radius + t:, :].sum(axis=-2)
         _accumulate(r, dr)
 
     return Tensor(out, parents=(r,), backward=backward, validate=False)
@@ -155,11 +169,16 @@ def stage_forward(
     else:
         views = [l2_normalize_rows(f, NORMALIZE_EPS) for f in branch_outputs]
     views.append(comprehensive_rep(branch_outputs, stage.compress))
-    if fuse_distances:
-        feats = [neighbor_distances(v, radius) for v in views]
-    else:
-        feats = views
-    return conv1d(concat_channels(feats), stage.fuse)
+    if not fuse_distances:
+        return conv1d(concat_channels(views), stage.fuse)
+    if x.data.ndim == 2:
+        return conv1d(concat_channels([neighbor_distances(v, radius) for v in views]), stage.fuse)
+    # neighbor_distances takes a batch as well, but the per-layer trace of
+    # perfbench/layertrace.py sizes each call from a (T, d) shape, so a
+    # batch is measured one video at a time
+    per_video = zip(*(unstack(v) for v in views))
+    feats = stack([concat_channels([neighbor_distances(v, radius) for v in vs]) for vs in per_video])
+    return conv1d(feats, stage.fuse)
 
 
 def tps_forward(

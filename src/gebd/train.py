@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, add, backward, scale, time_smooth
+from .autodiff import Tensor, _accumulate, backward, fold_sum, scale, time_smooth
 from .data import VideoFeatures
-from .model import GebdModel
+from .model import GebdModel, stack_videos
 from .util import atomic_write_text
 
 BCE_CLAMP = 1e-7
@@ -47,22 +48,27 @@ class TrainConfig:
 
 
 def bce_loss(pred: Tensor, target) -> Tensor:
-    """Mean binary cross entropy over frames, predictions clamped away from 0/1."""
-    y = np.asarray(target, dtype=np.float64).reshape(-1)
-    p = pred.data.reshape(-1)
-    if p.shape != y.shape:
-        raise ValueError(f"bce_loss: {p.shape[0]} predictions vs {y.shape[0]} targets")
-    n = len(y)
+    """Mean binary cross entropy over frames, predictions clamped away from 0/1.
+
+    pred is (T, 1) with T targets, giving a 1x1 loss, or a (B, T, 1) batch
+    with (B, T) targets, giving one loss per video as (B, 1, 1).
+    """
+    p = pred.data[..., 0]
+    y = np.asarray(target, dtype=np.float64)
+    if pred.data.shape[-1:] != (1,) or p.size != y.size:
+        raise ValueError(f"bce_loss: {p.size} predictions vs {y.size} targets (predictions {pred.data.shape})")
+    y = y.reshape(p.shape)
+    n = p.shape[-1]
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     pc = np.clip(p, lo, hi)
-    value = float(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)).mean())
+    values = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)).mean(axis=-1)
 
     def bwd(g):
         active = (p >= lo) & (p <= hi)  # clamp kills the gradient outside
-        dp = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / n * g[0, 0] * active
+        dp = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / n * g[..., 0] * active
         _accumulate(pred, dp.reshape(pred.data.shape))
 
-    return Tensor([[value]], parents=(pred,), backward=bwd, validate=False)
+    return Tensor(values[..., None, None], parents=(pred,), backward=bwd, validate=False)
 
 
 def lr_schedule(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
@@ -126,6 +132,9 @@ def train(
 
     When cfg.smooth_targets is on, predictions are Gaussian-smoothed before
     the loss so training optimizes the smoothed scores; targets stay hard.
+    The minibatch loss is the left fold of the per-video losses divided by
+    the batch size, and batched passes keep the bits of a video-by-video
+    pass (see `_minibatch_gradients`).
     Every parameter must require grad: a loaded checkpoint does not, and
     would silently take zero steps.
     """
@@ -150,26 +159,37 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            total = None
-            for i in batch:
-                video, labels = dataset[i]
-                pred = model.forward(video.stages)
-                if cfg.smooth_targets:
-                    pred = time_smooth(pred, video.fps)
-                loss = bce_loss(pred, labels)
-                total = loss if total is None else add(total, loss)
-            total = scale(total, 1.0 / len(batch))
-            loss_value = float(total.data[0, 0])
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(f"non-finite loss at step {global_step}")
-            model.zero_grads()
-            backward(total)
+            loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_targets, global_step)
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
             grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
             adam_step(params, grads, state, lr)
             curve.append((global_step, lr, loss_value))
             global_step += 1
     return model, curve
+
+
+def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tensor],
+                         smooth_targets: bool, step: int) -> float:
+    """Set every parameter's grad to the minibatch loss gradient; return the loss.
+
+    Each maximal run of consecutive equal-length videos is one batched pass.
+    The graph is local, so it is freed before the next minibatch's forward.
+    """
+    losses = []
+    for (_, fps), run in groupby(batch, key=lambda i: (dataset[i][0].num_frames, dataset[i][0].fps)):
+        run = list(run)
+        pred = model.forward(stack_videos([dataset[i][0].stages for i in run]))
+        if smooth_targets:
+            pred = time_smooth(pred, fps)
+        losses.append(bce_loss(pred, np.stack([dataset[i][1] for i in run])))
+    total = scale(fold_sum(losses), 1.0 / len(batch))
+    loss_value = float(total.data[0, 0])
+    if not math.isfinite(loss_value):
+        raise TrainingDiverged(f"non-finite loss at step {step}")
+    for p in params:
+        p.grad = None
+    backward(total)
+    return loss_value
 
 
 def write_loss_curve(path: str | Path, curve: Sequence[tuple[int, float, float]]) -> None:

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from gebd import cli
-from gebd.data import load_annotations, load_features, split_clips
-from gebd.model import GebdModel, load_checkpoint
-from gebd.postprocess import load_detections, load_scores, smoothing_matrix
+from gebd.data import VideoFeatures, load_annotations, load_features, save_features, split_clips, synth_video
+from gebd.model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
+from gebd.postprocess import (
+    gaussian_smooth,
+    load_detections,
+    load_scores,
+    merge_clip_scores,
+    pick_peaks,
+    save_detections,
+    save_scores,
+    smoothing_matrix,
+)
 from oracles import accumulate_clip_scores
 
 
@@ -224,6 +233,50 @@ class TestInfer:
         want = accumulate_clip_scores([(c.start_frame, c.end_frame) for c in clips], smoothed,
                                       video.num_frames)
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("group_bytes", [cli.INFER_GROUP_BYTES, 12000], ids=["default", "small"])
+    @pytest.mark.parametrize("clip_mode", [False, True], ids=["whole", "clips"])
+    def test_batched_groups_write_the_bytes_of_one_file_at_a_time(self, tmp_path, monkeypatch,
+                                                                  clip_mode, group_bytes):
+        data = tmp_path / "data"
+        for i, t in enumerate((50, 50, 37, 50, 37, 120)):
+            video, _ = synth_video(i, t, 5.0, (6, 6, 6, 6), [1.5, 4.5], video_id=f"v{i}")
+            save_features(data / f"v{i}.gebf", video)
+        ckpt = tmp_path / "model.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
+                                                          neighbor_radius=5), seed=3))
+        monkeypatch.setattr(cli, "INFER_GROUP_BYTES", group_bytes)
+        clip_flags = ["--clip-mode", "--clip-seconds", "8", "--overlap-seconds", "4"] if clip_mode else []
+        out = tmp_path / "infer"
+        assert run(["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(out),
+                    "--fps", "5", *clip_flags]) == 0
+
+        model = load_checkpoint(ckpt)
+        want = tmp_path / "want"
+        for path in sorted(data.glob("*.gebf")):
+            video = load_features(path, fps=5.0)
+            if clip_mode and video.num_frames > 40:
+                scores = merge_clip_scores([
+                    (clip, gaussian_smooth(model_forward(VideoFeatures(video.video_id, 5.0, clip.stages), model)))
+                    for clip in split_clips(video, 8.0, 4.0)
+                ])
+            else:
+                scores = gaussian_smooth(model_forward(video, model))
+            save_scores(want / "scores" / f"{video.video_id}.json", scores)
+            save_detections(want / "detections" / f"{video.video_id}.json", pick_peaks(scores))
+        for kind in ("scores", "detections"):
+            names = sorted(p.name for p in (want / kind).iterdir())
+            assert sorted(p.name for p in (out / kind).iterdir()) == names
+            for name in names:
+                assert (out / kind / name).read_bytes() == (want / kind / name).read_bytes(), name
+
+    def test_file_groups_stay_within_the_byte_limit(self, tmp_path):
+        files = []
+        for i, size in enumerate((40, 50, 30, 200, 10, 10)):
+            files.append(tmp_path / f"f{i}")
+            files[-1].write_bytes(b"x" * size)
+        groups = cli._file_groups(files, 100)
+        assert [[f.name for f in g] for g in groups] == [["f0", "f1"], ["f2"], ["f3"], ["f4", "f5"]]
 
     def test_checkpoint_header_payload_mismatch_clean_error(self, tmp_path, capsys, monkeypatch):
         data = synth_small(tmp_path, n=1)

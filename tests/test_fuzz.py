@@ -124,6 +124,18 @@ def test_fuzz_bases_load_and_a_non_finite_value_does_not(work, gebf, gebw):
             load(path)
 
 
+@pytest.mark.parametrize("flags", [8, 0xFFFFFFFF, 7 | 2 ** 31])
+def test_unknown_checkpoint_flag_bits_rejected(work, gebw, flags):
+    offset = 4 + 4 * (GEBW_HEADER_FIELDS - 1)  # the last header field
+    raw = bytearray(gebw)
+    assert struct.unpack_from("<I", raw, offset)[0] == 7
+    raw[offset:offset + 4] = struct.pack("<I", flags)
+    path = work / "flags.gebw"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"unknown bits {flags:#x} in flags at offset {offset}"):
+        load_checkpoint(path)
+
+
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.sampled_from([10 ** 400, -10 ** 400]),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=5),

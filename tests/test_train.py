@@ -246,3 +246,38 @@ def test_write_loss_curve(tmp_path):
     assert lines[0] == "step,lr,loss"
     assert lines[1] == "0,0,0.7"
     assert len(lines) == 3
+
+
+PINNED_CONFIG = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=5)
+# (frame counts in name order, batch size, sha256 of model.gebw, sha256 of
+# loss.csv) after one epoch: the trained bytes, including the float summation
+# order of every parameter gradient and of the batch loss, must never drift.
+# The shuffled minibatches of the ragged corpora hold runs of equal length
+# after runs of another length, and the batch of 9 is past the 8 items at
+# which numpy's pairwise summation starts.
+PINNED_TRAINING = [
+    ((50,) * 8, 4, "1dbdeb595361e6d78b50537959de06fd6bef5cbcf91bf905b7414e87f8ab5182",
+     "0e370bb4733a8ebb58c27b47689287c26c6d0555eef13f534075fd6432cab428"),
+    ((50, 37, 50, 50, 64, 37), 4, "0552ee1d78ea03fc27d921f49805a8357c42a24f063eb85ac0b79e76d57ba27b",
+     "a692b5e663693b74e8f8955b2b4c38511fadc94285c46afa9dd375d8a323c7dc"),
+    ((50, 37, 50, 37, 64, 50, 50, 37, 37), 9, "b20a0b8b55df7237b710138d7868e972b158fdfa29deb4a0ba9863be0126ac98",
+     "e22dea640af5b49dd7a886f46ee9e0b01e2f97e79e7001ae02b2b88f45d56e5b"),
+]
+
+
+@pytest.mark.parametrize("frames, batch_size, model_digest, loss_digest", PINNED_TRAINING,
+                         ids=["equal_t", "ragged_t", "ragged_t_batch9"])
+def test_trained_bytes_pinned(tmp_path, frames, batch_size, model_digest, loss_digest):
+    import hashlib
+
+    dataset = []
+    for i, t in enumerate(frames):
+        video, ann = synth_video(40 + i, t, 5.0, (8, 8, 8, 8), [0.3 * t / 5.0, 0.7 * t / 5.0],
+                                 snr=1.0, video_id=f"video{i:05d}")
+        dataset.append((video, frame_labels(ann, t, 5.0, 1)))
+    model = GebdModel.build(PINNED_CONFIG, seed=0)
+    model, curve = train(dataset, model, TrainConfig(epochs=1, batch_size=batch_size, warmup_epochs=0, seed=0))
+    save_checkpoint(tmp_path / "model.gebw", model)
+    write_loss_curve(tmp_path / "loss.csv", curve)
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()  # noqa: E731
+    assert (digest("model.gebw"), digest("loss.csv")) == (model_digest, loss_digest)
