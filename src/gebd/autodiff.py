@@ -226,15 +226,6 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return Tensor(x.data / norms, parents=(x,), backward=backward, validate=False)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry into a 1x1 scalar carrier."""
-
-    def backward(g):
-        _accumulate(x, np.full(x.data.shape, g[0, 0]))
-
-    return Tensor([[x.data.sum()]], parents=(x,), backward=backward, validate=False)
-
-
 def fold_sum(parts: Iterable[Tensor]) -> Tensor:
     """Every entry of every part, added left to right into a 1x1 scalar carrier.
 

@@ -3,6 +3,8 @@
 Feature file layout (little endian, bit-exact):
     magic "GEBF" | u32 version=1 | u32 T | u32 num_stages |
     num_stages x u32 channel dims | per stage a row-major f32 block of T*d values.
+A loaded feature file's stages are read-only float32 views of its bytes, which
+a float32 model reads without a copy.
 
 Annotation files are UTF-8 JSON arrays of
     {"video_id": str, "duration": seconds, "fps": number, "boundaries": [seconds]}.
@@ -35,7 +37,9 @@ DEFAULT_STAGE_DIMS = (256, 512, 1024, 2048)
 
 @dataclass
 class VideoFeatures:
-    """Per-video bundle of per-stage T x d_k feature matrices."""
+    """Per-video bundle of per-stage T x d_k feature matrices. A float32
+    stage array is kept as it is (a loaded feature file's read-only view of
+    its bytes); any other input becomes float64."""
 
     video_id: str
     fps: float
@@ -46,7 +50,8 @@ class VideoFeatures:
             raise ValueError(f"{self.video_id}: fps must be finite and positive, got {self.fps}")
         if not self.stages:
             raise ValueError(f"{self.video_id}: at least one feature stage required")
-        self.stages = [np.asarray(s, dtype=np.float64) for s in self.stages]
+        self.stages = [s if isinstance(s, np.ndarray) and s.dtype == np.float32
+                       else np.asarray(s, dtype=np.float64) for s in self.stages]
         t = self.stages[0].shape[0]
         for k, s in enumerate(self.stages):
             if s.ndim != 2 or s.shape[0] != t or s.shape[0] < 1 or s.shape[1] < 1:
@@ -105,7 +110,10 @@ def save_features(path: str | Path, video: VideoFeatures) -> None:
 
 
 def load_features(path: str | Path, fps: float = 5.0, video_id: str | None = None) -> VideoFeatures:
-    """Read a feature file; fps travels with annotations, so callers supply it."""
+    """Read a feature file; fps travels with annotations, so callers supply it.
+
+    Each stage is a read-only float32 view of the file bytes, not a copy.
+    """
     path = Path(path)
     reader = BlockReader(path, FEATURE_MAGIC, FEATURE_VERSION)
     t = reader.u32("frame count")

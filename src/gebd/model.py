@@ -166,7 +166,8 @@ class GebdModel:
 
     def forward(self, stages: list[np.ndarray]) -> Tensor:
         """Per-frame scores (T x 1) in the parameters' dtype: the stage inputs
-        are cast to it, so a loaded float32 model runs in float32. Stage
+        are cast to it, so a loaded float32 model runs in float32 and reads
+        a loaded feature file's read-only float32 stages without a copy. Stage
         inputs stacked as (B, T, d) score B equal-length videos in one pass
         and give (B, T, 1), each video's scores bit-identical to its own pass."""
         if len(stages) != len(self.config.stage_dims):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .autodiff import Tensor, _accumulate, _accumulate_videos, _require_seq, _videos
 
@@ -121,33 +120,52 @@ def _shift_rows(a: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
+def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
+    """out[..., t, :] += y[..., t + offset, :] for every t with t + offset in
+    [0, T); needs |offset| < T."""
+    t = out.shape[-2]
+    lo, hi = max(0, -offset), min(t, t - offset)
+    out[..., lo:hi, :] += y[..., lo + offset:hi + offset, :]
+
+
 def _tap_loop(x: Tensor, weights: Tensor, bias: Tensor, dilation: int,
               forward, weight_grad, input_grad) -> Tensor:
     """Tap loop of both convolutions: tap `tap` reads frame t + dilation*(tap - m)
     with weights `weights[..., tap]`. The kernel supplies the per-tap products:
-    forward(sx, w_tap) and input_grad(g, w_tap) on the whole (batched) value,
-    weight_grad(g, sx) on one video's (T, channels) slices."""
+    forward(v, w_tap) and input_grad(g, w_tap) on the whole (batched) value,
+    weight_grad(g, sx) on one video's (T, channels) slices.
+
+    The forward and the input gradient read their input in place: each tap's
+    product is taken on the unshifted value and added into the rows of the
+    result it lands on (`_add_rows`), and a tap that reaches past both ends
+    of the video adds nothing. Only the weight gradient, whose reduction
+    over T fixes its bits, takes zero-padded shifted inputs; the backward
+    builds them when the weights need a gradient, so neither the forward
+    nor the tape holds a shifted copy."""
     w = weights.data
     width = w.shape[-1]
     m = width // 2
-    shifted = [_shift_rows(x.data, dilation * j) for j in range(-m, m + 1)]
+    offsets = [dilation * (tap - m) for tap in range(width)]
+    reaching = [(tap, off) for tap, off in enumerate(offsets) if abs(off) < x.data.shape[-2]]
     out = np.tile(bias.data, x.data.shape[:-1] + (1,))
-    for tap, sx in enumerate(shifted):
-        out += forward(sx, w[..., tap])
+    for tap, off in reaching:
+        _add_rows(out, forward(x.data, w[..., tap]), off)
 
     def backward(g):
         if weights.requires_grad:
+            shifted = [_shift_rows(x.data, off) for off in offsets]
             for gv, *sxv in zip(_videos(g), *map(_videos, shifted)):
                 dw = np.empty_like(w)
                 for tap, sx in enumerate(sxv):
                     dw[..., tap] = weight_grad(gv, sx)
                 _accumulate(weights, dw)  # per video, in batch order
                 del dw  # free it before the next video's: one weight-sized array at a time
+            del shifted  # free the copies before the input gradient allocates
         _accumulate_videos(bias, _videos(g).sum(axis=1))
         if x.requires_grad:
             dx = np.zeros_like(x.data)
-            for tap in range(width):
-                dx += _shift_rows(input_grad(g, w[..., tap]), -dilation * (tap - m))
+            for tap, off in reaching:
+                _add_rows(dx, input_grad(g, w[..., tap]), -off)
             _accumulate(x, dx)
 
     return Tensor(out, parents=(x, weights, bias), backward=backward, validate=False)
@@ -160,7 +178,7 @@ def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
         raise ValueError(f"conv1d: input has {x.data.shape[-1]} channels, kernel expects {k.in_channels}")
     return _tap_loop(
         x, k.weights, k.bias, k.dilation,
-        forward=lambda sx, w: sx @ w.T,
+        forward=lambda v, w: v @ w.T,
         weight_grad=lambda g, sx: g.T @ sx,
         input_grad=lambda g, w: g @ w,
     )
@@ -173,7 +191,7 @@ def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
         raise ValueError(f"depthwise_conv1d: input has {x.data.shape[-1]} channels, kernel expects {k.channels}")
     return _tap_loop(
         x, k.weights, k.bias, k.dilation,
-        forward=lambda sx, w: sx * w,
+        forward=lambda v, w: v * w,
         weight_grad=lambda g, sx: (g * sx).sum(axis=0),
         input_grad=lambda g, w: g * w,
     )
@@ -209,6 +227,8 @@ def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    from scipy.special import erf  # here, so that importing gebd does not load scipy
+
     phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
     def backward(g):

@@ -12,11 +12,10 @@ from gebd.autodiff import (
     mul,
     scale,
     seq_tensor,
-    sum_all,
     time_smooth,
 )
 from gebd.postprocess import smoothing_matrix
-from gradcheck import check_op_gradients, rel_err
+from gradcheck import check_op_gradients, rel_err, sum_all
 
 
 def rnd(rng, rows, cols):

@@ -18,7 +18,6 @@ from gebd.autodiff import (
     scale,
     seq_tensor,
     stack,
-    sum_all,
     time_smooth,
     unstack,
 )
@@ -37,7 +36,7 @@ from gebd.nn import (
 from gebd.postprocess import smooth_frames
 from gebd.tps import neighbor_distances
 from gebd.train import bce_loss
-from gradcheck import check_op_gradients
+from gradcheck import check_op_gradients, sum_all
 
 BATCHES = (1, 3, 9)
 DTYPES = (np.float64, np.float32)

@@ -1,8 +1,12 @@
 """End-to-end command line behavior, run in-process via cli.main()."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +353,26 @@ class TestEval:
         for line in lines[1:]:
             _, p, r, f1 = line.split(",")
             assert float(p) == float(r) == float(f1) == 1.0
+
+    def test_checkpoint_load_and_eval_leave_scipy_unloaded(self, tmp_path):
+        # only nn.gelu needs scipy (for erf), and neither path runs it
+        data = synth_small(tmp_path, n=2)
+        det_dir = self.write_perfect_detections(tmp_path, data)
+        save_checkpoint(tmp_path / "m.gebw", GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6)), seed=0))
+        code = (
+            "import sys, gebd, gebd.cli\n"
+            f"gebd.load_checkpoint({str(tmp_path / 'm.gebw')!r})\n"
+            "print('scipy loaded:', 'scipy' in sys.modules)\n"
+            f"gebd.cli.main(['eval', '--detections', {str(det_dir)!r}, "
+            f"'--annotations', {str(data / 'annotations.json')!r}, '--out', {str(tmp_path / 'r.csv')!r}])\n"
+            "print('scipy loaded:', 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = [line for line in out.stdout.splitlines() if line.startswith("scipy loaded:")]
+        assert loaded == ["scipy loaded: False"] * 2
+        assert (tmp_path / "r.csv").exists()
 
     def test_empty_detections_zero_report(self, tmp_path):
         data = synth_small(tmp_path, n=2)

@@ -32,6 +32,24 @@ class TestFeatureFiles:
         save_features(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_stages_are_read_only_float32_views(self, tmp_path):
+        path = tmp_path / "v.gebf"
+        save_features(path, self.make_video())
+        for stage in load_features(path).stages:
+            assert stage.dtype == np.float32
+            assert not stage.flags.writeable
+            assert not stage.flags.owndata
+
+    def test_synth_and_list_input_become_float64(self):
+        video, _ = synth_video(0, 10, 5.0, (3, 4), [1.0])
+        assert all(s.dtype == np.float64 for s in video.stages)
+        listed = VideoFeatures("v", 5.0, [[[1.0, 2.0]], np.ones((1, 3), dtype=np.float16)])
+        assert [s.dtype for s in listed.stages] == [np.float64, np.float64]
+
+    def test_float32_array_kept_as_is(self):
+        stage = np.ones((4, 2), dtype=np.float32)
+        assert VideoFeatures("v", 5.0, [stage]).stages[0] is stage
+
     def test_header_shapes(self, tmp_path):
         dims = (256, 512, 1024, 2048)
         rng = np.random.default_rng(1)

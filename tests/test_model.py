@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  (GELU's first call imports it; the memory tests keep that out of their peaks)
 
 from gebd.autodiff import seq_tensor
-from gebd.data import VideoFeatures
+from gebd.data import VideoFeatures, load_features, save_features
 from gebd.model import (
     GebdModel,
     ModelConfig,
@@ -230,6 +231,26 @@ def test_whole_video_forward_memory_per_frame(tmp_path):
         tracemalloc.stop()
     assert len(scores.scores) == t
     assert peak < 8_000 * t, peak / t
+
+
+def test_feature_file_forward_memory_per_frame(tmp_path):
+    # The file's stages reach the float32 model as views of its bytes and
+    # each conv reads its input in place, so reading the file and scoring
+    # it peak at about 3.1 KB per frame; copying the stages to float64 and
+    # back and shifting each conv input took about 6.1 KB.
+    save_checkpoint(tmp_path / "m.gebw", GebdModel.build(BENCH, seed=18))
+    model = load_checkpoint(tmp_path / "m.gebw")
+    t = 18000
+    rng = np.random.default_rng(18)
+    save_features(tmp_path / "long.gebf", VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)]))
+    tracemalloc.start()
+    try:
+        scores = model_forward(load_features(tmp_path / "long.gebf"), model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores.scores) == t
+    assert peak < 4_000 * t, peak / t
 
 
 class TestCheckpoint:

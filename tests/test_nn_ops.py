@@ -4,7 +4,7 @@ finite-difference gradients."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, mul, seq_tensor, sum_all
+from gebd.autodiff import Tensor, mul, seq_tensor
 from gebd.nn import (
     Conv1dKernel,
     DepthwiseKernel,
@@ -19,7 +19,7 @@ from gebd.nn import (
     random_params,
     sigmoid,
 )
-from gradcheck import check_op_gradients
+from gradcheck import check_op_gradients, sum_all
 from oracles import naive_conv1d, naive_depthwise_conv1d, naive_layer_norm
 
 
@@ -135,6 +135,49 @@ class TestDepthwiseConv1d:
         k = make_depthwise(rng, 3, 3, 1)
         with pytest.raises(ValueError, match="channels"):
             depthwise_conv1d(seq_tensor(np.zeros((4, 2))), k)
+
+
+# (T, width, dilation) with taps whose offset dilation*j reaches |offset| >= T:
+# those taps read no frame, and the rest still land where the oracle puts them
+PAST_THE_ENDS = [(1, 3, 1), (2, 3, 2), (3, 3, 4), (4, 5, 2), (5, 5, 3)]
+
+
+class TestTapsPastTheEnds:
+    @pytest.mark.parametrize("t, width, dilation", PAST_THE_ENDS)
+    def test_conv1d_matches_oracle(self, t, width, dilation):
+        rng = np.random.default_rng(60 + t)
+        x = rng.uniform(-2, 2, size=(2, t, 3))
+        k = make_conv(rng, 3, 2, width, dilation)
+        got = conv1d(seq_tensor(x), k).data
+        for b in range(2):
+            want = naive_conv1d(x[b], k.weights.data, k.bias.data, dilation)
+            np.testing.assert_allclose(got[b], want, atol=1e-12)
+
+    @pytest.mark.parametrize("t, width, dilation", PAST_THE_ENDS)
+    def test_depthwise_conv1d_matches_oracle(self, t, width, dilation):
+        rng = np.random.default_rng(70 + t)
+        x = rng.uniform(-2, 2, size=(2, t, 3))
+        k = make_depthwise(rng, 3, width, dilation)
+        got = depthwise_conv1d(seq_tensor(x), k).data
+        for b in range(2):
+            want = naive_depthwise_conv1d(x[b], k.weights.data, k.bias.data, dilation)
+            np.testing.assert_allclose(got[b], want, atol=1e-12)
+
+    @pytest.mark.parametrize("t, width, dilation", PAST_THE_ENDS)
+    def test_conv1d_gradients(self, t, width, dilation):
+        rng = np.random.default_rng(80 + t)
+        x = Tensor(rng.uniform(-2, 2, size=(t, 3)), requires_grad=True)
+        k = make_conv(rng, 3, 2, width, dilation)
+        w = Tensor(rng.uniform(-1, 1, size=(t, 2)))
+        check_op_gradients(lambda: sum_all(mul(conv1d(x, k), w)), [x, k.weights, k.bias])
+
+    @pytest.mark.parametrize("t, width, dilation", PAST_THE_ENDS)
+    def test_depthwise_conv1d_gradients(self, t, width, dilation):
+        rng = np.random.default_rng(90 + t)
+        x = Tensor(rng.uniform(-2, 2, size=(t, 3)), requires_grad=True)
+        k = make_depthwise(rng, 3, width, dilation)
+        w = Tensor(rng.uniform(-1, 1, size=(t, 3)))
+        check_op_gradients(lambda: sum_all(mul(depthwise_conv1d(x, k), w)), [x, k.weights, k.bias])
 
 
 class TestLayerNorm:

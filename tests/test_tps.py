@@ -4,7 +4,7 @@ full forwards against an independent straight-line oracle."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, backward, seq_tensor, sum_all
+from gebd.autodiff import Tensor, backward, seq_tensor
 from gebd.nn import Conv1dKernel, random_params
 from gebd.tps import (
     TpsParams,
@@ -18,6 +18,7 @@ from gebd.tps import (
     stage_forward,
     tps_forward,
 )
+from gradcheck import sum_all
 from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gebd.autodiff import Tensor
-from gebd.data import frame_labels, synth_video
+from gebd.data import frame_labels, load_features, save_features, synth_video
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, save_checkpoint
 from gebd.train import (
     AdamState,
@@ -254,26 +254,33 @@ PINNED_CONFIG = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor
 # order of every parameter gradient and of the batch loss, must never drift.
 # The shuffled minibatches of the ragged corpora hold runs of equal length
 # after runs of another length, and the batch of 9 is past the 8 items at
-# which numpy's pairwise summation starts.
+# which numpy's pairwise summation starts. The last case trains on the same
+# videos after a save_features -> load_features round trip, so the features
+# reach the model as the float32 arrays a feature file holds.
 PINNED_TRAINING = [
-    ((50,) * 8, 4, "1dbdeb595361e6d78b50537959de06fd6bef5cbcf91bf905b7414e87f8ab5182",
+    ((50,) * 8, 4, False, "1dbdeb595361e6d78b50537959de06fd6bef5cbcf91bf905b7414e87f8ab5182",
      "0e370bb4733a8ebb58c27b47689287c26c6d0555eef13f534075fd6432cab428"),
-    ((50, 37, 50, 50, 64, 37), 4, "0552ee1d78ea03fc27d921f49805a8357c42a24f063eb85ac0b79e76d57ba27b",
+    ((50, 37, 50, 50, 64, 37), 4, False, "0552ee1d78ea03fc27d921f49805a8357c42a24f063eb85ac0b79e76d57ba27b",
      "a692b5e663693b74e8f8955b2b4c38511fadc94285c46afa9dd375d8a323c7dc"),
-    ((50, 37, 50, 37, 64, 50, 50, 37, 37), 9, "b20a0b8b55df7237b710138d7868e972b158fdfa29deb4a0ba9863be0126ac98",
+    ((50, 37, 50, 37, 64, 50, 50, 37, 37), 9, False, "b20a0b8b55df7237b710138d7868e972b158fdfa29deb4a0ba9863be0126ac98",
      "e22dea640af5b49dd7a886f46ee9e0b01e2f97e79e7001ae02b2b88f45d56e5b"),
+    ((50, 37, 50, 50, 64, 37), 4, True, "2e5cda5f4e3cb2abcf67a4f587985286dd9eed08e41c2afc00793125c1e3a498",
+     "a692b5e663693b74e8f8955b2b4c38511fadc94285c46afa9dd375d8a323c7dc"),
 ]
 
 
-@pytest.mark.parametrize("frames, batch_size, model_digest, loss_digest", PINNED_TRAINING,
-                         ids=["equal_t", "ragged_t", "ragged_t_batch9"])
-def test_trained_bytes_pinned(tmp_path, frames, batch_size, model_digest, loss_digest):
+@pytest.mark.parametrize("frames, batch_size, from_files, model_digest, loss_digest", PINNED_TRAINING,
+                         ids=["equal_t", "ragged_t", "ragged_t_batch9", "ragged_t_from_files"])
+def test_trained_bytes_pinned(tmp_path, frames, batch_size, from_files, model_digest, loss_digest):
     import hashlib
 
     dataset = []
     for i, t in enumerate(frames):
         video, ann = synth_video(40 + i, t, 5.0, (8, 8, 8, 8), [0.3 * t / 5.0, 0.7 * t / 5.0],
                                  snr=1.0, video_id=f"video{i:05d}")
+        if from_files:
+            save_features(tmp_path / f"{video.video_id}.gebf", video)
+            video = load_features(tmp_path / f"{video.video_id}.gebf")
         dataset.append((video, frame_labels(ann, t, 5.0, 1)))
     model = GebdModel.build(PINNED_CONFIG, seed=0)
     model, curve = train(dataset, model, TrainConfig(epochs=1, batch_size=batch_size, warmup_epochs=0, seed=0))
