@@ -179,38 +179,6 @@ def concat_channels(parts: Iterable[Tensor]) -> Tensor:
     return Tensor(out, parents=tuple(parts), backward=backward, validate=False)
 
 
-def unstack(x: Tensor) -> list[Tensor]:
-    """The videos of a (B, T, d) batch as B separate (T, d) tensors."""
-    if x.data.ndim != 3:
-        raise ValueError(f"unstack: expected a (B, T, d) batch, got shape {x.data.shape}")
-
-    def video(b: int) -> Tensor:
-        def backward(g):
-            # -0.0 is the exact additive identity: the other videos' slots
-            # leave their adjoints bit for bit, signed zeros included
-            dx = np.full(x.data.shape, -0.0)
-            dx[b] = g
-            _accumulate(x, dx)
-
-        return Tensor(x.data[b], parents=(x,), backward=backward, validate=False)
-
-    return [video(b) for b in range(x.data.shape[0])]
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Equally shaped (T, d) tensors as one (B, T, d) batch, in order."""
-    parts = list(parts)
-    if not parts or any(p.data.ndim != 2 or p.data.shape != parts[0].data.shape for p in parts):
-        raise ValueError("stack: expected one or more equally shaped (T, d) tensors")
-
-    def backward(g):
-        for p, gp in zip(parts, g):
-            _accumulate(p, gp)
-
-    return Tensor(np.stack([p.data for p in parts]), parents=tuple(parts), backward=backward,
-                  validate=False)
-
-
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Divide each row by sqrt(|row|^2 + eps^2); zero rows map to zero."""
     if eps <= 0:

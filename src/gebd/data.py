@@ -225,7 +225,8 @@ def split_clips(
     """Cover the video with fixed-length windows at stride clip-overlap.
 
     The final window ends exactly at the last frame, overlapping more than
-    the nominal stride when the length is not a multiple of it.
+    the nominal stride when the length is not a multiple of it. A clip's
+    stages are row slices of the video's stage arrays, not copies.
     """
     if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
         raise ValueError(
@@ -248,7 +249,7 @@ def split_clips(
             video.video_id,
             s,
             s + clip_len,
-            [stage[s:s + clip_len].copy() for stage in video.stages],
+            [stage[s:s + clip_len] for stage in video.stages],
             video.fps,
         )
         for s in starts

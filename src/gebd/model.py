@@ -167,7 +167,8 @@ class GebdModel:
     def forward(self, stages: list[np.ndarray]) -> Tensor:
         """Per-frame scores (T x 1) in the parameters' dtype: the stage inputs
         are cast to it, so a loaded float32 model runs in float32 and reads
-        a loaded feature file's read-only float32 stages without a copy. Stage
+        a loaded feature file's read-only float32 stages without a copy, and
+        a read-only stack or a cast is not copied again. Stage
         inputs stacked as (B, T, d) score B equal-length videos in one pass
         and give (B, T, 1), each video's scores bit-identical to its own pass."""
         if len(stages) != len(self.config.stage_dims):
@@ -177,7 +178,10 @@ class GebdModel:
         dtype = self.head.conv2.weights.data.dtype
         inputs = []
         for k, (arr, d) in enumerate(zip(stages, self.config.stage_dims)):
-            x = seq_tensor(np.asarray(arr, dtype=dtype))
+            cast = np.asarray(arr, dtype=dtype)
+            if cast is not arr and cast.flags.owndata:
+                cast.setflags(write=False)  # made here and held by no one else: no copy needed
+            x = seq_tensor(cast)
             if x.data.shape[-1] != d:
                 raise ValueError(f"stage {k}: expected {d} channels, got {x.data.shape[-1]}")
             inputs.append(x)
@@ -196,11 +200,15 @@ class GebdModel:
 
 def stack_videos(stage_lists: list[list[np.ndarray]]) -> list[np.ndarray]:
     """`GebdModel.forward` input for equal-length videos, given each video's
-    stage arrays: one (B, T, d) array per stage, or a lone video's own
-    (T, d) arrays, which are not copied."""
+    stage arrays: one read-only (B, T, d) array per stage, which the forward
+    takes without a copy, or a lone video's own (T, d) arrays, which are not
+    copied."""
     if len(stage_lists) == 1:
         return list(stage_lists[0])
-    return [np.stack(arrays) for arrays in zip(*stage_lists)]
+    stacks = [np.stack(arrays) for arrays in zip(*stage_lists)]
+    for s in stacks:
+        s.setflags(write=False)
+    return stacks
 
 
 def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:

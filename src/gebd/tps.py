@@ -1,15 +1,19 @@
 """Temporal pyramid similarity: multi-dilation branches over each feature stage,
-residual-normalized representations, neighbor squared-distance vectors, and the
-projections that fuse them into one T x d_out sequence per stage and overall.
+residual-normalized representations, the similarity vector of each stage (the
+neighbor squared distances of all its views), and the projections that fuse
+them into one T x d_out sequence per stage and overall.
 
 Every function takes a (T, d) video or a (B, T, d) batch of equal-length
 videos (frames on axis -2, channels on axis -1) and returns the same
-layout; each video of a batch gets the bits it would get alone.
+layout; each video of a batch gets the bits it would get alone. A batch
+takes one call of each op per stage, `similarity_vector` included: no op
+splits it into videos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +24,6 @@ from .autodiff import (
     add,
     concat_channels,
     l2_normalize_rows,
-    stack,
-    unstack,
 )
 from .nn import (
     Conv1dKernel,
@@ -95,51 +97,62 @@ def residual_normalize(f: Tensor, x: Tensor, eps: float = NORMALIZE_EPS) -> Tens
     return l2_normalize_rows(add(f, x), eps)
 
 
-def neighbor_distances(r: Tensor, radius: int) -> Tensor:
-    """Squared distances between each frame and its +-radius neighbors.
+def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
+    """The fuse input of one stage: its views' neighbor distances side by side.
 
-    Column order is [-radius .. -1, 1 .. radius]; out-of-range neighbors are
-    clamped to the edge frame, so corner slots compare a frame with itself.
-    These are the 2*radius diagonal bands of the frame self-distance matrix,
-    computed in time and memory linear in T: on r padded with `radius`
-    copies of each edge row, the pairs q frames apart are two contiguous
-    slices, and one distance vector per q fills both the -q and the +q
-    column. No T x 2radius x d difference tensor is built, and the backward
-    recomputes each difference from r instead of keeping it. A (B, T, d)
-    batch gives (B, T, 2*radius), each video padded at its own edges.
+    The views are (T, d) or (B, T, d), all of one shape. View i fills
+    columns i*2r .. (i+1)*2r - 1 of the (..., T, len(views)*2r) output with
+    the squared distances between each frame and its neighbors at offsets
+    [-radius .. -1, 1 .. radius]; out-of-range neighbors are clamped to the
+    edge frame (of each video of a batch), so corner slots compare a frame
+    with itself. Time and memory are linear in T: on a view padded with
+    `radius` copies of each edge row, the pairs q frames apart are two
+    contiguous slices, and one distance vector per q fills both the -q and
+    the +q column. No T x 2r x d difference tensor is built, one view's
+    padded copy is alive at a time, and the backward recomputes each
+    difference instead of keeping it.
     """
+    views = list(views)
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    _require_seq(r, "neighbor_distances")
-    *batch, t, d = r.data.shape
+    if not views or any(v.data.shape != views[0].data.shape for v in views):
+        raise ValueError("similarity_vector: expected one or more views of one shape")
+    _require_seq(views[0], "similarity_vector")
+    *batch, t, d = views[0].data.shape
     clamped = np.clip(np.arange(-radius, t + radius), 0, t - 1)
-    padded = r.data[..., clamped, :]
-    out = np.empty((*batch, t, 2 * radius), dtype=r.data.dtype)
-    for q in range(1, radius + 1):
-        diff = padded[..., :-q, :] - padded[..., q:, :]  # row i pairs padded rows i and i + q
-        dist = np.einsum("...td,...td->...t", diff, diff)
-        out[..., radius - q] = dist[..., radius - q:radius - q + t]
-        out[..., radius + q - 1] = dist[..., radius:radius + t]
+    out = np.empty((*batch, t, len(views) * 2 * radius), dtype=np.result_type(*(v.data for v in views)))
+    for i, v in enumerate(views):
+        mid = (2 * i + 1) * radius  # view i fills columns mid - radius .. mid + radius - 1
+        padded = v.data[..., clamped, :]
+        for q in range(1, radius + 1):
+            diff = padded[..., :-q, :] - padded[..., q:, :]  # row j pairs padded rows j and j + q
+            dist = np.einsum("...td,...td->...t", diff, diff)
+            out[..., mid - q] = dist[..., radius - q:radius - q + t]
+            out[..., mid + q - 1] = dist[..., radius:radius + t]
+        del padded, diff
 
     def backward(g):
-        if not r.requires_grad:
-            return
-        padded = r.data[..., clamped, :]
-        dpad = np.zeros((*batch, t + 2 * radius, d))
-        for q in range(1, radius + 1):
-            gq = np.zeros((*batch, t + 2 * radius - q))
-            gq[..., radius - q:radius - q + t] += g[..., radius - q]
-            gq[..., radius:radius + t] += g[..., radius + q - 1]
-            w = (padded[..., :-q, :] - padded[..., q:, :]) * (2.0 * gq)[..., None]
-            dpad[..., :-q, :] += w
-            dpad[..., q:, :] -= w
-        # pad rows are copies of the edge rows: fold their adjoints back
-        dr = dpad[..., radius:radius + t, :]
-        dr[..., 0, :] += dpad[..., :radius, :].sum(axis=-2)
-        dr[..., -1, :] += dpad[..., radius + t:, :].sum(axis=-2)
-        _accumulate(r, dr)
+        for i, v in enumerate(views):
+            if not v.requires_grad:
+                continue
+            mid = (2 * i + 1) * radius
+            padded = v.data[..., clamped, :]
+            dpad = np.zeros((*batch, t + 2 * radius, d))
+            for q in range(1, radius + 1):
+                gq = np.zeros((*batch, t + 2 * radius - q))
+                gq[..., radius - q:radius - q + t] += g[..., mid - q]
+                gq[..., radius:radius + t] += g[..., mid + q - 1]
+                w = (padded[..., :-q, :] - padded[..., q:, :]) * (2.0 * gq)[..., None]
+                dpad[..., :-q, :] += w
+                dpad[..., q:, :] -= w
+            del padded, w
+            # pad rows are copies of the edge rows: fold their adjoints back
+            dr = dpad[..., radius:radius + t, :]
+            dr[..., 0, :] += dpad[..., :radius, :].sum(axis=-2)
+            dr[..., -1, :] += dpad[..., radius + t:, :].sum(axis=-2)
+            _accumulate(v, dr)
 
-    return Tensor(out, parents=(r,), backward=backward, validate=False)
+    return Tensor(out, parents=tuple(views), backward=backward, validate=False)
 
 
 def comprehensive_rep(branch_outputs: list[Tensor], compress: Conv1dKernel,
@@ -158,10 +171,11 @@ def stage_forward(
     """One feature stage to its T x d_out similarity features.
 
     Branch outputs become n+1 row-normalized views (n residual views plus
-    the comprehensive one). By default each view is turned into a neighbor
-    distance vector and the concatenation is projected by `fuse`; with
-    fuse_distances=False the views themselves are concatenated instead
-    (the alternative reading of the fusion input).
+    the comprehensive one). By default `fuse` projects their similarity
+    vector (`similarity_vector`: every view's neighbor distances, built by
+    one op for the whole batch); with fuse_distances=False the views
+    themselves are concatenated instead (the alternative reading of the
+    fusion input).
     """
     branch_outputs = [branch_forward(x, b) for b in stage.branches]
     if use_residual:
@@ -169,15 +183,7 @@ def stage_forward(
     else:
         views = [l2_normalize_rows(f, NORMALIZE_EPS) for f in branch_outputs]
     views.append(comprehensive_rep(branch_outputs, stage.compress))
-    if not fuse_distances:
-        return conv1d(concat_channels(views), stage.fuse)
-    if x.data.ndim == 2:
-        return conv1d(concat_channels([neighbor_distances(v, radius) for v in views]), stage.fuse)
-    # neighbor_distances takes a batch as well, but the per-layer trace of
-    # perfbench/layertrace.py sizes each call from a (T, d) shape, so a
-    # batch is measured one video at a time
-    per_video = zip(*(unstack(v) for v in views))
-    feats = stack([concat_channels([neighbor_distances(v, radius) for v in vs]) for vs in per_video])
+    feats = similarity_vector(views, radius) if fuse_distances else concat_channels(views)
     return conv1d(feats, stage.fuse)
 
 

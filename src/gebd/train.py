@@ -136,7 +136,8 @@ def train(
     the batch size, and batched passes keep the bits of a video-by-video
     pass (see `_minibatch_gradients`).
     Every parameter must require grad: a loaded checkpoint does not, and
-    would silently take zero steps.
+    would silently take zero steps. A non-finite loss or gradient raises
+    TrainingDiverged naming the step (and the parameter) before Adam runs.
     """
     if not len(dataset):
         raise ValueError("train: empty dataset")
@@ -148,7 +149,8 @@ def train(
         )
     if cfg.epochs == 0:
         return model, []
-    params = [p for _, p in model.parameters()]
+    named = model.parameters()
+    params = [p for _, p in named]
     state = AdamState.init(params)
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
@@ -162,6 +164,9 @@ def train(
             loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_targets, global_step)
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
             grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
+            for (name, _), g in zip(named, grads):
+                if not np.all(np.isfinite(g)):
+                    raise TrainingDiverged(f"non-finite gradient of {name} at step {global_step}")
             adam_step(params, grads, state, lr)
             curve.append((global_step, lr, loss_value))
             global_step += 1

@@ -37,9 +37,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def write_blocks(path: str | Path, magic: bytes, header: Sequence[int],
                  blocks: Sequence[np.ndarray]) -> None:
     """Write the container `BlockReader` reads: magic, the u32 header fields
-    (version first), then each block as row-major little-endian f32."""
+    (version first), then each block as row-major little-endian f32.
+
+    A block that is not finite as f32 (a NaN or inf, or a finite value past
+    the f32 range) is a ValueError and nothing is written: `BlockReader`
+    would reject the file."""
     parts = [magic, struct.pack(f"<{len(header)}I", *header)]
-    parts += [np.ascontiguousarray(b, dtype="<f4").tobytes() for b in blocks]
+    for i, b in enumerate(blocks):
+        with np.errstate(over="ignore"):
+            f32 = np.ascontiguousarray(b, dtype="<f4")
+        if not np.all(np.isfinite(f32)):
+            raise ValueError(f"{path}: block {i} holds values that are not finite as float32")
+        parts.append(f32.tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 

@@ -24,7 +24,7 @@ from gebd.model import (
 )
 from gebd.nn import conv1d, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
-from gebd.tps import branch_forward, neighbor_distances, stage_forward, tps_forward
+from gebd.tps import branch_forward, similarity_vector, stage_forward, tps_forward
 from gebd.train import TrainConfig, bce_loss, train
 from gradcheck import check_op_gradients, directional_check, spot_check_model_gradients, sum_all
 from oracles import accumulate_clip_scores, brute_force_max_matching, naive_conv1d, naive_depthwise_conv1d
@@ -136,7 +136,7 @@ def test_criterion_2_gradient_suite():
     worst = max(worst, check_op_gradients(lambda: sum_all(mul(sigmoid(x), we)), [x], tol))
     wq = Tensor(rng.uniform(-1, 1, size=(7, 4)))
     worst = max(worst, check_op_gradients(
-        lambda: sum_all(mul(neighbor_distances(x, 2), wq)), [x], tol))
+        lambda: sum_all(mul(similarity_vector([x], 2), wq)), [x], tol))
     p = Tensor(rng.uniform(0.05, 0.95, size=(9, 1)), requires_grad=True)
     targets = rng.integers(0, 2, size=9).astype(float)
     worst = max(worst, check_op_gradients(lambda: bce_loss(p, targets), [p], tol))
@@ -180,7 +180,7 @@ def test_criterion_3_architecture_conformance():
             out = branch_forward(x, br)
             checks.append(out.data.shape == (t_len, d_k))  # Output size T x d_k
         view = l2_normalize_rows(branch_forward(x, stage.branches[0]), 1e-12)
-        dist = neighbor_distances(view, config.neighbor_radius)
+        dist = similarity_vector([view], config.neighbor_radius)
         checks.append(dist.data.shape == (t_len, 2 * config.neighbor_radius))
         stage_out = stage_forward(x, stage, config.neighbor_radius)
         checks.append(stage_out.data.shape == (t_len, config.d_out))

@@ -17,9 +17,7 @@ from gebd.autodiff import (
     mul,
     scale,
     seq_tensor,
-    stack,
     time_smooth,
-    unstack,
 )
 from gebd.model import GebdModel, ModelConfig
 from gebd.nn import (
@@ -34,7 +32,7 @@ from gebd.nn import (
     sigmoid,
 )
 from gebd.postprocess import smooth_frames
-from gebd.tps import neighbor_distances
+from gebd.tps import similarity_vector
 from gebd.train import bce_loss
 from gradcheck import check_op_gradients, sum_all
 
@@ -79,8 +77,9 @@ def _ops(dtype):
         "mul": (lambda x: with_other(x, mul), []),
         "concat_channels": (lambda x: concat_channels([x, gelu(x), x]), []),
         "l2_normalize_rows": (l2_normalize_rows, []),
-        "neighbor_distances_r1": (lambda x: neighbor_distances(x, 1), []),
-        "neighbor_distances_r5": (lambda x: neighbor_distances(x, 5), []),
+        "neighbor_distances_r1": (lambda x: similarity_vector([x], 1), []),
+        "neighbor_distances_r5": (lambda x: similarity_vector([x], 5), []),
+        "similarity_vector": (lambda x: similarity_vector([x, gelu(x), l2_normalize_rows(x)], 2), []),
         "time_smooth": (lambda x: time_smooth(x, 5.0), []),
         "bce_loss": (lambda x: _head_loss(x, k["head"]), [k["head"].weights, k["head"].bias]),
         "conv_norm_gelu": (lambda x: gelu(layer_norm(depthwise_conv1d(x, k["depthwise"]), k["norm"])),
@@ -191,22 +190,28 @@ def test_model_forward_and_gradients_batched(batch, dtype):
         np.testing.assert_array_equal(g, p.grad, err_msg=name)
 
 
+def test_batched_forward_builds_each_similarity_vector_once_per_stage(monkeypatch):
+    import gebd.tps as tps
+
+    calls = []
+
+    def counted(views, radius):
+        calls.append(views[0].data.shape)
+        return similarity_vector(views, radius)
+
+    monkeypatch.setattr(tps, "similarity_vector", counted)
+    config = ModelConfig(stage_dims=(4, 6, 5), branch_count=2, decoder_blocks=1, d_out=4, d_head=3,
+                         neighbor_radius=2)
+    rng = np.random.default_rng(6)
+    GebdModel.build(config, seed=1).forward([rng.standard_normal((9, 8, d)) for d in config.stage_dims])
+    assert calls == [(9, 8, d) for d in config.stage_dims]
+
+
 def test_fold_sum_is_a_left_fold():
     # 1e16 + 1 + 1 ... loses every 1 in a left fold; pairwise summation keeps some
     parts = [Tensor([[1e16]])] + [Tensor([[1.0]]) for _ in range(15)]
     assert fold_sum(parts).data[0, 0] == 1e16
     assert fold_sum([Tensor(np.array([[[1e16]], [[1.0]], [[1.0]]]))]).data[0, 0] == 1e16
-
-
-def test_unstack_stack_round_trip_adjoints():
-    xs = seq_tensor(np.random.default_rng(2).standard_normal((3, 4, 2)), requires_grad=True)
-    w = np.random.default_rng(3).standard_normal((3, 4, 2))
-    out = stack(list(reversed(unstack(xs))))
-    backward(sum_all(mul(out, Tensor(w))))
-    np.testing.assert_array_equal(out.data, xs.data[::-1])
-    np.testing.assert_array_equal(xs.grad, w[::-1])
-    with pytest.raises(ValueError, match="unstack"):
-        unstack(seq_tensor(np.zeros((4, 2))))
 
 
 def test_batched_chain_matches_finite_differences():
@@ -216,6 +221,6 @@ def test_batched_chain_matches_finite_differences():
     a = LayerNormAffine(_param(rng, (3,), np.float64), _param(rng, (3,), np.float64))
     w = Tensor(rng.uniform(-1, 1, size=(2, 6, 4)))
     check_op_gradients(
-        lambda: sum_all(mul(neighbor_distances(layer_norm(conv1d(x, k), a), 2), w)),
+        lambda: sum_all(mul(similarity_vector([layer_norm(conv1d(x, k), a)], 2), w)),
         [x, k.weights, k.bias, a.gamma, a.beta],
     )

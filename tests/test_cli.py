@@ -107,6 +107,7 @@ class TestSynth:
         (["--snr", "nan"], "snr must be positive"),
         (["--num-videos", "-1"], "num_videos must be >= 1"),
         (["--num-videos", "0"], "num_videos must be >= 1"),
+        (["--snr", "1e-320"], "not finite as float32"),  # noise std 1/snr is inf
     ])
     def test_nan_or_non_positive_settings_rejected(self, tmp_path, capsys, flags, message):
         code = run(["synth", "--out", str(tmp_path / "x"), "--num-videos", "1", *SMALL, *flags])

@@ -1,20 +1,24 @@
-"""Hostile inputs: mutated GEBF/GEBW bytes and random JSON either load or
-raise ValueError, and never allocate much more than the file holds.
+"""Hostile inputs: mutated GEBF/GEBW bytes, random JSON and random
+`key = value` config files either load or raise ValueError, and the binary
+and JSON loaders never allocate much more than the file holds.
 
 The binary readers hand out float32 views into the file bytes, so every
 length in a header must be checked against the bytes actually present
 before anything is sized from it.
 """
 
+import argparse
 import json
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gebd import cli
 from gebd.data import VideoFeatures, load_annotations, load_features, save_features
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, save_checkpoint
 from gebd.postprocess import load_detections, load_scores
@@ -124,6 +128,28 @@ def test_fuzz_bases_load_and_a_non_finite_value_does_not(work, gebf, gebw):
             load(path)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+def test_writers_reject_values_not_finite_as_float32(work, value):
+    # 1e39 is finite as float64 but overflows the float32 cast; a writer that
+    # let it through would write a file its own reader rejects
+    stages = [np.zeros((4, 3)), np.zeros((4, 2))]
+    stages[1][2, 1] = value
+    path = work / "bad.gebf"
+    with pytest.raises(ValueError, match="block 1 holds values that are not finite as float32"):
+        save_features(path, VideoFeatures("v", 5.0, stages))
+    assert not path.exists()
+    model = GebdModel.build(ModelConfig(stage_dims=(2, 3), branch_count=2, decoder_blocks=1,
+                                        d_out=2, d_head=2, neighbor_radius=1), seed=0)
+    weights = model.head.conv2.weights
+    bad = np.array(weights.data)
+    bad.flat[0] = value
+    weights.update_data(bad)
+    path = work / "bad.gebw"
+    with pytest.raises(ValueError, match="not finite as float32"):
+        save_checkpoint(path, model)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flags", [8, 0xFFFFFFFF, 7 | 2 ** 31])
 def test_unknown_checkpoint_flag_bits_rejected(work, gebw, flags):
     offset = 4 + 4 * (GEBW_HEADER_FIELDS - 1)  # the last header field
@@ -197,3 +223,41 @@ def test_unparseable_json_is_value_error(work, raw):
     for load in LOADERS.values():
         with pytest.raises(ValueError, match="invalid JSON"):
             load(path)
+
+
+CONFIG_KEYS = st.one_of(st.sampled_from([f.name for f in fields(cli.RunConfig)]),
+                        st.sampled_from(["", "frame", "FPS", "seed seed", "#seed"]), st.text(max_size=6))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e400", "0x10", "1_0",
+                     str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64 + 1), "9" * 5000,
+                     ",", ",,", "1,", ",2", "1,,2", "4,nan", "1, -1", "true", "off", "maybe"]),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+CONFIG_LINES = st.lists(
+    st.one_of(st.tuples(CONFIG_KEYS, CONFIG_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+              st.sampled_from(["", "# comment", "=", "no equals sign", "= 3"])),
+    max_size=6,
+)
+
+
+@FUZZ
+@given(lines=CONFIG_LINES, junk=st.one_of(st.none(), st.tuples(st.integers(0, 2 ** 16), st.binary(min_size=1, max_size=3))))
+def test_random_config_file_resolves_or_value_error(work, lines, junk):
+    # known and unknown keys, duplicates, hostile values, and sometimes raw
+    # bytes (often not UTF-8) spliced in
+    raw = "\n".join(lines).encode("utf-8", "surrogatepass")
+    if junk is not None:
+        at = junk[0] % (len(raw) + 1)
+        raw = raw[:at] + junk[1] + raw[at:]
+    path = work / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        overrides = cli.load_config_file(path)
+    except ValueError:
+        return
+    cfg = cli.resolve_config(argparse.Namespace(config=str(path)))
+    assert isinstance(cfg, cli.RunConfig)
+    for key, value in overrides.items():
+        assert getattr(cfg, key) == value or value != value  # NaN is not equal to itself

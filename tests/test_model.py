@@ -9,7 +9,7 @@ import pytest
 import scipy.special  # noqa: F401  (GELU's first call imports it; the memory tests keep that out of their peaks)
 
 from gebd.autodiff import seq_tensor
-from gebd.data import VideoFeatures, load_features, save_features
+from gebd.data import VideoFeatures, load_features, save_features, split_clips
 from gebd.model import (
     GebdModel,
     ModelConfig,
@@ -22,6 +22,7 @@ from gebd.model import (
     model_forward,
     save_checkpoint,
     sd_forward,
+    stack_videos,
 )
 from gebd.nn import gelu, layer_norm, random_params
 
@@ -251,6 +252,49 @@ def test_feature_file_forward_memory_per_frame(tmp_path):
         tracemalloc.stop()
     assert len(scores.scores) == t
     assert peak < 4_000 * t, peak / t
+
+
+def _forward_inputs(model, stages, monkeypatch):
+    """(array handed to seq_tensor, tensor it made) for each stage input of one forward."""
+    import gebd.model as model_mod
+
+    seen = []
+
+    def capture(arr):
+        t = seq_tensor(arr)
+        seen.append((arr, t))
+        return t
+
+    monkeypatch.setattr(model_mod, "seq_tensor", capture)
+    model.forward(stages)
+    return seen
+
+
+def test_stacked_and_cast_forward_inputs_are_held_once(tmp_path, monkeypatch):
+    save_checkpoint(tmp_path / "m.gebw", GebdModel.build(TINY, seed=19))
+    loaded = load_checkpoint(tmp_path / "m.gebw")
+    rng = np.random.default_rng(19)
+    videos = [[rng.standard_normal((12, 8)).astype(np.float32) for _ in range(4)] for _ in range(3)]
+    stacks = stack_videos(videos)
+    for stack, (arr, t) in zip(stacks, _forward_inputs(loaded, stacks, monkeypatch)):
+        assert not stack.flags.writeable
+        assert np.shares_memory(t.data, stack)  # float32 stack into a float32 model
+    # float32 stacks into a float64 model: the forward's own cast is not copied again
+    for arr, t in _forward_inputs(GebdModel.build(TINY, seed=19), stacks, monkeypatch):
+        assert arr.dtype == np.float64 and t.data is arr
+
+
+def test_clip_of_a_loaded_file_reaches_the_forward_without_a_copy(tmp_path, monkeypatch):
+    save_checkpoint(tmp_path / "m.gebw", GebdModel.build(TINY, seed=20))
+    loaded = load_checkpoint(tmp_path / "m.gebw")
+    save_features(tmp_path / "v.gebf", VideoFeatures("v", 2.0, tiny_stages(20, t=30)))
+    video = load_features(tmp_path / "v.gebf", fps=2.0)
+    clip = split_clips(video, 10.0, 5.0)[1]
+    for stage, whole in zip(clip.stages, video.stages):
+        np.testing.assert_array_equal(stage, whole[clip.start_frame:clip.end_frame])
+        assert np.shares_memory(stage, whole)
+    for stage, (arr, t) in zip(clip.stages, _forward_inputs(loaded, stack_videos([clip.stages]), monkeypatch)):
+        assert np.shares_memory(t.data, stage)
 
 
 class TestCheckpoint:

@@ -13,8 +13,8 @@ from gebd.tps import (
     init_branch,
     init_stage,
     init_tps,
-    neighbor_distances,
     residual_normalize,
+    similarity_vector,
     stage_forward,
     tps_forward,
 )
@@ -82,12 +82,12 @@ class TestResidualNormalize:
 class TestNeighborDistances:
     def test_identical_rows_all_zero(self):
         r = seq_tensor(np.tile([0.5, 0.5], (6, 1)))
-        np.testing.assert_array_equal(neighbor_distances(r, 2).data, np.zeros((6, 4)))
+        np.testing.assert_array_equal(similarity_vector([r], 2).data, np.zeros((6, 4)))
 
     def test_edge_clamping(self):
         rng = np.random.default_rng(6)
         r = seq_tensor(rng.standard_normal((5, 3)))
-        out = neighbor_distances(r, 2).data
+        out = similarity_vector([r], 2).data
         # at t=0 both negative-offset slots compare frame 0 with itself
         assert out[0, 0] == 0.0 and out[0, 1] == 0.0
         assert out[-1, 2] == 0.0 and out[-1, 3] == 0.0
@@ -96,13 +96,13 @@ class TestNeighborDistances:
         e1 = [1.0, 0.0]
         e2 = [0.0, 1.0]
         r = seq_tensor([e1, e2, e1])
-        out = neighbor_distances(r, 1).data
+        out = similarity_vector([r], 1).data
         np.testing.assert_allclose(out, [[0.0, 2.0], [2.0, 2.0], [2.0, 0.0]])
 
     def test_column_order_negative_then_positive(self):
         # rows 0,1,2,... scaled so distance grows with |q|; check slot layout
         r = seq_tensor(np.arange(6, dtype=float)[:, None] * [1.0])
-        out = neighbor_distances(r, 2).data
+        out = similarity_vector([r], 2).data
         # at t=3: slots q=-2,-1,1,2 -> distances 4,1,1,4
         np.testing.assert_allclose(out[3], [4.0, 1.0, 1.0, 4.0])
 
@@ -110,7 +110,7 @@ class TestNeighborDistances:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((20, 8))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        out = neighbor_distances(seq_tensor(x), 3).data
+        out = similarity_vector([seq_tensor(x)], 3).data
         assert np.all(out >= 0)
         assert np.all(out <= 4.0 + 1e-12)
 
@@ -122,7 +122,7 @@ class TestNeighborDistances:
         x = Tensor(rng.uniform(-2, 2, size=(6, 3)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, size=(6, 4)))
         check_op_gradients(
-            lambda: sum_all(mul(neighbor_distances(x, 2), w)), [x]
+            lambda: sum_all(mul(similarity_vector([x], 2), w)), [x]
         )
 
 
@@ -133,11 +133,76 @@ class TestNeighborDistances:
         x = rng.standard_normal((t_len, 6))
         g = rng.standard_normal((t_len, 2 * radius))
         r = Tensor(x, requires_grad=True)
-        out = neighbor_distances(r, radius)
+        out = similarity_vector([r], radius)
         np.testing.assert_allclose(out.data, naive_neighbor_distances(x, radius), rtol=0, atol=1e-12)
         out._backward(g)
         np.testing.assert_allclose(r.grad, naive_neighbor_distances_backward(x, radius, g),
                                    rtol=0, atol=1e-12)
+
+
+class TestSimilarityVector:
+    """All views of a stage in one op: each view's neighbor distances side by
+    side, for a (T, d) video or a (B, T, d) batch."""
+
+    @staticmethod
+    def naive(arrays, radius):
+        """Concatenated per-view oracle, one video of a batch at a time."""
+        if arrays[0].ndim == 2:
+            return np.concatenate([naive_neighbor_distances(a, radius) for a in arrays], axis=1)
+        return np.stack([TestSimilarityVector.naive([a[b] for a in arrays], radius)
+                         for b in range(arrays[0].shape[0])])
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "batched"])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("radius", [1, 2, 5])
+    @pytest.mark.parametrize("n_views", [1, 2, 3])
+    def test_forward_matches_concatenated_oracle(self, n_views, radius, t_len, batched):
+        rng = np.random.default_rng(1000 * n_views + 10 * t_len + radius)
+        shape = (3, t_len, 4) if batched else (t_len, 4)
+        arrays = [rng.standard_normal(shape) for _ in range(n_views)]
+        out = similarity_vector([seq_tensor(a) for a in arrays], radius).data
+        assert out.shape == shape[:-1] + (n_views * 2 * radius,)
+        np.testing.assert_allclose(out, self.naive(arrays, radius), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "batched"])
+    def test_backward_matches_per_view_oracle_and_skips_views_without_grad(self, batched):
+        rng = np.random.default_rng(40)
+        radius, shape = 2, ((2, 9, 3) if batched else (9, 3))
+        arrays = [rng.standard_normal(shape) for _ in range(3)]
+        views = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
+        out = similarity_vector(views, radius)
+        g = rng.standard_normal(out.data.shape)
+        out._backward(g)
+        assert views[1].grad is None
+        for i in (0, 2):
+            gi = g[..., 2 * radius * i:2 * radius * (i + 1)]
+            if batched:
+                want = np.stack([naive_neighbor_distances_backward(arrays[i][b], radius, gi[b])
+                                 for b in range(shape[0])])
+            else:
+                want = naive_neighbor_distances_backward(arrays[i], radius, gi)
+            np.testing.assert_allclose(views[i].grad, want, rtol=0, atol=1e-12)
+
+    def test_gradient_vs_finite_differences(self):
+        from gradcheck import check_op_gradients
+        from gebd.autodiff import mul
+
+        rng = np.random.default_rng(41)
+        xs = [Tensor(rng.uniform(-2, 2, size=(2, 6, 3)), requires_grad=True) for _ in range(3)]
+        w = Tensor(rng.uniform(-1, 1, size=(2, 6, 12)))
+        check_op_gradients(lambda: sum_all(mul(similarity_vector(xs, 2), w)), xs)
+
+    def test_rejects_bad_input(self):
+        x = seq_tensor(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="radius"):
+            similarity_vector([x], 0)
+        with pytest.raises(ValueError, match="one or more views of one shape"):
+            similarity_vector([], 1)
+        with pytest.raises(ValueError, match="one or more views of one shape"):
+            similarity_vector([x, seq_tensor(np.zeros((5, 2)))], 1)
+        with pytest.raises(ValueError, match="sequence"):
+            similarity_vector([Tensor(np.zeros(5))], 1)
+
 
 class TestComprehensiveRep:
     def test_output_shape_matches_stage_width(self):

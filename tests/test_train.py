@@ -1,6 +1,7 @@
 """Loss, schedule, Adam, and the training loop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -185,6 +186,30 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=1, warmup_epochs=0, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged, match="step 0"):
             train(dataset, model, cfg)
+
+    def test_non_finite_gradient_aborts_before_adam(self, monkeypatch):
+        train_mod = sys.modules["gebd.train"]  # the package attribute `gebd.train` is the function
+        dataset = tiny_dataset(7, 4)
+        model = GebdModel.build(TINY, seed=4)
+        target = model.decoder.blocks[0].conv.bias
+        real = train_mod._minibatch_gradients
+        snapshot = []
+
+        def inject(dataset, batch, model, params, smooth_targets, step):
+            loss = real(dataset, batch, model, params, smooth_targets, step)
+            if step == 2:
+                target.grad = np.array(target.grad)
+                target.grad[1] = np.nan
+                snapshot.extend(np.array(p.data) for p in params)
+            return loss
+
+        monkeypatch.setattr(train_mod, "_minibatch_gradients", inject)
+        cfg = TrainConfig(epochs=2, batch_size=2, warmup_epochs=1, seed=0)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient of decoder/blocks/0/conv/bias at step 2"):
+            train(dataset, model, cfg)
+        assert snapshot
+        for before, (_, p) in zip(snapshot, model.parameters()):
+            np.testing.assert_array_equal(before, p.data)
 
     def test_epochs_zero_returns_untouched_model(self):
         dataset = tiny_dataset(8, 1)
