@@ -48,27 +48,27 @@ class RunConfig:
     num_videos: int = 10
     frames: int = 50
     fps: float = 5.0
-    stage_dims: tuple[int, ...] = data_mod.DEFAULT_STAGE_DIMS
+    stage_dims: tuple[int, ...] = ModelConfig.stage_dims
     snr: float = 4.0
     min_boundaries: int = 3
     max_boundaries: int = 6
     min_gap_seconds: float = 1.0
-    seed: int = 0
+    seed: int = 0  # also seeds the model build and training
     # model
-    d_out: int = 256
-    d_head: int = 128
-    branch_count: int = 4
-    decoder_blocks: int = 3
-    fuse_distances: bool = True
-    use_residual: bool = True
-    use_depthwise: bool = True
+    d_out: int = ModelConfig.d_out
+    d_head: int = ModelConfig.d_head
+    branch_count: int = ModelConfig.branch_count
+    decoder_blocks: int = ModelConfig.decoder_blocks
+    fuse_distances: bool = ModelConfig.fuse_distances
+    use_residual: bool = ModelConfig.use_residual
+    use_depthwise: bool = ModelConfig.use_depthwise
     # training
-    epochs: int = 10
-    batch_size: int = 8
-    lr_peak: float = 4e-4
-    lr_final: float = 4e-6
-    warmup_epochs: int = 2
-    smooth_training: bool = True
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr_peak: float = TrainConfig.lr_peak
+    lr_final: float = TrainConfig.lr_final
+    warmup_epochs: int = TrainConfig.warmup_epochs
+    smooth_training: bool = TrainConfig.smooth_targets
     positive_radius_frames: int = 1
     # inference
     smooth_inference: bool = True
@@ -157,18 +157,11 @@ def _echo_config(out_dir: Path, cfg: RunConfig) -> None:
     atomic_write_text(out_dir / "run_config.txt", format_config(cfg))
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        stage_dims=cfg.stage_dims,
-        branch_count=cfg.branch_count,
-        decoder_blocks=cfg.decoder_blocks,
-        d_out=cfg.d_out,
-        d_head=cfg.d_head,
-        neighbor_radius=max(1, round(cfg.fps)),
-        fuse_distances=cfg.fuse_distances,
-        use_residual=cfg.use_residual,
-        use_depthwise=cfg.use_depthwise,
-    )
+def _from_run_config(cls, cfg: RunConfig, **derived):
+    """A `ModelConfig` or `TrainConfig` whose fields take the values of the
+    `RunConfig` fields of the same name, apart from those in `derived`."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in derived}
+    return cls(**shared, **derived)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -186,8 +179,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
     duration = cfg.frames / cfg.fps
-
-    def build(i: int):
+    annotations, entries = [], []
+    for i in range(cfg.num_videos):
         video_seed = cfg.seed + i
         bound_rng = np.random.default_rng((video_seed, 1))
         count = int(bound_rng.integers(cfg.min_boundaries, cfg.max_boundaries + 1))
@@ -198,13 +191,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         filename = f"{video.video_id}.gebf"
         data_mod.save_features(out / filename, video)
-        return i, ann, {"video_id": video.video_id, "file": filename,
-                        "seed": video_seed, "num_frames": cfg.frames, "fps": cfg.fps}
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = sorted(pool.map(build, range(cfg.num_videos)), key=lambda r: r[0])
-    data_mod.save_annotations(out / "annotations.json", [ann for _, ann, _ in results])
-    manifest = {"seed": cfg.seed, "videos": [entry for _, _, entry in results]}
+        annotations.append(ann)
+        entries.append({"video_id": video.video_id, "file": filename,
+                        "seed": video_seed, "num_frames": cfg.frames, "fps": cfg.fps})
+    data_mod.save_annotations(out / "annotations.json", annotations)
+    manifest = {"seed": cfg.seed, "videos": entries}
     atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     _echo_config(out, cfg)
     print(f"wrote {cfg.num_videos} feature files to {out}")
@@ -241,17 +232,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if len(dims) != 1:
         raise ValueError(f"training videos must share stage dims, got {sorted(dims)}")
     cfg.stage_dims = dims.pop()
-    model = GebdModel.build(_model_config(cfg), seed=cfg.seed)
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr_peak=cfg.lr_peak,
-        lr_final=cfg.lr_final,
-        warmup_epochs=cfg.warmup_epochs,
-        smooth_targets=cfg.smooth_training,
-        seed=cfg.seed,
-    )
-    model, curve = train(dataset, model, train_cfg)
+    model_cfg = _from_run_config(ModelConfig, cfg, neighbor_radius=max(1, round(cfg.fps)))
+    train_cfg = _from_run_config(TrainConfig, cfg, smooth_targets=cfg.smooth_training)
+    model, curve = train(dataset, GebdModel.build(model_cfg, seed=cfg.seed), train_cfg)
     save_checkpoint(out / "model.gebw", model)
     write_loss_curve(out / "loss.csv", curve)
     _echo_config(out, cfg)
@@ -261,27 +244,27 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[post_mod.BoundaryScores]:
-    """Scores of consecutive videos. The pieces scored (whole videos, or in
-    clip mode a long video's clips) take one forward per run of consecutive
-    equal-length pieces, and each piece gets the bits it would get alone."""
-    pieces = []  # (video index, clip or None for the whole video)
+    """Scores of consecutive videos. Each video is scored as clips: one
+    clip spanning it, or in clip mode `split_clips`'s windows (a short
+    video's one window spans it too). The clips take one forward per run of
+    consecutive equal lengths, each gets the bits it would get alone, and
+    `merge_clip_scores` assembles each video's scores from its clips."""
+    pieces = []  # (video index, clip)
     for i, video in enumerate(videos):
-        if cfg.clip_mode and video.num_frames > round(cfg.clip_seconds * video.fps):
-            pieces += [(i, clip) for clip in data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds)]
-        else:
-            pieces.append((i, None))
+        clips = (data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds) if cfg.clip_mode
+                 else [data_mod.Clip(video.video_id, 0, video.num_frames, video.stages, video.fps)])
+        pieces += [(i, clip) for clip in clips]
     raw = []
-    stage_lists = [(clip or videos[i]).stages for i, clip in pieces]
-    for _, run in groupby(stage_lists, key=lambda stages: stages[0].shape[0]):
+    for _, run in groupby((clip.stages for _, clip in pieces), key=lambda stages: stages[0].shape[0]):
         run = list(run)
         raw += [x.copy() for x in model.forward(stack_videos(run)).data.reshape(len(run), -1)]
     scored = [[] for _ in videos]
     for (i, clip), x in zip(pieces, raw):
-        sc = post_mod.BoundaryScores(videos[i].video_id, videos[i].fps, x)
+        sc = post_mod.BoundaryScores(clip.video_id, clip.fps, x)
         if cfg.smooth_inference:
             sc = post_mod.gaussian_smooth(sc)
         scored[i].append((clip, sc))
-    return [parts[0][1] if parts[0][0] is None else post_mod.merge_clip_scores(parts) for parts in scored]
+    return [post_mod.merge_clip_scores(parts) for parts in scored]
 
 
 def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:

@@ -189,6 +189,8 @@ def random_boundary_times(
         return []
     if not (count + 1) * min_gap <= duration:
         raise ValueError(f"cannot fit {count} boundaries with gap {min_gap} in {duration}s")
+    if not (math.isfinite(duration) and math.isfinite(min_gap)):
+        raise ValueError(f"duration and gap must be finite, got {duration}s and {min_gap}s")
     for _ in range(1000):
         pts = np.sort(rng.uniform(min_gap, duration - min_gap, size=count))
         if count == 1 or np.all(np.diff(pts) >= min_gap):
@@ -233,7 +235,10 @@ def split_clips(
             f"need finite clip_seconds > overlap_seconds >= 0, got {clip_seconds}/{overlap_seconds}"
         )
     t = video.num_frames
-    clip_len = round(clip_seconds * video.fps)
+    clip_frames = clip_seconds * video.fps  # the stride spans no more, so it is finite when this is
+    if not math.isfinite(clip_frames):
+        raise ValueError(f"a clip of {clip_seconds}s at {video.fps} fps spans more frames than a float holds")
+    clip_len = round(clip_frames)
     stride = round((clip_seconds - overlap_seconds) * video.fps)
     if clip_len < 1 or stride < 1:
         raise ValueError("clip and stride must each span at least one frame")

@@ -9,11 +9,11 @@ walks the dataclass fields in declaration order, which is the same order.
 
 Checkpoint layout (little endian):
     magic "GEBW" | u32 version=1 | u32 num_stages | num_stages x u32 stage dims |
-    u32 branch_count | u32 decoder_blocks | u32 d_out | u32 d_head |
-    u32 neighbor_radius | u32 flags (bit0 fuse_distances, bit1 use_residual,
-    bit2 use_depthwise; any other bit is rejected) | flat f32 blocks for
-    every parameter in `GebdModel.parameters()` order (shapes follow from
-    the config).
+    one u32 per `_SIZE_FIELDS` entry (branch_count, decoder_blocks, d_out,
+    d_head, neighbor_radius) | u32 flags (bit i is `_FLAG_FIELDS[i]`:
+    fuse_distances, use_residual, use_depthwise; any other bit is rejected) |
+    flat f32 blocks for every parameter in `GebdModel.parameters()` order
+    (shapes follow from the config).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, seq_tensor
-from .data import VideoFeatures
+from .data import DEFAULT_STAGE_DIMS, VideoFeatures
 from .nn import (
     Conv1dKernel,
     LayerNormAffine,
@@ -43,11 +43,10 @@ from .util import BlockReader, write_blocks
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
-_FLAG_FUSE_DISTANCES = 1
-_FLAG_USE_RESIDUAL = 2
-_FLAG_USE_DEPTHWISE = 4
-_KNOWN_FLAGS = _FLAG_FUSE_DISTANCES | _FLAG_USE_RESIDUAL | _FLAG_USE_DEPTHWISE
-_HEADER_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius", "flags")
+# `ModelConfig` fields in header order after the stage dims; bit i of the
+# flags word that follows them is `_FLAG_FIELDS[i]`
+_SIZE_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius")
+_FLAG_FIELDS = ("fuse_distances", "use_residual", "use_depthwise")
 
 
 @dataclass
@@ -55,7 +54,7 @@ class ModelConfig:
     """Structural hyperparameters; neighbor_radius is the frames-per-second
     of the data the model is built for (one second of neighbors per side)."""
 
-    stage_dims: tuple[int, ...] = (256, 512, 1024, 2048)
+    stage_dims: tuple[int, ...] = DEFAULT_STAGE_DIMS
     branch_count: int = 4
     decoder_blocks: int = 3
     d_out: int = 256
@@ -232,30 +231,11 @@ def check_features_compatible(config: ModelConfig, video: VideoFeatures) -> None
         )
 
 
-def _config_flags(config: ModelConfig) -> int:
-    flags = 0
-    if config.fuse_distances:
-        flags |= _FLAG_FUSE_DISTANCES
-    if config.use_residual:
-        flags |= _FLAG_USE_RESIDUAL
-    if config.use_depthwise:
-        flags |= _FLAG_USE_DEPTHWISE
-    return flags
-
-
 def save_checkpoint(path: str | Path, model: GebdModel) -> None:
     cfg = model.config
-    header = (
-        CHECKPOINT_VERSION,
-        len(cfg.stage_dims),
-        *cfg.stage_dims,
-        cfg.branch_count,
-        cfg.decoder_blocks,
-        cfg.d_out,
-        cfg.d_head,
-        cfg.neighbor_radius,
-        _config_flags(cfg),
-    )
+    flags = sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS))
+    sizes = [getattr(cfg, name) for name in _SIZE_FIELDS]
+    header = (CHECKPOINT_VERSION, len(cfg.stage_dims), *cfg.stage_dims, *sizes, flags)
     write_blocks(path, CHECKPOINT_MAGIC, header, [p.data for _, p in model.parameters()])
 
 
@@ -265,24 +245,14 @@ def load_checkpoint(path: str | Path) -> GebdModel:
     and keeps no tape. `train` rejects it; train a built model instead."""
     reader = BlockReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     num_stages = reader.u32("stage count")
-    dims = [reader.u32(f"stage {k} dim") for k in range(num_stages)]
-    branch_count, decoder_blocks, d_out, d_head, radius, flags = [
-        reader.u32(what) for what in _HEADER_FIELDS
-    ]
-    if flags & ~_KNOWN_FLAGS:
+    dims = tuple(reader.u32(f"stage {k} dim") for k in range(num_stages))
+    sizes = {name: reader.u32(name) for name in _SIZE_FIELDS}
+    flags = reader.u32("flags")
+    if flags >> len(_FLAG_FIELDS):
         # a bit that no config sets could never be saved back: reject it
         raise ValueError(f"{reader.path}: unknown bits {flags:#x} in flags at offset {reader.offset - 4}")
-    config = ModelConfig(
-        stage_dims=tuple(dims),
-        branch_count=branch_count,
-        decoder_blocks=decoder_blocks,
-        d_out=d_out,
-        d_head=d_head,
-        neighbor_radius=radius,
-        fuse_distances=bool(flags & _FLAG_FUSE_DISTANCES),
-        use_residual=bool(flags & _FLAG_USE_RESIDUAL),
-        use_depthwise=bool(flags & _FLAG_USE_DEPTHWISE),
-    )
+    switches = {name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS)}
+    config = ModelConfig(stage_dims=dims, **sizes, **switches)
     model = init_model(lambda shape, kind: reader.f32(shape, f"{kind} block"), config)
     reader.finish()
     for _, p in model.parameters():

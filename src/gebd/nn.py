@@ -108,18 +108,6 @@ class LayerNormAffine:
             raise ValueError("layer norm eps must be positive")
 
 
-def _shift_rows(a: np.ndarray, offset: int) -> np.ndarray:
-    """out[..., t, :] = a[..., t + offset, :], zero outside [0, T)."""
-    if offset == 0:
-        return a
-    out = np.zeros_like(a)
-    if offset > 0:
-        out[..., :-offset, :] = a[..., offset:, :]
-    else:
-        out[..., -offset:, :] = a[..., :offset, :]
-    return out
-
-
 def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
     """out[..., t, :] += y[..., t + offset, :] for every t with t + offset in
     [0, T); needs |offset| < T."""
@@ -139,28 +127,31 @@ def _tap_loop(x: Tensor, weights: Tensor, bias: Tensor, dilation: int,
     product is taken on the unshifted value and added into the rows of the
     result it lands on (`_add_rows`), and a tap that reaches past both ends
     of the video adds nothing. Only the weight gradient, whose reduction
-    over T fixes its bits, takes zero-padded shifted inputs; the backward
-    builds them when the weights need a gradient, so neither the forward
-    nor the tape holds a shifted copy."""
+    over T fixes its bits, reads the input shifted with zeros past the ends:
+    the backward copies one video at a time into a buffer with dilation*m
+    zero rows on each side and takes each tap's T rows as a slice of it.
+    Neither the forward nor the tape holds a shifted or padded copy."""
     w = weights.data
     width = w.shape[-1]
     m = width // 2
+    t = x.data.shape[-2]
     offsets = [dilation * (tap - m) for tap in range(width)]
-    reaching = [(tap, off) for tap, off in enumerate(offsets) if abs(off) < x.data.shape[-2]]
+    reaching = [(tap, off) for tap, off in enumerate(offsets) if abs(off) < t]
     out = np.tile(bias.data, x.data.shape[:-1] + (1,))
     for tap, off in reaching:
         _add_rows(out, forward(x.data, w[..., tap]), off)
 
     def backward(g):
         if weights.requires_grad:
-            shifted = [_shift_rows(x.data, off) for off in offsets]
-            for gv, *sxv in zip(_videos(g), *map(_videos, shifted)):
+            pad = dilation * m
+            xp = np.zeros((t + 2 * pad, x.data.shape[-1]), dtype=x.data.dtype)
+            for gv, xv in zip(_videos(g), _videos(x.data)):
+                xp[pad:pad + t] = xv  # the zero rows past both ends stay zero
                 dw = np.empty_like(w)
-                for tap, sx in enumerate(sxv):
-                    dw[..., tap] = weight_grad(gv, sx)
+                for tap, off in enumerate(offsets):
+                    dw[..., tap] = weight_grad(gv, xp[pad + off:pad + off + t])
                 _accumulate(weights, dw)  # per video, in batch order
                 del dw  # free it before the next video's: one weight-sized array at a time
-            del shifted  # free the copies before the input gradient allocates
         _accumulate_videos(bias, _videos(g).sum(axis=1))
         if x.requires_grad:
             dx = np.zeros_like(x.data)

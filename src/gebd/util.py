@@ -134,7 +134,7 @@ def json_str(value, what: str) -> str:
 
 
 def worker_count() -> int:
-    """Worker cap for per-video parallel loops; GEBD_THREADS overrides."""
+    """Worker cap of `infer`'s pool over file groups; GEBD_THREADS overrides."""
     env = os.environ.get("GEBD_THREADS")
     if env:
         n = int(env)

@@ -24,7 +24,6 @@ from gebd.nn import (
     Conv1dKernel,
     DepthwiseKernel,
     LayerNormAffine,
-    _shift_rows,
     conv1d,
     depthwise_conv1d,
     gelu,
@@ -133,15 +132,6 @@ def test_batched_op_bits_equal_per_video_calls(name, batch, dtype):
         folded = [f + g for f, g in zip(folded, dp)]
     for got, want in zip(got_dp, folded):
         np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("batch", BATCHES)
-@pytest.mark.parametrize("offset", [-9, -2, 0, 3, 7])
-def test_shift_rows_batched(batch, offset):
-    xs = np.random.default_rng(0).standard_normal((batch, T, D))
-    got = _shift_rows(xs, offset)
-    for b in range(batch):
-        np.testing.assert_array_equal(got[b], _shift_rows(xs[b], offset))
 
 
 @pytest.mark.parametrize("adjoint", [False, True])

@@ -1,11 +1,12 @@
 """End-to-end command line behavior, run in-process via cli.main()."""
 
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from gebd.postprocess import (
     save_scores,
     smoothing_matrix,
 )
+from gebd.train import TrainConfig
 from oracles import accumulate_clip_scores
 
 
@@ -31,6 +33,9 @@ SMALL = [
     "--frames", "30", "--fps", "5", "--stage-dims", "6,6,6,6",
     "--min-boundaries", "2", "--max-boundaries", "3",
 ]
+
+
+DEFAULT_ECHO_SHA256 = "51b964b124a748621cf4e84a568c57bfdbf31bc9c3aeb4ad946f41f0edb756f8"
 
 
 def run(argv):
@@ -108,6 +113,8 @@ class TestSynth:
         (["--num-videos", "-1"], "num_videos must be >= 1"),
         (["--num-videos", "0"], "num_videos must be >= 1"),
         (["--snr", "1e-320"], "not finite as float32"),  # noise std 1/snr is inf
+        (["--fps", "1e-320"], "duration and gap must be finite"),  # frames/fps is inf
+        (["--min-gap-seconds=-inf"], "duration and gap must be finite"),
     ])
     def test_nan_or_non_positive_settings_rejected(self, tmp_path, capsys, flags, message):
         code = run(["synth", "--out", str(tmp_path / "x"), "--num-videos", "1", *SMALL, *flags])
@@ -329,6 +336,29 @@ class TestInfer:
             assert err.startswith(cli.ERROR_PREFIX)
             assert "must be finite" in err
 
+    def test_clip_frame_count_past_float_range_clean_error(self, tmp_path, capsys):
+        data = synth_small(tmp_path, n=1)
+        run_dir = train_small(tmp_path, data, epochs=0)
+        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
+                    "--out", str(tmp_path / "bad"), "--fps", "5", "--clip-mode", "--clip-seconds", "1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX)
+        assert "more frames than a float holds" in err
+
+    def test_clip_mode_checks_clip_settings_when_every_video_is_short(self, tmp_path, capsys):
+        # every 30-frame video fits in one 20 s clip, but an overlap longer
+        # than the clip is rejected all the same
+        data = synth_small(tmp_path, n=2)
+        run_dir = train_small(tmp_path, data, epochs=0)
+        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
+                    "--out", str(tmp_path / "bad"), "--fps", "5", "--clip-mode",
+                    "--clip-seconds", "20", "--overlap-seconds", "25"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX)
+        assert "clip_seconds > overlap_seconds" in err
+
 
 class TestEval:
     def write_perfect_detections(self, tmp_path, data):
@@ -502,6 +532,24 @@ class TestConfigFile:
         defaults = tmp_path / "defaults.txt"
         defaults.write_text(cli.format_config(cli.RunConfig()))
         assert cli.load_config_file(defaults) == asdict(cli.RunConfig())
+
+    def test_default_echo_bytes_pinned(self):
+        # run_config.txt is a reproducibility record: its default text must
+        # not move when the defaults are restated or derived differently
+        text = cli.format_config(cli.RunConfig()).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == DEFAULT_ECHO_SHA256
+
+    def test_shared_fields_take_the_config_classes_defaults(self):
+        run_defaults = cli.RunConfig()
+        names = {f.name for f in fields(cli.RunConfig)}
+        shared = 0
+        for cls in (ModelConfig, TrainConfig):
+            for f in fields(cls):
+                if f.name in names:
+                    assert getattr(run_defaults, f.name) == f.default, (cls.__name__, f.name)
+                    shared += 1
+        assert shared == 8 + 6  # ModelConfig's fields but neighbor_radius; TrainConfig's but smooth_targets
+        assert run_defaults.smooth_training == TrainConfig.smooth_targets
 
 
 class TestWorkerCount:

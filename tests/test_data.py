@@ -219,6 +219,11 @@ class TestSplitClips:
         with pytest.raises(ValueError, match="finite"):
             split_clips(self.make_video(10), float("inf"), 5.0)
 
+    def test_clip_frame_count_past_float_range_rejected(self):
+        # 1e308 s is finite, but 1e308 s at 5 fps is not
+        with pytest.raises(ValueError, match="more frames than a float holds"):
+            split_clips(self.make_video(10), 1e308, 5.0)
+
 
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
@@ -278,3 +283,9 @@ class TestRandomBoundaryTimes:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="cannot fit"):
             random_boundary_times(rng, 5.0, 10, min_gap=1.0)
+
+    @pytest.mark.parametrize("duration, gap", [(float("inf"), 1.0), (10.0, -float("inf")),
+                                               (float("inf"), -float("inf"))])
+    def test_non_finite_duration_or_gap_rejected(self, duration, gap):
+        with pytest.raises(ValueError, match="must be finite"):
+            random_boundary_times(np.random.default_rng(0), duration, 2, min_gap=gap)

@@ -1,6 +1,7 @@
 """Hostile inputs: mutated GEBF/GEBW bytes, random JSON and random
 `key = value` config files either load or raise ValueError, and the binary
-and JSON loaders never allocate much more than the file holds.
+and JSON loaders never allocate much more than the file holds. Command
+lines with hostile flag values exit 0 or exit 1 with `gebd: error:`.
 
 The binary readers hand out float32 views into the file bytes, so every
 length in a header must be checked against the bytes actually present
@@ -8,6 +9,9 @@ before anything is sized from it.
 """
 
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import struct
 import tracemalloc
@@ -261,3 +265,83 @@ def test_random_config_file_resolves_or_value_error(work, lines, junk):
     assert isinstance(cfg, cli.RunConfig)
     for key, value in overrides.items():
         assert getattr(cfg, key) == value or value != value  # NaN is not equal to itself
+
+
+# Flag values by RunConfig field type. Sizes stay small: the argv fuzz looks
+# for values the CLI mishandles, not for requests that are merely big.
+ARGV_VALUES = {
+    "int": st.sampled_from(["-1", "0", "1", "2", "3", "12"]),
+    "float": st.sampled_from(["nan", "1e308", "1e-320", "inf", "-inf", "0", "-0.0", "-1", "1e-5", "0.5",
+                              "2", "5"]),
+    "bool": st.sampled_from([None, True, False]),
+    "str": st.sampled_from(["micro", "macro", "", "mean"]),
+    "tuple[int, ...]": st.sampled_from(["", ",", "0", "-1", "3", "3,2", "2,3", "3,0", "12,12,12"]),
+    "tuple[float, ...]": st.sampled_from(["", ",", "nan", "inf", "-1", "0", "0.1,0.5", "0.5,1e308"]),
+}
+ARGV_VALUES["seed"] = st.sampled_from(["-1", "0", "7", str(2 ** 64)])
+FIELD_TYPES = {f.name: f.type for f in fields(cli.RunConfig)}
+
+
+def config_actions(command: str) -> list[argparse.Action]:
+    """The subcommand's options that set a RunConfig field."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.dest in FIELD_TYPES]
+
+
+@st.composite
+def hostile_flags(draw, command: str) -> list[str]:
+    argv = []
+    for action in draw(st.lists(st.sampled_from(config_actions(command)), max_size=4, unique=True)):
+        value = draw(ARGV_VALUES.get(action.dest, ARGV_VALUES[FIELD_TYPES[action.dest]]))
+        if isinstance(action, argparse.BooleanOptionalAction):
+            if value is not None:
+                argv.append(action.option_strings[0 if value else 1])
+        else:
+            argv.append(f"{action.option_strings[0]}={value}")  # "=": a value may start with "-"
+    return argv
+
+
+@pytest.fixture(scope="module")
+def corpus(work):
+    """A tiny synth -> train -> infer run whose outputs the fuzzed commands read."""
+    data, run, scored = work / "argv-data", work / "argv-run", work / "argv-infer"
+    ann = str(data / "annotations.json")
+    assert cli.main(["synth", "--out", str(data), "--num-videos", "3", "--frames", "12", "--fps", "2",
+                     "--stage-dims", "3,2", "--min-boundaries", "1", "--max-boundaries", "2"]) == 0
+    assert cli.main(["train", "--features", str(data), "--annotations", ann, "--out", str(run),
+                     "--epochs", "1", "--batch-size", "2", "--warmup-epochs", "0", "--d-out", "2",
+                     "--d-head", "2", "--branch-count", "1", "--decoder-blocks", "1"]) == 0
+    assert cli.main(["infer", "--checkpoint", str(run / "model.gebw"), "--features", str(data),
+                     "--out", str(scored), "--fps", "2"]) == 0
+    bases = {
+        # the corpus's own settings come first: a drawn flag overrides them
+        "synth": lambda out: ["--out", out, "--num-videos", "2", "--frames", "12", "--fps", "2",
+                              "--stage-dims", "3,2"],
+        "train": lambda out: ["--features", str(data), "--annotations", ann, "--out", out,
+                              "--epochs", "1", "--batch-size", "2", "--warmup-epochs", "0", "--d-out", "2",
+                              "--d-head", "2", "--branch-count", "1", "--decoder-blocks", "1"],
+        "infer": lambda out: ["--checkpoint", str(run / "model.gebw"), "--features", str(data),
+                              "--out", out, "--fps", "2"],
+        "eval": lambda out: ["--detections", str(scored / "detections"), "--annotations", ann,
+                             "--out", out + ".csv"],
+    }
+    return bases, itertools.count()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "infer", "eval"])
+@settings(max_examples=75, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_argv_exits_zero_or_clean_error(work, corpus, command, data):
+    flags = data.draw(hostile_flags(command), label="flags")
+    bases, runs = corpus
+    out = str(work / f"argv-out{next(runs)}")
+    stderr = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *bases[command](out), *flags])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 or (code == 1 and stderr.getvalue().startswith(cli.ERROR_PREFIX)), stderr.getvalue()
+    assert peak < 64 * 2 ** 20, peak

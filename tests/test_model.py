@@ -3,9 +3,12 @@
 import hashlib
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 import scipy.special  # noqa: F401  (GELU's first call imports it; the memory tests keep that out of their peaks)
 
 from gebd.autodiff import seq_tensor
@@ -31,6 +34,19 @@ TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2
 NO_DEPTHWISE = ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12,
                            d_head=6, neighbor_radius=3, fuse_distances=False, use_depthwise=False)
 BENCH = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
+# every size field drawn off its default; the flags take all eight settings
+OFF_DEFAULT_CONFIGS = st.builds(
+    ModelConfig,
+    stage_dims=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+    branch_count=st.integers(1, 3),
+    decoder_blocks=st.integers(0, 2),
+    d_out=st.integers(1, 6),
+    d_head=st.integers(1, 6),
+    neighbor_radius=st.integers(1, 4),
+    fuse_distances=st.booleans(),
+    use_residual=st.booleans(),
+    use_depthwise=st.booleans(),
+)
 
 # sha256 of save_checkpoint(GebdModel.build(cfg, seed)). Seeded checkpoints
 # are reproducible artifacts: a change to the parameter tree code must not
@@ -342,6 +358,24 @@ class TestCheckpoint:
         path = tmp_path / "cfg.gebw"
         save_checkpoint(path, model)
         assert load_checkpoint(path).config == cfg
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=OFF_DEFAULT_CONFIGS)
+    @example(cfg=ModelConfig(stage_dims=(1,), branch_count=1, decoder_blocks=0, d_out=1, d_head=1,
+                             neighbor_radius=1, fuse_distances=False, use_residual=False,
+                             use_depthwise=False))
+    def test_random_config_round_trips(self, tmp_path, cfg):
+        for f in fields(ModelConfig):
+            if f.type != "bool":
+                assert getattr(cfg, f.name) != f.default, f.name
+        path = tmp_path / "random.gebw"
+        save_checkpoint(path, GebdModel.build(cfg, seed=0))
+        raw = path.read_bytes()
+        loaded = load_checkpoint(path)
+        assert loaded.config == cfg
+        save_checkpoint(path, loaded)
+        assert path.read_bytes() == raw
 
     def test_scores_identical_after_reload_of_reloaded(self, tmp_path):
         # f32 storage: reload(save(reload)) is exact
