@@ -135,18 +135,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data + b.data, parents=(a, b), backward=backward, validate=False)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two equally shaped tensors."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return Tensor(a.data * b.data, parents=(a, b), backward=backward, validate=False)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)

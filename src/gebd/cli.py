@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -27,6 +26,7 @@ from .model import (
     ModelConfig,
     check_features_compatible,
     load_checkpoint,
+    neighbor_radius_for,
     save_checkpoint,
     stack_videos,
 )
@@ -47,7 +47,7 @@ class RunConfig:
     # synthetic data
     num_videos: int = 10
     frames: int = 50
-    fps: float = 5.0
+    fps: float = float(ModelConfig.neighbor_radius)
     stage_dims: tuple[int, ...] = ModelConfig.stage_dims
     snr: float = 4.0
     min_boundaries: int = 3
@@ -172,8 +172,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"stage_dims must be positive, got {cfg.stage_dims}")
     if not 0 <= cfg.min_boundaries <= cfg.max_boundaries:
         raise ValueError("need 0 <= min_boundaries <= max_boundaries")
-    if not (math.isfinite(cfg.fps) and cfg.fps > 0):
-        raise ValueError(f"fps must be finite and positive, got {cfg.fps}")
+    data_mod.check_fps(cfg.fps)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")
@@ -232,7 +231,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if len(dims) != 1:
         raise ValueError(f"training videos must share stage dims, got {sorted(dims)}")
     cfg.stage_dims = dims.pop()
-    model_cfg = _from_run_config(ModelConfig, cfg, neighbor_radius=max(1, round(cfg.fps)))
+    model_cfg = _from_run_config(ModelConfig, cfg, neighbor_radius=neighbor_radius_for(cfg.fps))
     train_cfg = _from_run_config(TrainConfig, cfg, smooth_targets=cfg.smooth_training)
     model, curve = train(dataset, GebdModel.build(model_cfg, seed=cfg.seed), train_cfg)
     save_checkpoint(out / "model.gebw", model)
@@ -257,7 +256,7 @@ def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[post_m
     raw = []
     for _, run in groupby((clip.stages for _, clip in pieces), key=lambda stages: stages[0].shape[0]):
         run = list(run)
-        raw += [x.copy() for x in model.forward(stack_videos(run)).data.reshape(len(run), -1)]
+        raw += list(model.forward(stack_videos(run)).data.reshape(len(run), -1))
     scored = [[] for _ in videos]
     for (i, clip), x in zip(pieces, raw):
         sc = post_mod.BoundaryScores(clip.video_id, clip.fps, x)
@@ -284,10 +283,7 @@ def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    if not (math.isfinite(cfg.clip_seconds) and math.isfinite(cfg.overlap_seconds)):
-        raise ValueError(
-            f"clip_seconds and overlap_seconds must be finite, got {cfg.clip_seconds}/{cfg.overlap_seconds}"
-        )
+    data_mod.check_clip_settings(cfg.clip_seconds, cfg.overlap_seconds)  # in either mode, before any reading
     model = load_checkpoint(args.checkpoint)
     features_path = Path(args.features)
     files = sorted(features_path.glob("*.gebf")) if features_path.is_dir() else [features_path]

@@ -32,7 +32,13 @@ from .util import (
 
 FEATURE_MAGIC = b"GEBF"
 FEATURE_VERSION = 1
-DEFAULT_STAGE_DIMS = (256, 512, 1024, 2048)
+
+
+def check_fps(fps: float, video_id: str | None = None) -> None:
+    """The one frame-rate check, for every fps a video, file or command carries."""
+    if not (math.isfinite(fps) and fps > 0):
+        where = "" if video_id is None else f"{video_id}: "
+        raise ValueError(f"{where}fps must be finite and positive, got {fps}")
 
 
 @dataclass
@@ -46,8 +52,7 @@ class VideoFeatures:
     stages: list[np.ndarray]
 
     def __post_init__(self):
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"{self.video_id}: fps must be finite and positive, got {self.fps}")
+        check_fps(self.fps, self.video_id)
         if not self.stages:
             raise ValueError(f"{self.video_id}: at least one feature stage required")
         self.stages = [s if isinstance(s, np.ndarray) and s.dtype == np.float32
@@ -73,13 +78,12 @@ class Annotation:
     video_id: str
     duration: float
     boundaries: tuple[float, ...]
-    fps: float = 5.0
+    fps: float
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"{self.video_id}: duration must be finite and positive, got {self.duration}")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"{self.video_id}: fps must be finite and positive, got {self.fps}")
+        check_fps(self.fps, self.video_id)
         self.boundaries = tuple(float(b) for b in self.boundaries)
         for i, b in enumerate(self.boundaries):
             if not 0 <= b < self.duration:
@@ -109,7 +113,7 @@ def save_features(path: str | Path, video: VideoFeatures) -> None:
     write_blocks(path, FEATURE_MAGIC, header, video.stages)
 
 
-def load_features(path: str | Path, fps: float = 5.0, video_id: str | None = None) -> VideoFeatures:
+def load_features(path: str | Path, fps: float, video_id: str | None = None) -> VideoFeatures:
     """Read a feature file; fps travels with annotations, so callers supply it.
 
     Each stage is a read-only float32 view of the file bytes, not a copy.
@@ -150,8 +154,7 @@ def synth_video(
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    check_fps(fps)
     if snr is not None and not snr > 0:
         raise ValueError("snr must be positive (or None for noiseless)")
     duration = num_frames / fps
@@ -181,9 +184,8 @@ def synth_video(
     return VideoFeatures(vid, fps, stages), Annotation(vid, duration, tuple(bts), fps)
 
 
-def random_boundary_times(
-    rng: np.random.Generator, duration: float, count: int, min_gap: float = 1.0
-) -> list[float]:
+def random_boundary_times(rng: np.random.Generator, duration: float, count: int,
+                          min_gap: float) -> list[float]:
     """Boundary times separated by >= min_gap from each other and both video edges."""
     if count == 0:
         return []
@@ -206,9 +208,8 @@ def nearest_frame(timestamp: float, fps: float, num_frames: int) -> int:
     return min(max(f, 0), num_frames - 1)
 
 
-def frame_labels(
-    annotation: Annotation, num_frames: int, fps: float, positive_radius_frames: int = 1
-) -> np.ndarray:
+def frame_labels(annotation: Annotation, num_frames: int, fps: float,
+                 positive_radius_frames: int) -> np.ndarray:
     """0/1 target per frame: nearest frame to each boundary, widened by the radius."""
     if positive_radius_frames < 0:
         raise ValueError("positive_radius_frames must be >= 0")
@@ -221,19 +222,21 @@ def frame_labels(
     return labels
 
 
-def split_clips(
-    video: VideoFeatures, clip_seconds: float = 10.0, overlap_seconds: float = 5.0
-) -> list[Clip]:
+def check_clip_settings(clip_seconds: float, overlap_seconds: float) -> None:
+    """The clip settings `split_clips` takes: finite clip_seconds > overlap_seconds >= 0."""
+    if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
+        raise ValueError(f"clip settings must be finite with clip_seconds > overlap_seconds >= 0, "
+                         f"got {clip_seconds}/{overlap_seconds}")
+
+
+def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: float) -> list[Clip]:
     """Cover the video with fixed-length windows at stride clip-overlap.
 
     The final window ends exactly at the last frame, overlapping more than
     the nominal stride when the length is not a multiple of it. A clip's
     stages are row slices of the video's stage arrays, not copies.
     """
-    if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
-        raise ValueError(
-            f"need finite clip_seconds > overlap_seconds >= 0, got {clip_seconds}/{overlap_seconds}"
-        )
+    check_clip_settings(clip_seconds, overlap_seconds)
     t = video.num_frames
     clip_frames = clip_seconds * video.fps  # the stride spans no more, so it is finite when this is
     if not math.isfinite(clip_frames):

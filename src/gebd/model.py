@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, seq_tensor
-from .data import DEFAULT_STAGE_DIMS, VideoFeatures
+from .data import VideoFeatures
 from .nn import (
     Conv1dKernel,
     LayerNormAffine,
@@ -51,10 +51,10 @@ _FLAG_FIELDS = ("fuse_distances", "use_residual", "use_depthwise")
 
 @dataclass
 class ModelConfig:
-    """Structural hyperparameters; neighbor_radius is the frames-per-second
+    """Structural hyperparameters; neighbor_radius is `neighbor_radius_for(fps)`
     of the data the model is built for (one second of neighbors per side)."""
 
-    stage_dims: tuple[int, ...] = DEFAULT_STAGE_DIMS
+    stage_dims: tuple[int, ...] = (256, 512, 1024, 2048)
     branch_count: int = 4
     decoder_blocks: int = 3
     d_out: int = 256
@@ -217,6 +217,11 @@ def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:
     return BoundaryScores(video.video_id, video.fps, pred.data[:, 0].copy(), smoothed=False)
 
 
+def neighbor_radius_for(fps: float) -> int:
+    """The one fps -> radius rule: a model trains with it and scores the fps that map to its radius."""
+    return max(1, round(fps))
+
+
 def check_features_compatible(config: ModelConfig, video: VideoFeatures) -> None:
     """Raise naming the mismatched field when features do not fit the model."""
     if video.stage_dims != config.stage_dims:
@@ -224,10 +229,11 @@ def check_features_compatible(config: ModelConfig, video: VideoFeatures) -> None
             f"{video.video_id}: stage_dims mismatch: features {video.stage_dims}, "
             f"model {config.stage_dims}"
         )
-    if round(video.fps) != config.neighbor_radius:
+    radius = neighbor_radius_for(video.fps)
+    if radius != config.neighbor_radius:
         raise ValueError(
-            f"{video.video_id}: neighbor_radius mismatch: model expects data at "
-            f"{config.neighbor_radius} fps, features are {video.fps} fps"
+            f"{video.video_id}: neighbor_radius mismatch: features at {video.fps} fps need "
+            f"radius {radius}, the model has radius {config.neighbor_radius}"
         )
 
 

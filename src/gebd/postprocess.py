@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Clip
+from .data import Clip, check_fps
 from .util import atomic_write_text, json_number, json_numbers, json_str, read_json
 
 PEAK_THRESHOLD = 0.1
@@ -40,8 +40,7 @@ class BoundaryScores:
             raise ValueError(f"{self.video_id}: scores must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError(f"{self.video_id}: scores must be finite")
-        if self.fps <= 0:
-            raise ValueError(f"{self.video_id}: fps must be positive")
+        check_fps(self.fps, self.video_id)
 
 
 @dataclass
@@ -61,8 +60,7 @@ class DetectionList:
 
 def smoothing_window(fps: float) -> int:
     """Frames in one second, forced odd so the filter stays centered."""
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    check_fps(fps)
     return 2 * int(math.floor(fps / 2)) + 1
 
 

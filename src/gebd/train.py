@@ -137,7 +137,9 @@ def train(
     pass (see `_minibatch_gradients`).
     Every parameter must require grad: a loaded checkpoint does not, and
     would silently take zero steps. A non-finite loss or gradient raises
-    TrainingDiverged naming the step (and the parameter) before Adam runs.
+    TrainingDiverged naming the step (and the parameter) before Adam runs;
+    so does a floating-point overflow, invalid operation or division by zero
+    anywhere in a step's forward, backward or Adam update.
     """
     if not len(dataset):
         raise ValueError("train: empty dataset")
@@ -161,13 +163,18 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_targets, global_step)
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
-            grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
-            for (name, _), g in zip(named, grads):
-                if not np.all(np.isfinite(g)):
-                    raise TrainingDiverged(f"non-finite gradient of {name} at step {global_step}")
-            adam_step(params, grads, state, lr)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_targets,
+                                                      global_step)
+                    grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
+                    for (name, _), g in zip(named, grads):
+                        if not np.all(np.isfinite(g)):
+                            raise TrainingDiverged(f"non-finite gradient of {name} at step {global_step}")
+                    adam_step(params, grads, state, lr)
+            except FloatingPointError as e:
+                raise TrainingDiverged(f"{e} at step {global_step}") from e
             curve.append((global_step, lr, loss_value))
             global_step += 1
     return model, curve

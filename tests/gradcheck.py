@@ -21,6 +21,19 @@ def sum_all(x: Tensor) -> Tensor:
     return Tensor([[x.data.sum()]], parents=(x,), backward=bwd, validate=False)
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two equally shaped tensors: weights a checked op's
+    output so that its loss depends on every entry differently."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
+
+    def backward(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
+
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward, validate=False)
+
+
 def rel_err(a, b, floor=REL_ERR_FLOOR):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

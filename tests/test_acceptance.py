@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, mul, scale, seq_tensor, time_smooth
+from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, scale, seq_tensor, time_smooth
 from gebd.data import frame_labels, random_boundary_times, split_clips, synth_video, VideoFeatures
 from gebd.evaluate import f1_sweep, match_detections, rel_dis_error
 from gebd.model import (
@@ -26,7 +26,7 @@ from gebd.nn import conv1d, depthwise_conv1d, gelu, init_layer_norm, layer_norm,
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
 from gebd.tps import branch_forward, similarity_vector, stage_forward, tps_forward
 from gebd.train import TrainConfig, bce_loss, train
-from gradcheck import check_op_gradients, directional_check, spot_check_model_gradients, sum_all
+from gradcheck import check_op_gradients, directional_check, mul, spot_check_model_gradients, sum_all
 from oracles import accumulate_clip_scores, brute_force_max_matching, naive_conv1d, naive_depthwise_conv1d
 
 from test_nn_ops import make_conv, make_depthwise

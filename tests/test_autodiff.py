@@ -9,13 +9,12 @@ from gebd.autodiff import (
     backward,
     concat_channels,
     l2_normalize_rows,
-    mul,
     scale,
     seq_tensor,
     time_smooth,
 )
 from gebd.postprocess import smoothing_matrix
-from gradcheck import check_op_gradients, rel_err, sum_all
+from gradcheck import check_op_gradients, mul, rel_err, sum_all
 
 
 def rnd(rng, rows, cols):

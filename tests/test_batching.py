@@ -14,7 +14,6 @@ from gebd.autodiff import (
     concat_channels,
     fold_sum,
     l2_normalize_rows,
-    mul,
     scale,
     seq_tensor,
     time_smooth,
@@ -33,7 +32,7 @@ from gebd.nn import (
 from gebd.postprocess import smooth_frames
 from gebd.tps import similarity_vector
 from gebd.train import bce_loss
-from gradcheck import check_op_gradients, sum_all
+from gradcheck import check_op_gradients, mul, sum_all
 
 BATCHES = (1, 3, 9)
 DTYPES = (np.float64, np.float32)

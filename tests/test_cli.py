@@ -156,6 +156,21 @@ class TestTrain:
         assert lines[0] == "step,lr,loss"
         assert len(lines) == 1 + 2 * 2  # 4 videos / batch 2 = 2 steps per epoch
 
+    def test_overflowing_step_is_one_clean_error(self, tmp_path):
+        # an overflow inside a step ends training at that step, with no numpy warning
+        data = synth_small(tmp_path, n=3)
+        argv = ["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                "--out", str(tmp_path / "r"), "--epochs", "2", "--warmup-epochs", "0",
+                "--d-out", "8", "--d-head", "4", "--lr-peak=1e308"]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-m", "gebd.cli", *argv], env=env, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr.startswith(cli.ERROR_PREFIX)
+        assert "RuntimeWarning" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert "at step" in out.stderr
+
     def test_missing_annotations_error(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=2)
         (data / "annotations.json").unlink()
@@ -336,6 +351,32 @@ class TestInfer:
             assert err.startswith(cli.ERROR_PREFIX)
             assert "must be finite" in err
 
+    def test_clip_settings_checked_without_clip_mode_before_the_checkpoint_is_read(self, tmp_path, capsys,
+                                                                                   monkeypatch):
+        data = synth_small(tmp_path, n=1)
+        run_dir = train_small(tmp_path, data, epochs=0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("checkpoint read before the clip settings were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
+                    "--out", str(tmp_path / "bad"), "--fps", "5", "--overlap-seconds", "20"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX)
+        assert "clip_seconds > overlap_seconds" in err
+
+    def test_sub_one_fps_round_trip(self, tmp_path):
+        # 0.4 fps maps to radius 1 both when training and when scoring
+        data = synth_small(tmp_path, n=2, extra=["--fps", "0.4"])
+        run_dir = train_small(tmp_path, data, epochs=1)
+        assert load_checkpoint(run_dir / "model.gebw").config.neighbor_radius == 1
+        out = tmp_path / "scored"
+        assert run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
+                    "--out", str(out), "--fps", "0.4"]) == 0
+        assert len(list((out / "detections").glob("*.json"))) == 2
+
     def test_clip_frame_count_past_float_range_clean_error(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=1)
         run_dir = train_small(tmp_path, data, epochs=0)
@@ -512,7 +553,7 @@ class TestConfigFile:
         assert "frames = 20" in echo     # flag wins
         assert "snr = 3.5" in echo       # file applies
         assert "num_videos = 2" in echo
-        v = load_features(next(out.glob("*.gebf")))
+        v = load_features(next(out.glob("*.gebf")), fps=5.0)
         assert v.num_frames == 20
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -550,6 +591,7 @@ class TestConfigFile:
                     shared += 1
         assert shared == 8 + 6  # ModelConfig's fields but neighbor_radius; TrainConfig's but smooth_targets
         assert run_defaults.smooth_training == TrainConfig.smooth_targets
+        assert run_defaults.fps == ModelConfig.neighbor_radius
 
 
 class TestWorkerCount:

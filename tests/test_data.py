@@ -35,7 +35,7 @@ class TestFeatureFiles:
     def test_loaded_stages_are_read_only_float32_views(self, tmp_path):
         path = tmp_path / "v.gebf"
         save_features(path, self.make_video())
-        for stage in load_features(path).stages:
+        for stage in load_features(path, fps=5.0).stages:
             assert stage.dtype == np.float32
             assert not stage.flags.writeable
             assert not stage.flags.owndata
@@ -63,7 +63,7 @@ class TestFeatureFiles:
     def test_video_id_defaults_to_stem(self, tmp_path):
         path = tmp_path / "clip042.gebf"
         save_features(path, self.make_video())
-        assert load_features(path).video_id == "clip042"
+        assert load_features(path, fps=5.0).video_id == "clip042"
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.gebf"
@@ -71,7 +71,7 @@ class TestFeatureFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(ValueError, match="truncated.*offset"):
-            load_features(path)
+            load_features(path, fps=5.0)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.gebf"
@@ -80,7 +80,7 @@ class TestFeatureFiles:
         raw[0:4] = b"NOPE"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="magic at offset 0"):
-            load_features(path)
+            load_features(path, fps=5.0)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v.gebf"
@@ -89,14 +89,14 @@ class TestFeatureFiles:
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
-            load_features(path)
+            load_features(path, fps=5.0)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.gebf"
         save_features(path, self.make_video())
         path.write_bytes(path.read_bytes() + b"zz")
         with pytest.raises(ValueError, match="trailing"):
-            load_features(path)
+            load_features(path, fps=5.0)
 
 
 class TestSynthVideo:
@@ -143,13 +143,13 @@ class TestSynthVideo:
 
 class TestNearestFrameAndLabels:
     def test_no_boundaries_all_zero(self):
-        ann = Annotation("v", 10.0, ())
+        ann = Annotation("v", 10.0, (), 5.0)
         np.testing.assert_array_equal(frame_labels(ann, 50, 5.0, 1), np.zeros(50))
 
     def test_equidistant_tie_goes_earlier(self):
         # boundary 3.0 s at 5 fps: centers 2.9 (frame 14) and 3.1 (frame 15) tie
         assert nearest_frame(3.0, 5.0, 50) == 14
-        ann = Annotation("v", 10.0, (3.0,))
+        ann = Annotation("v", 10.0, (3.0,), 5.0)
         labels = frame_labels(ann, 50, 5.0, 0)
         np.testing.assert_array_equal(np.flatnonzero(labels), [14])
 
@@ -158,21 +158,21 @@ class TestNearestFrameAndLabels:
         assert nearest_frame(2.95, 5.0, 50) == 14
 
     def test_radius_one_widens_to_three_frames(self):
-        ann = Annotation("v", 10.0, (3.0,))
+        ann = Annotation("v", 10.0, (3.0,), 5.0)
         labels = frame_labels(ann, 50, 5.0, 1)
         np.testing.assert_array_equal(np.flatnonzero(labels), [13, 14, 15])
 
     def test_radius_clipped_at_ends(self):
-        ann = Annotation("v", 10.0, (0.1,))
+        ann = Annotation("v", 10.0, (0.1,), 5.0)
         labels = frame_labels(ann, 50, 5.0, 2)
         np.testing.assert_array_equal(np.flatnonzero(labels), [0, 1, 2])
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            frame_labels(Annotation("v", 10.0, ()), 50, 5.0, -1)
+            frame_labels(Annotation("v", 10.0, (), 5.0), 50, 5.0, -1)
 
     def test_length_always_t(self):
-        ann = Annotation("v", 10.0, (1.0, 5.0, 9.9))
+        ann = Annotation("v", 10.0, (1.0, 5.0, 9.9), 5.0)
         for t in (5, 50, 173):
             assert len(frame_labels(ann, t, 5.0, 1)) == t
 
@@ -256,9 +256,9 @@ class TestAnnotations:
 
     def test_invalid_boundary_order(self):
         with pytest.raises(ValueError, match="increasing"):
-            Annotation("v", 10.0, (3.0, 2.0))
+            Annotation("v", 10.0, (3.0, 2.0), 5.0)
         with pytest.raises(ValueError, match="outside"):
-            Annotation("v", 10.0, (11.0,))
+            Annotation("v", 10.0, (11.0,), 5.0)
 
     def test_non_finite_fps_rejected(self, tmp_path):
         path = tmp_path / "inf.json"

@@ -262,7 +262,7 @@ def test_feature_file_forward_memory_per_frame(tmp_path):
     save_features(tmp_path / "long.gebf", VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)]))
     tracemalloc.start()
     try:
-        scores = model_forward(load_features(tmp_path / "long.gebf"), model)
+        scores = model_forward(load_features(tmp_path / "long.gebf", fps=5.0), model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ finite-difference gradients."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, mul, seq_tensor
+from gebd.autodiff import Tensor, seq_tensor
 from gebd.nn import (
     Conv1dKernel,
     DepthwiseKernel,
@@ -19,7 +19,7 @@ from gebd.nn import (
     random_params,
     sigmoid,
 )
-from gradcheck import check_op_gradients, sum_all
+from gradcheck import check_op_gradients, mul, sum_all
 from oracles import naive_conv1d, naive_depthwise_conv1d, naive_layer_norm
 
 

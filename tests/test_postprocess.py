@@ -272,6 +272,10 @@ class TestScoreAndDetectionFiles:
             path.write_text(json.dumps({**good, key: value}))
             with pytest.raises(ValueError, match=message):
                 load_scores(path)
+        for fps in ("Infinity", "1e999", "NaN"):
+            path.write_text(json.dumps(good).replace("5.0", fps))
+            with pytest.raises(ValueError, match="fps must be finite and positive"):
+                load_scores(path)
         path.write_text(json.dumps(good))
         assert load_scores(path).scores.tolist() == [0.1, 0.2]
 

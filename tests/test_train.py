@@ -305,7 +305,7 @@ def test_trained_bytes_pinned(tmp_path, frames, batch_size, from_files, model_di
                                  snr=1.0, video_id=f"video{i:05d}")
         if from_files:
             save_features(tmp_path / f"{video.video_id}.gebf", video)
-            video = load_features(tmp_path / f"{video.video_id}.gebf")
+            video = load_features(tmp_path / f"{video.video_id}.gebf", fps=5.0)
         dataset.append((video, frame_labels(ann, t, 5.0, 1)))
     model = GebdModel.build(PINNED_CONFIG, seed=0)
     model, curve = train(dataset, model, TrainConfig(epochs=1, batch_size=batch_size, warmup_epochs=0, seed=0))
