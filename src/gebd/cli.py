@@ -283,7 +283,8 @@ def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    data_mod.check_clip_settings(cfg.clip_seconds, cfg.overlap_seconds)  # in either mode, before any reading
+    data_mod.check_fps(cfg.fps)  # these two in either mode, before any reading
+    data_mod.check_clip_settings(cfg.clip_seconds, cfg.overlap_seconds)
     model = load_checkpoint(args.checkpoint)
     features_path = Path(args.features)
     files = sorted(features_path.glob("*.gebf")) if features_path.is_dir() else [features_path]

@@ -34,11 +34,16 @@ FEATURE_MAGIC = b"GEBF"
 FEATURE_VERSION = 1
 
 
+# the slowest frame rate: a u32 frame count then lasts below 4.3e15 s, so every
+# timestamp (f + 0.5) / fps and duration frames / fps stays finite
+MIN_FPS = 1e-6
+
+
 def check_fps(fps: float, video_id: str | None = None) -> None:
     """The one frame-rate check, for every fps a video, file or command carries."""
-    if not (math.isfinite(fps) and fps > 0):
+    if not (math.isfinite(fps) and fps >= MIN_FPS):
         where = "" if video_id is None else f"{video_id}: "
-        raise ValueError(f"{where}fps must be finite and positive, got {fps}")
+        raise ValueError(f"{where}fps must be finite and positive (at least {MIN_FPS:g}), got {fps}")
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Full scoring model: similarity features, dilated decoder, per-frame head.
 
+`ModelConfig` is the one statement of the model's structure: every
+constructor and forward, those of `tps` included, reads it from the config.
+
 The parameter tree is written once, in the `init_*` constructors: each
 takes a parameter source (`nn.ParamSource`) and requests every parameter
 in the field order of its dataclass. `GebdModel.build` passes a seeded
@@ -27,13 +30,13 @@ from .autodiff import Tensor, seq_tensor
 from .data import VideoFeatures
 from .nn import (
     Conv1dKernel,
-    LayerNormAffine,
+    ConvBlock,
     ParamSource,
     conv1d,
+    conv_block,
     gelu,
     init_conv1d,
-    init_layer_norm,
-    layer_norm,
+    init_conv_block,
     random_params,
     sigmoid,
 )
@@ -76,16 +79,10 @@ class ModelConfig:
 
 
 @dataclass
-class SdBlock:
-    conv: Conv1dKernel
-    norm: LayerNormAffine
-
-
-@dataclass
 class SdParams:
     """Stacked width-3 conv blocks with dilations 2, 4, ... applied in order."""
 
-    blocks: list[SdBlock] = field(default_factory=list)
+    blocks: list[ConvBlock] = field(default_factory=list)
 
 
 @dataclass
@@ -99,7 +96,7 @@ class HeadParams:
 def sd_forward(x: Tensor, params: SdParams) -> Tensor:
     """Sequential conv -> layer norm -> gelu blocks; empty stack is identity."""
     for block in params.blocks:
-        x = gelu(layer_norm(conv1d(x, block.conv), block.norm))
+        x = conv_block(x, block)
     return x
 
 
@@ -110,10 +107,7 @@ def head_forward(x: Tensor, params: HeadParams) -> Tensor:
 
 def init_decoder(new: ParamSource, config: ModelConfig) -> SdParams:
     return SdParams([
-        SdBlock(
-            conv=init_conv1d(new, config.d_out, config.d_out, width=3, dilation=2 ** (i + 1)),
-            norm=init_layer_norm(new, config.d_out),
-        )
+        init_conv_block(new, config.d_out, config.d_out, width=3, dilation=2 ** (i + 1))
         for i in range(config.decoder_blocks)
     ])
 
@@ -126,16 +120,7 @@ def init_head(new: ParamSource, config: ModelConfig) -> HeadParams:
 
 
 def init_model(new: ParamSource, config: ModelConfig) -> "GebdModel":
-    tps = init_tps(
-        new,
-        config.stage_dims,
-        config.branch_count,
-        config.d_out,
-        config.neighbor_radius,
-        config.fuse_distances,
-        config.use_depthwise,
-    )
-    return GebdModel(config, tps, init_decoder(new, config), init_head(new, config))
+    return GebdModel(config, init_tps(new, config), init_decoder(new, config), init_head(new, config))
 
 
 def _leaves(obj, prefix: str):
@@ -184,7 +169,7 @@ class GebdModel:
             if x.data.shape[-1] != d:
                 raise ValueError(f"stage {k}: expected {d} channels, got {x.data.shape[-1]}")
             inputs.append(x)
-        t = tps_forward(inputs, self.tps, self.config.fuse_distances, self.config.use_residual)
+        t = tps_forward(inputs, self.tps, self.config)
         return head_forward(sd_forward(t, self.decoder), self.head)
 
     def parameters(self) -> list[tuple[str, Tensor]]:

@@ -1,4 +1,5 @@
-"""Neural building blocks: dilated 1D convolutions, layer norm, GELU, sigmoid.
+"""Neural building blocks: dilated 1D convolutions, layer norm, GELU, sigmoid,
+and the conv -> layer norm -> GELU block built from them.
 
 All operate on T x d sequence tensors or B x T x d batches of equal-length
 videos (frames on axis -2, channels on axis -1, one code path for both),
@@ -106,6 +107,14 @@ class LayerNormAffine:
             raise ValueError("layer norm gamma/beta must be equal-length 1-D arrays")
         if self.eps <= 0:
             raise ValueError("layer norm eps must be positive")
+
+
+@dataclass
+class ConvBlock:
+    """Conv -> layer norm -> GELU: the TPS branches, the merge and the decoder."""
+
+    conv: Conv1dKernel
+    norm: LayerNormAffine
 
 
 def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
@@ -229,6 +238,14 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(x.data * phi_cdf, parents=(x,), backward=backward, validate=False)
 
 
+def conv_block(x: Tensor, block: ConvBlock) -> Tensor:
+    """gelu(layer_norm(conv1d(x))). Any block with `conv` and `norm` fields
+    runs here, a TPS branch after its depthwise front included."""
+    y = conv1d(x, block.conv)
+    del x  # an input no tape or caller holds is freed before the norm and GELU run
+    return gelu(layer_norm(y, block.norm))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, numerically stable for large |x|."""
     pos = x.data >= 0
@@ -278,3 +295,9 @@ def init_layer_norm(new: ParamSource, channels: int, eps: float = 1e-5) -> Layer
         Tensor(new((channels,), "beta"), requires_grad=True),
         eps,
     )
+
+
+def init_conv_block(new: ParamSource, in_channels: int, out_channels: int,
+                    width: int, dilation: int = 1) -> ConvBlock:
+    return ConvBlock(init_conv1d(new, in_channels, out_channels, width, dilation),
+                     init_layer_norm(new, out_channels))

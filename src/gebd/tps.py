@@ -3,6 +3,9 @@ residual-normalized representations, the similarity vector of each stage (the
 neighbor squared distances of all its views), and the projections that fuse
 them into one T x d_out sequence per stage and overall.
 
+Every constructor and forward reads the structure (sizes, neighbor radius
+and switches) from the `ModelConfig` it takes; none restates any of it.
+
 Every function takes a (T, d) video or a (B, T, d) batch of equal-length
 videos (frames on axis -2, channels on axis -1) and returns the same
 layout; each video of a batch gets the bits it would get alone. A batch
@@ -13,7 +16,7 @@ splits it into videos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -27,17 +30,20 @@ from .autodiff import (
 )
 from .nn import (
     Conv1dKernel,
+    ConvBlock,
     DepthwiseKernel,
     LayerNormAffine,
     ParamSource,
     conv1d,
+    conv_block,
     depthwise_conv1d,
-    gelu,
     init_conv1d,
+    init_conv_block,
     init_depthwise,
-    init_layer_norm,
-    layer_norm,
 )
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelConfig
 
 NORMALIZE_EPS = 1e-12
 
@@ -45,8 +51,8 @@ NORMALIZE_EPS = 1e-12
 @dataclass
 class TpsBranchParams:
     """One dilation-rate view: optional width-3 depthwise front, then a width-3
-    dilated conv block (conv -> layer norm -> gelu). Depthwise is present only
-    for dilation > 1."""
+    dilated conv block (`conv_block` runs its conv and norm). Depthwise is
+    present only for dilation > 1."""
 
     depthwise: DepthwiseKernel | None
     conv: Conv1dKernel
@@ -74,27 +80,18 @@ class TpsParams:
     """All stages plus the width-3 merge block applied to their concatenation."""
 
     stages: list[TpsStageParams]
-    merge_conv: Conv1dKernel
-    merge_norm: LayerNormAffine
-    neighbor_radius: int
-
-    def __post_init__(self):
-        if self.neighbor_radius < 1:
-            raise ValueError("neighbor_radius must be >= 1")
+    merge: ConvBlock
 
 
 def branch_forward(x: Tensor, branch: TpsBranchParams) -> Tensor:
     """[depthwise if dilated] -> conv -> layer norm -> gelu; shape preserved."""
-    if branch.depthwise is not None:
-        x = depthwise_conv1d(x, branch.depthwise)
-    x = conv1d(x, branch.conv)
-    x = layer_norm(x, branch.norm)
-    return gelu(x)
+    # the depthwise output is passed unnamed, so `conv_block` can free it after the conv
+    return conv_block(x if branch.depthwise is None else depthwise_conv1d(x, branch.depthwise), branch)
 
 
-def residual_normalize(f: Tensor, x: Tensor, eps: float = NORMALIZE_EPS) -> Tensor:
+def residual_normalize(f: Tensor, x: Tensor) -> Tensor:
     """Row-normalized residual sum: (f + x) / |f + x|."""
-    return l2_normalize_rows(add(f, x), eps)
+    return l2_normalize_rows(add(f, x), NORMALIZE_EPS)
 
 
 def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
@@ -155,97 +152,58 @@ def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
     return Tensor(out, parents=tuple(views), backward=backward, validate=False)
 
 
-def comprehensive_rep(branch_outputs: list[Tensor], compress: Conv1dKernel,
-                      eps: float = NORMALIZE_EPS) -> Tensor:
+def comprehensive_rep(branch_outputs: list[Tensor], compress: Conv1dKernel) -> Tensor:
     """Width-1 projection of all branch outputs back to the stage width, row-normalized."""
-    return l2_normalize_rows(conv1d(concat_channels(branch_outputs), compress), eps)
+    return l2_normalize_rows(conv1d(concat_channels(branch_outputs), compress), NORMALIZE_EPS)
 
 
-def stage_forward(
-    x: Tensor,
-    stage: TpsStageParams,
-    radius: int,
-    fuse_distances: bool = True,
-    use_residual: bool = True,
-) -> Tensor:
-    """One feature stage to its T x d_out similarity features.
+def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tensor:
+    """One feature stage to its T x d_out similarity features, as `config` says.
 
     Branch outputs become n+1 row-normalized views (n residual views plus
-    the comprehensive one). By default `fuse` projects their similarity
-    vector (`similarity_vector`: every view's neighbor distances, built by
-    one op for the whole batch); with fuse_distances=False the views
-    themselves are concatenated instead (the alternative reading of the
-    fusion input).
+    the comprehensive one; with `use_residual` off the branch outputs are
+    normalized alone). With `fuse_distances` on, `fuse` projects their
+    similarity vector (`similarity_vector`: every view's neighbor distances
+    at `neighbor_radius`, built by one op for the whole batch); with it off
+    the views themselves are concatenated instead (the alternative reading
+    of the fusion input).
     """
     branch_outputs = [branch_forward(x, b) for b in stage.branches]
-    if use_residual:
+    if config.use_residual:
         views = [residual_normalize(f, x) for f in branch_outputs]
     else:
         views = [l2_normalize_rows(f, NORMALIZE_EPS) for f in branch_outputs]
     views.append(comprehensive_rep(branch_outputs, stage.compress))
-    feats = similarity_vector(views, radius) if fuse_distances else concat_channels(views)
+    feats = similarity_vector(views, config.neighbor_radius) if config.fuse_distances else concat_channels(views)
     return conv1d(feats, stage.fuse)
 
 
-def tps_forward(
-    stage_inputs: list[Tensor],
-    params: TpsParams,
-    fuse_distances: bool = True,
-    use_residual: bool = True,
-) -> Tensor:
+def tps_forward(stage_inputs: list[Tensor], params: TpsParams, config: ModelConfig) -> Tensor:
     """All stages, concatenated and merged by the width-3 block, to T x d_out."""
     if len(stage_inputs) != len(params.stages):
         raise ValueError(f"expected {len(params.stages)} stage inputs, got {len(stage_inputs)}")
-    per_stage = [
-        stage_forward(x, p, params.neighbor_radius, fuse_distances, use_residual)
-        for x, p in zip(stage_inputs, params.stages)
-    ]
-    y = conv1d(concat_channels(per_stage), params.merge_conv)
-    y = layer_norm(y, params.merge_norm)
-    return gelu(y)
+    per_stage = [stage_forward(x, p, config) for x, p in zip(stage_inputs, params.stages)]
+    return conv_block(concat_channels(per_stage), params.merge)
 
 
-def init_branch(new: ParamSource, channels: int, dilation: int,
-                use_depthwise: bool = True) -> TpsBranchParams:
-    return TpsBranchParams(
-        depthwise=init_depthwise(new, channels, width=3) if dilation > 1 and use_depthwise else None,
-        conv=init_conv1d(new, channels, channels, width=3, dilation=dilation),
-        norm=init_layer_norm(new, channels),
-    )
+def init_branch(new: ParamSource, channels: int, dilation: int, use_depthwise: bool) -> TpsBranchParams:
+    depthwise = init_depthwise(new, channels, width=3) if dilation > 1 and use_depthwise else None
+    block = init_conv_block(new, channels, channels, width=3, dilation=dilation)
+    return TpsBranchParams(depthwise, block.conv, block.norm)
 
 
-def init_stage(
-    new: ParamSource,
-    channels: int,
-    branch_count: int,
-    d_out: int,
-    radius: int,
-    fuse_distances: bool = True,
-    use_depthwise: bool = True,
-) -> TpsStageParams:
-    fuse_in = (branch_count + 1) * (2 * radius if fuse_distances else channels)
+def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStageParams:
+    n = config.branch_count
+    fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else channels)
     return TpsStageParams(
-        branches=[init_branch(new, channels, 2 ** i, use_depthwise) for i in range(branch_count)],
-        compress=init_conv1d(new, branch_count * channels, channels, width=1),
-        fuse=init_conv1d(new, fuse_in, d_out, width=1),
+        branches=[init_branch(new, channels, 2 ** i, config.use_depthwise) for i in range(n)],
+        compress=init_conv1d(new, n * channels, channels, width=1),
+        fuse=init_conv1d(new, fuse_in, config.d_out, width=1),
     )
 
 
-def init_tps(
-    new: ParamSource,
-    stage_dims: tuple[int, ...],
-    branch_count: int,
-    d_out: int,
-    radius: int,
-    fuse_distances: bool = True,
-    use_depthwise: bool = True,
-) -> TpsParams:
+def init_tps(new: ParamSource, config: ModelConfig) -> TpsParams:
     return TpsParams(
-        stages=[
-            init_stage(new, d, branch_count, d_out, radius, fuse_distances, use_depthwise)
-            for d in stage_dims
-        ],
-        merge_conv=init_conv1d(new, len(stage_dims) * d_out, d_out, width=3),
-        merge_norm=init_layer_norm(new, d_out),
-        neighbor_radius=radius,
+        stages=[init_stage(new, d, config) for d in config.stage_dims],
+        merge=init_conv_block(new, len(config.stage_dims) * config.d_out, config.d_out, width=3),
     )

@@ -166,8 +166,7 @@ def train(
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_targets,
-                                                      global_step)
+                    loss_value = _minibatch_gradients(dataset, batch, model, cfg.smooth_targets, global_step)
                     grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
                     for (name, _), g in zip(named, grads):
                         if not np.all(np.isfinite(g)):
@@ -180,8 +179,7 @@ def train(
     return model, curve
 
 
-def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tensor],
-                         smooth_targets: bool, step: int) -> float:
+def _minibatch_gradients(dataset, batch, model: GebdModel, smooth_targets: bool, step: int) -> float:
     """Set every parameter's grad to the minibatch loss gradient; return the loss.
 
     Each maximal run of consecutive equal-length videos is one batched pass.
@@ -198,8 +196,7 @@ def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tens
     loss_value = float(total.data[0, 0])
     if not math.isfinite(loss_value):
         raise TrainingDiverged(f"non-finite loss at step {step}")
-    for p in params:
-        p.grad = None
+    model.zero_grads()
     backward(total)
     return loss_value
 

@@ -182,10 +182,10 @@ def test_criterion_3_architecture_conformance():
         view = l2_normalize_rows(branch_forward(x, stage.branches[0]), 1e-12)
         dist = similarity_vector([view], config.neighbor_radius)
         checks.append(dist.data.shape == (t_len, 2 * config.neighbor_radius))
-        stage_out = stage_forward(x, stage, config.neighbor_radius)
+        stage_out = stage_forward(x, stage, config)
         checks.append(stage_out.data.shape == (t_len, config.d_out))
 
-    fused = tps_forward(inputs, model.tps)
+    fused = tps_forward(inputs, model.tps, config)
     checks.append(fused.data.shape == (t_len, config.d_out))
 
     sd_dilations = [b.conv.dilation for b in model.decoder.blocks]

@@ -113,7 +113,7 @@ class TestSynth:
         (["--num-videos", "-1"], "num_videos must be >= 1"),
         (["--num-videos", "0"], "num_videos must be >= 1"),
         (["--snr", "1e-320"], "not finite as float32"),  # noise std 1/snr is inf
-        (["--fps", "1e-320"], "duration and gap must be finite"),  # frames/fps is inf
+        (["--fps", "1e-320"], "fps must be finite and positive"),  # below data.MIN_FPS
         (["--min-gap-seconds=-inf"], "duration and gap must be finite"),
     ])
     def test_nan_or_non_positive_settings_rejected(self, tmp_path, capsys, flags, message):
@@ -337,6 +337,24 @@ class TestInfer:
                         "--features", str(data), "--out", str(tmp_path / "bad"), "--fps", fps])
             assert code == 1
             assert "fps must be finite and positive" in capsys.readouterr().err
+        # the fps is checked before the checkpoint is read
+        code = run(["infer", "--checkpoint", str(tmp_path / "missing.gebw"),
+                    "--features", str(data), "--out", str(tmp_path / "bad"), "--fps", "nan"])
+        assert code == 1
+        assert "fps must be finite and positive" in capsys.readouterr().err
+
+    def test_tiny_fps_clean_error(self, tmp_path, capsys):
+        # radius 1 takes every fps below 1.5; one this slow would put the
+        # timestamps (f + 0.5) / fps past the float range
+        data = synth_small(tmp_path, n=1, extra=["--fps", "0.9"])
+        run_dir = train_small(tmp_path, data, epochs=0)
+        for fps in ("1e-300", "1e-320"):
+            code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
+                        "--features", str(data), "--out", str(tmp_path / "bad"), "--fps", fps])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(cli.ERROR_PREFIX)
+            assert "fps must be finite and positive" in err
 
     def test_non_finite_clip_settings_clean_error(self, tmp_path, capsys):
         # the clip settings are checked even when clip mode is off

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gebd.autodiff import Tensor, backward, seq_tensor
+from gebd.model import ModelConfig
 from gebd.nn import Conv1dKernel, random_params
 from gebd.tps import (
-    TpsParams,
     branch_forward,
     comprehensive_rep,
     init_branch,
@@ -22,16 +22,17 @@ from gradcheck import mul, sum_all
 from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward
 
 
-def make_stage(seed=0, channels=6, n=4, d_out=8, radius=2, **kwargs):
-    rng = np.random.default_rng(seed)
-    return init_stage(random_params(rng), channels, n, d_out, radius, **kwargs)
+def make_stage(seed=0, channels=6, n=4, d_out=8, radius=2, **switches):
+    """A one-stage config and that stage's seeded parameters."""
+    config = ModelConfig(stage_dims=(channels,), branch_count=n, d_out=d_out, neighbor_radius=radius, **switches)
+    return init_stage(random_params(np.random.default_rng(seed)), channels, config), config
 
 
 class TestBranchStructure:
     def test_depthwise_present_iff_dilated(self):
         rng = np.random.default_rng(0)
         dilations = [2 ** i for i in range(4)]
-        branches = [init_branch(random_params(rng), 6, r) for r in dilations]
+        branches = [init_branch(random_params(rng), 6, r, True) for r in dilations]
         assert branches[0].depthwise is None  # r=1
         for br in branches[1:]:  # r in {2, 4, 8}
             assert br.depthwise is not None
@@ -42,12 +43,12 @@ class TestBranchStructure:
         rng = np.random.default_rng(1)
         x = seq_tensor(rng.standard_normal((11, 6)))
         for r in (1, 2, 4, 8):
-            out = branch_forward(x, init_branch(random_params(rng), 6, r))
+            out = branch_forward(x, init_branch(random_params(rng), 6, r, True))
             assert out.data.shape == (11, 6)
 
     def test_zero_input_zero_params_gives_zero(self):
         # with zero biases and beta=0: norm(0)=0, gelu(0)=0
-        br = init_branch(random_params(np.random.default_rng(2)), 4, 2)
+        br = init_branch(random_params(np.random.default_rng(2)), 4, 2, True)
         out = branch_forward(seq_tensor(np.zeros((6, 4))), br)
         np.testing.assert_allclose(out.data, np.zeros((6, 4)), atol=1e-15)
 
@@ -205,14 +206,14 @@ class TestSimilarityVector:
 class TestComprehensiveRep:
     def test_output_shape_matches_stage_width(self):
         rng = np.random.default_rng(9)
-        stage = make_stage(channels=6)
+        stage, _ = make_stage(channels=6)
         fs = [Tensor(rng.standard_normal((7, 6))) for _ in range(4)]
         out = comprehensive_rep(fs, stage.compress)
         assert out.data.shape == (7, 6)
 
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(10)
-        stage = make_stage(channels=6)
+        stage, _ = make_stage(channels=6)
         fs = [Tensor(rng.standard_normal((7, 6))) for _ in range(4)]
         out = comprehensive_rep(fs, stage.compress)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(7), atol=1e-9)
@@ -232,47 +233,51 @@ class TestComprehensiveRep:
 class TestStageForward:
     def test_output_shape(self):
         rng = np.random.default_rng(12)
-        stage = make_stage(channels=6, d_out=8, radius=2)
+        stage, config = make_stage(channels=6, d_out=8, radius=2)
         x = seq_tensor(rng.standard_normal((9, 6)))
-        assert stage_forward(x, stage, 2).data.shape == (9, 8)
+        assert stage_forward(x, stage, config).data.shape == (9, 8)
 
     def test_alternative_fusion_reading_shape(self):
         rng = np.random.default_rng(13)
-        stage = make_stage(channels=6, d_out=8, radius=2, fuse_distances=False)
+        stage, config = make_stage(channels=6, d_out=8, radius=2, fuse_distances=False)
         x = seq_tensor(rng.standard_normal((9, 6)))
-        out = stage_forward(x, stage, 2, fuse_distances=False)
+        out = stage_forward(x, stage, config)
         assert out.data.shape == (9, 8)
 
     def test_constant_input_constant_interior(self):
         rng = np.random.default_rng(14)
-        stage = make_stage(channels=4, n=4, d_out=6, radius=2)
+        stage, config = make_stage(channels=4, n=4, d_out=6, radius=2)
         x = seq_tensor(np.tile(rng.standard_normal(4), (40, 1)))
-        out = stage_forward(x, stage, 2).data
+        out = stage_forward(x, stage, config).data
         # interior: beyond max branch reach (8+1) plus the distance radius
         interior = out[11:29]
         np.testing.assert_allclose(interior, np.tile(interior[0], (len(interior), 1)), atol=1e-10)
 
     def test_matches_straight_line_oracle(self):
-        rng = np.random.default_rng(15)
-        stage = make_stage(seed=16, channels=5, n=3, d_out=7, radius=2)
-        x = rng.standard_normal((12, 5))
-        got = stage_forward(seq_tensor(x), stage, 2).data
-        want = naive_stage_forward(x, stage, 2)
-        np.testing.assert_allclose(got, want, atol=1e-8)
+        # the second case is the view reading at stage width 2 * radius, where
+        # the fuse input is as wide as in the distance reading
+        for channels, switches in ((5, {}), (4, {"fuse_distances": False})):
+            rng = np.random.default_rng(15)
+            stage, config = make_stage(seed=16, channels=channels, n=3, d_out=7, radius=2, **switches)
+            x = rng.standard_normal((12, channels))
+            got = stage_forward(seq_tensor(x), stage, config).data
+            want = naive_stage_forward(x, stage, 2, **switches)
+            np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_oracle_agreement_without_residual(self):
         rng = np.random.default_rng(17)
-        stage = make_stage(seed=18, channels=4, n=2, d_out=5, radius=1)
+        stage, config = make_stage(seed=18, channels=4, n=2, d_out=5, radius=1, use_residual=False)
         x = rng.standard_normal((8, 4))
-        got = stage_forward(seq_tensor(x), stage, 1, use_residual=False).data
+        got = stage_forward(seq_tensor(x), stage, config).data
         want = naive_stage_forward(x, stage, 1, use_residual=False)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
 class TestTpsForward:
-    def make_params(self, seed=19, dims=(4, 4, 4, 4), d_out=6, radius=2, **kwargs):
-        rng = np.random.default_rng(seed)
-        return init_tps(random_params(rng), dims, 4, d_out, radius, **kwargs)
+    config = ModelConfig(stage_dims=(4, 4, 4, 4), d_out=6, neighbor_radius=2)
+
+    def make_params(self, seed=19):
+        return init_tps(random_params(np.random.default_rng(seed)), self.config)
 
     def make_inputs(self, seed, dims, t=20):
         rng = np.random.default_rng(seed)
@@ -281,34 +286,34 @@ class TestTpsForward:
     def test_output_shape(self):
         params = self.make_params()
         xs = self.make_inputs(20, (4, 4, 4, 4))
-        assert tps_forward(xs, params).data.shape == (20, 6)
+        assert tps_forward(xs, params, self.config).data.shape == (20, 6)
 
     def test_stage_order_matters(self):
         params = self.make_params()
         xs = self.make_inputs(21, (4, 4, 4, 4))
-        base = tps_forward(xs, params).data
-        permuted = tps_forward([xs[1], xs[0], xs[2], xs[3]], params).data
+        base = tps_forward(xs, params, self.config).data
+        permuted = tps_forward([xs[1], xs[0], xs[2], xs[3]], params, self.config).data
         assert np.abs(base - permuted).max() > 1e-6
 
     def test_gradient_reaches_every_stage(self):
         params = self.make_params()
         rng = np.random.default_rng(22)
         xs = [Tensor(rng.standard_normal((20, 4)), requires_grad=True) for _ in range(4)]
-        backward(sum_all(tps_forward(xs, params)))
+        backward(sum_all(tps_forward(xs, params, self.config)))
         for x in xs:
             assert x.grad is not None
             assert np.abs(x.grad).max() > 0
 
     def test_time_locality(self):
         # reach: conv r=8 (+1 depthwise) + distance radius + final width-3 conv
-        params = self.make_params(radius=2)
+        params = self.make_params()
         radius_total = (8 + 1) + 2 + 1
         xs = self.make_inputs(23, (4, 4, 4, 4), t=40)
-        base = tps_forward(xs, params).data
+        base = tps_forward(xs, params, self.config).data
         t_perturb = 20
         arrays = [np.array(x.data) for x in xs]
         arrays[0][t_perturb] += 1.0
-        out = tps_forward([seq_tensor(a) for a in arrays], params).data
+        out = tps_forward([seq_tensor(a) for a in arrays], params, self.config).data
         changed = np.flatnonzero(np.abs(out - base).max(axis=1) > 1e-12)
         assert changed.size > 0
         assert np.all(np.abs(changed - t_perturb) <= radius_total)
@@ -316,12 +321,7 @@ class TestTpsForward:
     def test_stage_count_checked(self):
         params = self.make_params()
         with pytest.raises(ValueError, match="stage inputs"):
-            tps_forward(self.make_inputs(24, (4, 4, 4)), params)
-
-    def test_radius_validated(self):
-        params = self.make_params()
-        with pytest.raises(ValueError, match="neighbor_radius"):
-            TpsParams(params.stages, params.merge_conv, params.merge_norm, 0)
+            tps_forward(self.make_inputs(24, (4, 4, 4)), params, self.config)
 
 
 class TestSingleBranchStage:
@@ -329,8 +329,8 @@ class TestSingleBranchStage:
         # single-view stage: distances over normalize(branch(I) + I) plus the
         # comprehensive view, checked against the straight-line oracle
         rng = np.random.default_rng(30)
-        stage = make_stage(seed=31, channels=4, n=1, d_out=5, radius=2)
+        stage, config = make_stage(seed=31, channels=4, n=1, d_out=5, radius=2)
         x = rng.standard_normal((10, 4))
-        got = stage_forward(seq_tensor(x), stage, 2).data
+        got = stage_forward(seq_tensor(x), stage, config).data
         want = naive_stage_forward(x, stage, 2)
         np.testing.assert_allclose(got, want, atol=1e-8)

@@ -182,7 +182,7 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts_with_step_index(self):
         dataset = tiny_dataset(7, 1)
         model = GebdModel.build(TINY, seed=4)
-        model.tps.merge_norm.gamma.update_data(np.full(8, np.inf))
+        model.tps.merge.norm.gamma.update_data(np.full(8, np.inf))
         cfg = TrainConfig(epochs=1, batch_size=1, warmup_epochs=0, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged, match="step 0"):
             train(dataset, model, cfg)
@@ -195,12 +195,12 @@ class TestTrainLoop:
         real = train_mod._minibatch_gradients
         snapshot = []
 
-        def inject(dataset, batch, model, params, smooth_targets, step):
-            loss = real(dataset, batch, model, params, smooth_targets, step)
+        def inject(dataset, batch, model, smooth_targets, step):
+            loss = real(dataset, batch, model, smooth_targets, step)
             if step == 2:
                 target.grad = np.array(target.grad)
                 target.grad[1] = np.nan
-                snapshot.extend(np.array(p.data) for p in params)
+                snapshot.extend(np.array(p.data) for _, p in model.parameters())
             return loss
 
         monkeypatch.setattr(train_mod, "_minibatch_gradients", inject)
