@@ -1,9 +1,10 @@
 """Command line interface: synth / train / infer / eval.
 
 Configuration comes from built-in defaults, then an optional `key = value`
-config file, then command-line flags (flags win). Every run echoes the
-fully resolved configuration into its output directory so it can be
-reproduced from the echo plus the seed.
+config file, then command-line flags (flags win). The merged `RunConfig`
+checks every setting when it is built, before a command reads a file or
+makes a directory. Every run echoes the fully resolved configuration into
+its output directory so it can be reproduced from the echo plus the seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -42,7 +43,7 @@ ERROR_PREFIX = f"{PROG}: error: "
 INFER_GROUP_BYTES = 256 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # synthetic data
     num_videos: int = 10
@@ -68,7 +69,7 @@ class RunConfig:
     lr_peak: float = TrainConfig.lr_peak
     lr_final: float = TrainConfig.lr_final
     warmup_epochs: int = TrainConfig.warmup_epochs
-    smooth_training: bool = TrainConfig.smooth_targets
+    smooth_training: bool = TrainConfig.smooth_training
     positive_radius_frames: int = 1
     # inference
     smooth_inference: bool = True
@@ -78,6 +79,41 @@ class RunConfig:
     # evaluation
     taus: tuple[float, ...] = eval_mod.DEFAULT_TAUS
     eval_average: str = "micro"
+
+    def __post_init__(self):
+        """Check every setting, each by the rule of the field's owner; only
+        the synth counts and the seed have their rules here."""
+        if self.num_videos < 1:
+            raise ValueError(f"num_videos must be >= 1, got {self.num_videos}")
+        if not 0 <= self.min_boundaries <= self.max_boundaries:
+            raise ValueError(f"need 0 <= min_boundaries <= max_boundaries, "
+                             f"got {self.min_boundaries}/{self.max_boundaries}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        data_mod.check_fps(self.fps)  # before the model's radius is derived from it
+        self.model_config()
+        data_mod.check_video_size(self.frames, self.stage_dims)
+        data_mod.check_snr(self.snr)
+        self.train_config()
+        data_mod.check_positive_radius(self.positive_radius_frames)
+        data_mod.check_clip_settings(self.clip_seconds, self.overlap_seconds)
+        try:
+            eval_mod.check_sweep_settings(self.taus, self.eval_average)
+        except ValueError as e:
+            raise ValueError(f"taus/eval_average: {e}") from None
+
+    def model_config(self) -> ModelConfig:
+        """The model fields, with the neighbor radius of this fps."""
+        return self._subset(ModelConfig, neighbor_radius=neighbor_radius_for(self.fps))
+
+    def train_config(self) -> TrainConfig:
+        return self._subset(TrainConfig)
+
+    def _subset(self, cls, **derived):
+        """A `cls` whose fields take the values of the fields of the same
+        name, apart from those in `derived`."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in derived}
+        return cls(**shared, **derived)
 
 
 def _parse_bool(text: str) -> bool:
@@ -142,48 +178,35 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
+    """The checked `RunConfig` of the defaults, then the config file, then the flags."""
+    settings = load_config_file(args.config) if getattr(args, "config", None) else {}
     for name in _FIELD_PARSERS:
         value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, name, value)
-    return cfg
+            settings[name] = value
+    return RunConfig(**settings)
 
 
 def _echo_config(out_dir: Path, cfg: RunConfig) -> None:
     atomic_write_text(out_dir / "run_config.txt", format_config(cfg))
 
 
-def _from_run_config(cls, cfg: RunConfig, **derived):
-    """A `ModelConfig` or `TrainConfig` whose fields take the values of the
-    `RunConfig` fields of the same name, apart from those in `derived`."""
-    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in derived}
-    return cls(**shared, **derived)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    if cfg.num_videos < 1:
-        raise ValueError(f"num_videos must be >= 1, got {cfg.num_videos}")
-    if any(d <= 0 for d in cfg.stage_dims):
-        raise ValueError(f"stage_dims must be positive, got {cfg.stage_dims}")
-    if not 0 <= cfg.min_boundaries <= cfg.max_boundaries:
-        raise ValueError("need 0 <= min_boundaries <= max_boundaries")
-    data_mod.check_fps(cfg.fps)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
-    duration = cfg.frames / cfg.fps
-    annotations, entries = [], []
+    # every video's boundaries first, so a gap that does not fit fails before the directory is made
+    all_times = []
     for i in range(cfg.num_videos):
-        video_seed = cfg.seed + i
-        bound_rng = np.random.default_rng((video_seed, 1))
+        bound_rng = np.random.default_rng((cfg.seed + i, 1))
         count = int(bound_rng.integers(cfg.min_boundaries, cfg.max_boundaries + 1))
-        times = data_mod.random_boundary_times(bound_rng, duration, count, cfg.min_gap_seconds)
+        all_times.append(data_mod.random_boundary_times(bound_rng, cfg.frames / cfg.fps, count,
+                                                        cfg.min_gap_seconds))
+    out.mkdir(parents=True, exist_ok=True)
+    annotations, entries = [], []
+    for i, times in enumerate(all_times):
+        video_seed = cfg.seed + i
         video, ann = data_mod.synth_video(
             video_seed, cfg.frames, cfg.fps, cfg.stage_dims, times,
             snr=cfg.snr, video_id=f"video{i:05d}",
@@ -220,20 +243,18 @@ def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset, _ = _load_dataset(Path(args.features), Path(args.annotations), cfg)
     fps_values = {video.fps for video, _ in dataset}
     if len(fps_values) != 1:
         raise ValueError(f"training videos must share one fps, got {sorted(fps_values)}")
-    cfg.fps = fps_values.pop()
     dims = {video.stage_dims for video, _ in dataset}
     if len(dims) != 1:
         raise ValueError(f"training videos must share stage dims, got {sorted(dims)}")
-    cfg.stage_dims = dims.pop()
-    model_cfg = _from_run_config(ModelConfig, cfg, neighbor_radius=neighbor_radius_for(cfg.fps))
-    train_cfg = _from_run_config(TrainConfig, cfg, smooth_targets=cfg.smooth_training)
-    model, curve = train(dataset, GebdModel.build(model_cfg, seed=cfg.seed), train_cfg)
+    cfg = replace(cfg, fps=fps_values.pop(), stage_dims=dims.pop())
+    model = GebdModel.build(cfg.model_config(), seed=cfg.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    model, curve = train(dataset, model, cfg.train_config())
     save_checkpoint(out / "model.gebw", model)
     write_loss_curve(out / "loss.csv", curve)
     _echo_config(out, cfg)
@@ -283,8 +304,6 @@ def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    data_mod.check_fps(cfg.fps)  # these two in either mode, before any reading
-    data_mod.check_clip_settings(cfg.clip_seconds, cfg.overlap_seconds)
     model = load_checkpoint(args.checkpoint)
     features_path = Path(args.features)
     files = sorted(features_path.glob("*.gebf")) if features_path.is_dir() else [features_path]

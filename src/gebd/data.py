@@ -23,6 +23,7 @@ import numpy as np
 from .util import (
     BlockReader,
     atomic_write_text,
+    check_fits_in_memory,
     json_number,
     json_numbers,
     json_str,
@@ -44,6 +45,20 @@ def check_fps(fps: float, video_id: str | None = None) -> None:
     if not (math.isfinite(fps) and fps >= MIN_FPS):
         where = "" if video_id is None else f"{video_id}: "
         raise ValueError(f"{where}fps must be finite and positive (at least {MIN_FPS:g}), got {fps}")
+
+
+def check_video_size(num_frames: int, stage_dims: Sequence[int]) -> None:
+    """A synthetic video has at least one frame, and its float64 features
+    fit in physical memory."""
+    if num_frames < 1:
+        raise ValueError(f"frames must be >= 1, got {num_frames}")
+    check_fits_in_memory(8 * num_frames * sum(stage_dims),
+                         f"a video of {num_frames} frames at stage_dims {tuple(stage_dims)}")
+
+
+def check_snr(snr: float | None) -> None:
+    if snr is not None and not snr > 0:
+        raise ValueError("snr must be positive (or None for noiseless)")
 
 
 @dataclass
@@ -157,11 +172,9 @@ def synth_video(
     stage; frame features are that latent plus noise of std 1/snr
     (snr=None means noiseless). Deterministic in the seed.
     """
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
+    check_video_size(num_frames, stage_dims)
     check_fps(fps)
-    if snr is not None and not snr > 0:
-        raise ValueError("snr must be positive (or None for noiseless)")
+    check_snr(snr)
     duration = num_frames / fps
     bts = [float(b) for b in boundary_times]
     for i, b in enumerate(bts):
@@ -196,8 +209,8 @@ def random_boundary_times(rng: np.random.Generator, duration: float, count: int,
         return []
     if not (count + 1) * min_gap <= duration:
         raise ValueError(f"cannot fit {count} boundaries with gap {min_gap} in {duration}s")
-    if not (math.isfinite(duration) and math.isfinite(min_gap)):
-        raise ValueError(f"duration and gap must be finite, got {duration}s and {min_gap}s")
+    if not (math.isfinite(duration) and math.isfinite(min_gap) and min_gap >= 0):
+        raise ValueError(f"duration and gap must be finite and the gap >= 0, got {duration}s and {min_gap}s")
     for _ in range(1000):
         pts = np.sort(rng.uniform(min_gap, duration - min_gap, size=count))
         if count == 1 or np.all(np.diff(pts) >= min_gap):
@@ -213,11 +226,15 @@ def nearest_frame(timestamp: float, fps: float, num_frames: int) -> int:
     return min(max(f, 0), num_frames - 1)
 
 
+def check_positive_radius(positive_radius_frames: int) -> None:
+    if positive_radius_frames < 0:
+        raise ValueError(f"positive_radius_frames must be >= 0, got {positive_radius_frames}")
+
+
 def frame_labels(annotation: Annotation, num_frames: int, fps: float,
                  positive_radius_frames: int) -> np.ndarray:
     """0/1 target per frame: nearest frame to each boundary, widened by the radius."""
-    if positive_radius_frames < 0:
-        raise ValueError("positive_radius_frames must be >= 0")
+    check_positive_radius(positive_radius_frames)
     labels = np.zeros(num_frames)
     for b in annotation.boundaries:
         f = nearest_frame(b, fps, num_frames)

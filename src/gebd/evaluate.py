@@ -115,6 +115,17 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def check_sweep_settings(taus: Sequence[float], average: str) -> None:
+    """The averaging mode and the non-empty, finite, positive thresholds `f1_sweep` takes."""
+    if average not in ("micro", "macro"):
+        raise ValueError(f"average must be 'micro' or 'macro', got {average!r}")
+    if not len(taus):
+        raise ValueError("f1_sweep: empty threshold list")
+    for tau in taus:
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"f1_sweep: thresholds must be finite and positive, got {tau}")
+
+
 def f1_sweep(
     corpus: Sequence[tuple[Sequence[float], Sequence[float], float]],
     taus: Sequence[float] = DEFAULT_TAUS,
@@ -127,13 +138,7 @@ def f1_sweep(
     """
     if not len(corpus):
         raise ValueError("f1_sweep: empty corpus")
-    if average not in ("micro", "macro"):
-        raise ValueError(f"average must be 'micro' or 'macro', got {average!r}")
-    if not len(taus):
-        raise ValueError("f1_sweep: empty threshold list")
-    for tau in taus:
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValueError(f"f1_sweep: thresholds must be finite and positive, got {tau}")
+    check_sweep_settings(taus, average)
     nd = sum(len(dets) for dets, _, _ in corpus)
     ng = sum(len(gts) for _, gts, _ in corpus)
     rows = []

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor, _accumulate, _accumulate_videos, _require_seq, _videos
+from .util import check_fits_in_memory
 
 ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 
@@ -260,9 +261,11 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def random_params(rng: np.random.Generator) -> ParamSource:
     """Seeded parameter source: fan-in uniform weights, unit gammas, zero
-    biases and betas. Only weights draw from rng, in request order."""
+    biases and betas. Only weights draw from rng, in request order. A block
+    larger than physical memory is rejected before it is allocated."""
 
     def new(shape: tuple[int, ...], kind: str) -> np.ndarray:
+        check_fits_in_memory(8 * math.prod(shape), f"a {kind} block of shape {shape}")
         if kind == "weights":
             bound = (1.0 / math.prod(shape[1:])) ** 0.5
             return rng.uniform(-bound, bound, size=shape)

@@ -34,12 +34,13 @@ class TrainConfig:
     lr_peak: float = 4e-4
     lr_final: float = 4e-6
     warmup_epochs: int = 2
-    smooth_targets: bool = True
+    smooth_training: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.warmup_epochs < 0:
-            raise ValueError("epochs/warmup must be >= 0 and batch_size >= 1")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("warmup_epochs", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # epochs == 0 means "initialize only" and skips the schedule entirely
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ValueError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
@@ -130,7 +131,7 @@ def train(
 ) -> tuple[GebdModel, list[tuple[int, float, float]]]:
     """Seeded mini-batch training; returns the model plus a (step, lr, loss) curve.
 
-    When cfg.smooth_targets is on, predictions are Gaussian-smoothed before
+    When cfg.smooth_training is on, predictions are Gaussian-smoothed before
     the loss so training optimizes the smoothed scores; targets stay hard.
     The minibatch loss is the left fold of the per-video losses divided by
     the batch size, and batched passes keep the bits of a video-by-video
@@ -166,7 +167,7 @@ def train(
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss_value = _minibatch_gradients(dataset, batch, model, cfg.smooth_targets, global_step)
+                    loss_value = _minibatch_gradients(dataset, batch, model, cfg.smooth_training, global_step)
                     grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
                     for (name, _), g in zip(named, grads):
                         if not np.all(np.isfinite(g)):
@@ -179,7 +180,7 @@ def train(
     return model, curve
 
 
-def _minibatch_gradients(dataset, batch, model: GebdModel, smooth_targets: bool, step: int) -> float:
+def _minibatch_gradients(dataset, batch, model: GebdModel, smooth_training: bool, step: int) -> float:
     """Set every parameter's grad to the minibatch loss gradient; return the loss.
 
     Each maximal run of consecutive equal-length videos is one batched pass.
@@ -189,7 +190,7 @@ def _minibatch_gradients(dataset, batch, model: GebdModel, smooth_targets: bool,
     for (_, fps), run in groupby(batch, key=lambda i: (dataset[i][0].num_frames, dataset[i][0].fps)):
         run = list(run)
         pred = model.forward(stack_videos([dataset[i][0].stages for i in run]))
-        if smooth_targets:
+        if smooth_training:
             pred = time_smooth(pred, fps)
         losses.append(bce_loss(pred, np.stack([dataset[i][1] for i in run])))
     total = scale(fold_sum(losses), 1.0 / len(batch))

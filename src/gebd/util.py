@@ -133,6 +133,14 @@ def json_str(value, what: str) -> str:
     return value
 
 
+def check_fits_in_memory(nbytes: int, what: str) -> None:
+    """Reject an array larger than physical memory (as `os.sysconf` reports
+    it) before it is allocated, naming what it is."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ValueError(f"{what} needs {nbytes} bytes, more than the {total} bytes of physical memory")
+
+
 def worker_count() -> int:
     """Worker cap of `infer`'s pool over file groups; GEBD_THREADS overrides."""
     env = os.environ.get("GEBD_THREADS")

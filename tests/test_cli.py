@@ -1,8 +1,10 @@
 """End-to-end command line behavior, run in-process via cli.main()."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -607,9 +609,158 @@ class TestConfigFile:
                 if f.name in names:
                     assert getattr(run_defaults, f.name) == f.default, (cls.__name__, f.name)
                     shared += 1
-        assert shared == 8 + 6  # ModelConfig's fields but neighbor_radius; TrainConfig's but smooth_targets
-        assert run_defaults.smooth_training == TrainConfig.smooth_targets
+        assert shared == 8 + 7  # ModelConfig's fields but neighbor_radius; all of TrainConfig's
         assert run_defaults.fps == ModelConfig.neighbor_radius
+
+
+# An out-of-range value of every RunConfig field but the booleans (which
+# take no value outside their range), with a fragment of its message.
+OUT_OF_RANGE = [
+    ("num_videos", "0", "num_videos must be >= 1"),
+    ("frames", "0", "frames must be >= 1"),
+    ("frames", "1000000000000", "bytes of physical memory"),
+    ("fps", "nan", "fps must be finite and positive"),
+    ("stage_dims", "6,0", "stage_dims must be positive"),
+    ("stage_dims", "4294967296", "bytes of physical memory"),
+    ("snr", "0", "snr must be positive"),
+    ("min_boundaries", "-1", "need 0 <= min_boundaries <= max_boundaries"),
+    ("max_boundaries", "2", "need 0 <= min_boundaries <= max_boundaries"),
+    ("seed", "-1", "seed must be >= 0"),
+    ("d_out", "0", "d_out must be >= 1"),
+    ("d_head", "0", "d_head must be >= 1"),
+    ("branch_count", "0", "branch_count must be >= 1"),
+    ("decoder_blocks", "-1", "decoder_blocks must be >= 0"),
+    ("epochs", "-3", "epochs must be >= 0"),
+    ("batch_size", "0", "batch_size must be >= 1"),
+    ("lr_peak", "0", "need 0 < lr_final < lr_peak"),
+    ("lr_final", "0", "need 0 < lr_final < lr_peak"),
+    ("warmup_epochs", "-1", "warmup_epochs must be >= 0"),
+    ("positive_radius_frames", "-1", "positive_radius_frames must be >= 0"),
+    ("clip_seconds", "inf", "clip_seconds > overlap_seconds"),
+    ("overlap_seconds", "-1", "clip_seconds > overlap_seconds"),
+    ("taus", "", "empty threshold list"),
+    ("eval_average", "foo", "average must be 'micro' or 'macro'"),
+    # whether the boundaries fit depends on the drawn count: `synth` draws
+    # every video's boundaries before it makes its directory
+    ("min_gap_seconds", "nan", "cannot fit"),
+]
+
+
+def command_argv(command: str, tmp_path: Path) -> list[str]:
+    """A command whose inputs do not exist: a setting checked before any
+    file is read fails on the setting, not on the missing input."""
+    missing, out = tmp_path / "missing", str(tmp_path / "out")
+    return {
+        "synth": ["synth", "--out", out],
+        "train": ["train", "--features", str(missing), "--annotations", str(missing / "a.json"), "--out", out],
+        "infer": ["infer", "--checkpoint", str(missing / "m.gebw"), "--features", str(missing), "--out", out],
+        "eval": ["eval", "--detections", str(missing), "--annotations", str(missing / "a.json"),
+                 "--out", out],
+    }[command]
+
+
+def flag_commands(name: str) -> list[str]:
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [c for c, p in sub.choices.items() if any(a.dest == name for a in p._actions)]
+
+
+def rejected_cases():
+    for name, value, message in OUT_OF_RANGE:
+        commands = ["synth"] if name == "min_gap_seconds" else ["synth", "train", "infer", "eval"]
+        for command in commands:
+            yield pytest.param(command, "file", name, value, message, id=f"{name}={value}-{command}-file")
+        for command in flag_commands(name):
+            yield pytest.param(command, "flag", name, value, message, id=f"{name}={value}-{command}-flag")
+
+
+class TestSettingsCheckedOnce:
+    def test_table_covers_every_field_with_a_range(self):
+        ranged = {f.name for f in fields(cli.RunConfig) if f.type != "bool"}
+        assert {name for name, _, _ in OUT_OF_RANGE} == ranged
+
+    @pytest.mark.parametrize("command, via, name, value, message", list(rejected_cases()))
+    def test_out_of_range_value_rejected_before_any_file_or_directory(self, tmp_path, capsys,
+                                                                       command, via, name, value, message):
+        argv = command_argv(command, tmp_path)
+        if via == "file":
+            (tmp_path / "cfg.txt").write_text(f"{name} = {value}\n")
+            argv += ["--config", str(tmp_path / "cfg.txt")]
+        else:
+            argv.append(f"--{name.replace('_', '-')}={value}")
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1, err
+        assert message in err
+        if name != "min_gap_seconds":  # the fit's message names the gap by its value
+            assert re.search(rf"\b{name}\b", err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--epochs", "2", "--warmup-epochs", "2"], "warmup_epochs 2 must be < epochs 2"),
+        (["infer", "--clip-seconds", "5", "--overlap-seconds", "5"], "clip_seconds > overlap_seconds"),
+        (["synth", "--stage-dims", ""], "stage_dims must be positive"),
+    ])
+    def test_rules_across_fields_rejected_before_any_file_or_directory(self, tmp_path, capsys, argv, message):
+        assert run(command_argv(argv[0], tmp_path) + argv[1:]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_values_are_checked(self, tmp_path, capsys):
+        # these used to be parsed, echoed into run_config.txt and exit 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("d_out = 0\nepochs = -3\nnum_videos = -5\ntaus =\n")
+        data = synth_small(tmp_path, n=1)
+        ckpt = tmp_path / "m.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4), seed=0))
+        out = tmp_path / "out"
+        assert run(["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(out),
+                    "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(cli.ERROR_PREFIX)
+        assert not out.exists()
+
+    def test_parameter_block_past_physical_memory_rejected_before_any_directory(self, tmp_path, capsys):
+        data = synth_small(tmp_path, n=2)
+        out = tmp_path / "out"
+        code = run(["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                    "--out", str(out), "--d-out", "1000000000000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1, err
+        assert "1000000000000" in err and "bytes of physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["missing annotations", "mixed fps"])
+    def test_train_makes_no_directory_when_its_data_fails(self, tmp_path, capsys, problem):
+        data = synth_small(tmp_path, n=2)
+        if problem == "missing annotations":
+            (data / "annotations.json").unlink()
+        else:
+            anns = json.loads((data / "annotations.json").read_text())
+            anns[0]["fps"] = 4.0
+            (data / "annotations.json").write_text(json.dumps(anns))
+        out = tmp_path / "out"
+        assert run(["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(cli.ERROR_PREFIX)
+        assert not out.exists()
+
+    def test_every_echo_loads_back_into_its_command(self, tmp_path):
+        data = synth_small(tmp_path, n=2)
+        run_dir = train_small(tmp_path, data, epochs=1)
+        scored = tmp_path / "scored"
+        assert run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
+                    "--out", str(scored), "--fps", "5"]) == 0
+        ann = str(data / "annotations.json")
+        again = {
+            data: ["synth", "--out", str(tmp_path / "data2")],
+            run_dir: ["train", "--features", str(data), "--annotations", ann, "--out", str(tmp_path / "run2")],
+            scored: ["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
+                     "--out", str(tmp_path / "scored2")],
+        }
+        for first, argv in again.items():
+            echo = first / "run_config.txt"
+            assert run([*argv, "--config", str(echo)]) == 0, argv[0]
+            assert (Path(argv[-1]) / "run_config.txt").read_text() == echo.read_text()
 
 
 class TestWorkerCount:

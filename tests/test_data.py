@@ -285,7 +285,7 @@ class TestRandomBoundaryTimes:
             random_boundary_times(rng, 5.0, 10, min_gap=1.0)
 
     @pytest.mark.parametrize("duration, gap", [(float("inf"), 1.0), (10.0, -float("inf")),
-                                               (float("inf"), -float("inf"))])
+                                               (float("inf"), -float("inf")), (10.0, -1.0)])
     def test_non_finite_duration_or_gap_rejected(self, duration, gap):
         with pytest.raises(ValueError, match="must be finite"):
             random_boundary_times(np.random.default_rng(0), duration, 2, min_gap=gap)

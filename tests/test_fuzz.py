@@ -1,5 +1,6 @@
-"""Hostile inputs: mutated GEBF/GEBW bytes, random JSON and random
-`key = value` config files either load or raise ValueError, and the binary
+"""Hostile inputs: mutated GEBF/GEBW bytes and random JSON either load or
+raise ValueError, a random `key = value` config file resolves or raises a
+ValueError naming one of its keys, and the binary
 and JSON loaders never allocate much more than the file holds. Command
 lines with hostile flag values exit 0 or exit 1 with `gebd: error:`.
 
@@ -13,6 +14,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -265,24 +267,37 @@ def test_random_config_file_resolves_or_value_error(work, lines, junk):
         overrides = cli.load_config_file(path)
     except ValueError:
         return
-    cfg = cli.resolve_config(argparse.Namespace(config=str(path)))
+    try:
+        cfg = cli.resolve_config(argparse.Namespace(config=str(path)))
+    except ValueError as e:
+        # the defaults pass every check, so a value of the file broke a rule
+        assert any(re.search(rf"\b{key}\b", str(e)) for key in overrides), (overrides, str(e))
+        return
     assert isinstance(cfg, cli.RunConfig)
     for key, value in overrides.items():
         assert getattr(cfg, key) == value or value != value  # NaN is not equal to itself
 
 
 # Flag values by RunConfig field type. Sizes stay small: the argv fuzz looks
-# for values the CLI mishandles, not for requests that are merely big.
+# for values the CLI mishandles, not for requests that are merely big. The
+# exceptions are the sizes the memory budget bounds, which also draw sizes
+# far past physical memory; a large num_videos, epochs, batch_size,
+# decoder_blocks or branch_count would run for real.
+SMALL_INTS = ["-1", "0", "1", "2", "3", "12"]
+HUGE_SIZES = ["1000000000000", str(2 ** 32)]
 ARGV_VALUES = {
-    "int": st.sampled_from(["-1", "0", "1", "2", "3", "12"]),
+    "int": st.sampled_from(SMALL_INTS),
     "float": st.sampled_from(["nan", "1e308", "1e-320", "inf", "-inf", "0", "-0.0", "-1", "1e-5", "0.5",
                               "2", "5"]),
     "bool": st.sampled_from([None, True, False]),
     "str": st.sampled_from(["micro", "macro", "", "mean"]),
-    "tuple[int, ...]": st.sampled_from(["", ",", "0", "-1", "3", "3,2", "2,3", "3,0", "12,12,12"]),
+    "tuple[int, ...]": st.sampled_from(["", ",", "0", "-1", "3", "3,2", "2,3", "3,0", "12,12,12",
+                                        *HUGE_SIZES, "3," + HUGE_SIZES[1]]),  # stage_dims
     "tuple[float, ...]": st.sampled_from(["", ",", "nan", "inf", "-1", "0", "0.1,0.5", "0.5,1e308"]),
 }
 ARGV_VALUES["seed"] = st.sampled_from(["-1", "0", "7", str(2 ** 64)])
+for name in ("frames", "d_out", "d_head"):
+    ARGV_VALUES[name] = st.sampled_from(SMALL_INTS + HUGE_SIZES)
 FIELD_TYPES = {f.name: f.type for f in fields(cli.RunConfig)}
 
 

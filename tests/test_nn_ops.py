@@ -339,3 +339,11 @@ class TestInit:
         a = init_layer_norm(random_params(np.random.default_rng(0)), 5)
         np.testing.assert_array_equal(a.gamma.data, np.ones(5))
         np.testing.assert_array_equal(a.beta.data, np.zeros(5))
+
+    def test_block_past_physical_memory_rejected_without_a_draw(self):
+        rng = np.random.default_rng(31)
+        want = np.random.default_rng(31).uniform(size=3)
+        with pytest.raises(ValueError, match=r"a weights block of shape \(1000000000000, 8, 1\) needs "
+                                             r"\d+ bytes, more than the \d+ bytes of physical memory"):
+            init_conv1d(random_params(rng), 8, 10 ** 12, 1)
+        np.testing.assert_array_equal(rng.uniform(size=3), want)  # the rejection drew nothing

@@ -164,7 +164,7 @@ class TestTrainLoop:
             dataset = tiny_dataset(5, 2)
             model = GebdModel.build(TINY, seed=2)
             cfg = TrainConfig(epochs=1, batch_size=2, warmup_epochs=0,
-                              smooth_targets=smooth, seed=0)
+                              smooth_training=smooth, seed=0)
             _, curve = train(dataset, model, cfg)
             return curve[0][2]
 
