@@ -18,8 +18,12 @@ not require grad keeps neither: no adjoint can ever reach it, so an
 inference forward over parameters that do not require grad (a loaded
 checkpoint) holds no tape, and each intermediate is freed as soon as the
 next op no longer needs it. `backward` seeds the loss adjoint with 1 and
-accumulates `grad` on every node reachable from the loss whose value
-influences it.
+accumulates `grad` on every leaf (a parameter or input that requires grad)
+reachable from the loss whose value influences it. It consumes the graph as
+it sweeps: each interior node drops its adjoint, its inputs and its backward
+once its backward has run, so a training step holds the tape once, not the
+tape plus every adjoint. Only leaves keep `grad`, and a graph runs backward
+once; a second `backward` that reaches a consumed node raises ValueError.
 
 Tensor values are immutable (the wrapped array is frozen at construction)
 and safe to share across threads; a graph must stay on the thread that
@@ -213,10 +217,21 @@ def time_smooth(x: Tensor, fps: float) -> Tensor:
     return Tensor(smooth_frames(x.data, fps), parents=(x,), backward=backward, validate=False)
 
 
+def _spent(g: np.ndarray) -> None:
+    """The backward of every node that an earlier `backward` has consumed."""
+    raise ValueError("backward: this graph was consumed by an earlier backward; run the forward again")
+
+
 def backward(loss: Tensor) -> None:
     """Propagate adjoints from a scalar loss to every contributing tensor.
 
-    Accumulates into `.grad`; callers zero parameter grads between steps.
+    Accumulates into the `.grad` of the leaves (parameters and inputs that
+    require grad); callers zero parameter grads between steps. The sweep
+    consumes the graph: once a node's backward has run, the node drops its
+    adjoint, its parents and its closure, so each activation and adjoint is
+    freed as soon as nothing upstream needs it. A graph runs backward once:
+    a later `backward` that reaches a consumed node raises ValueError before
+    any adjoint moves.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward: loss must be a 1x1 scalar tensor, got shape {loss.data.shape}")
@@ -231,6 +246,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _spent:
+            _spent(node.grad)  # before any adjoint moves, so no grad is half accumulated
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -238,6 +255,10 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones((1, 1))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()  # the list lets go of each node as the sweep passes it
+        if node._backward is None:
+            continue  # a leaf keeps its grad
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._parents, node._backward = None, (), _spent

@@ -56,9 +56,14 @@ def check_video_size(num_frames: int, stage_dims: Sequence[int]) -> None:
                          f"a video of {num_frames} frames at stage_dims {tuple(stage_dims)}")
 
 
+# the lowest signal-to-noise ratio: the noise std 1/snr stays a million times
+# below the float32 maximum, so a feature many sigmas out still fits float32
+MIN_SNR = 1e-30
+
+
 def check_snr(snr: float | None) -> None:
-    if snr is not None and not snr > 0:
-        raise ValueError("snr must be positive (or None for noiseless)")
+    if snr is not None and not snr >= MIN_SNR:
+        raise ValueError(f"snr must be positive (at least {MIN_SNR:g}, or None for noiseless), got {snr}")
 
 
 @dataclass

@@ -199,7 +199,13 @@ def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
 
 
 def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
-    """Normalize each frame to zero mean / unit variance, then apply gamma/beta."""
+    """Normalize each frame to zero mean / unit variance, then apply gamma/beta.
+
+    The tape keeps only each frame's mean and inverse deviation, (..., T, 1);
+    the backward recomputes the normalized input from them with the
+    forward's own ops, so it gets the forward's bits without holding a
+    (..., T, d) copy.
+    """
     _require_seq(x, "layer_norm")
     d = x.data.shape[-1]
     if a.gamma.data.shape[0] != d:
@@ -208,10 +214,10 @@ def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
     centered = x.data - mu
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.eps)
-    xhat = centered * inv
-    out = xhat * a.gamma.data + a.beta.data
+    out = centered * inv * a.gamma.data + a.beta.data
 
     def backward(g):
+        xhat = (x.data - mu) * inv
         _accumulate_videos(a.beta, _videos(g).sum(axis=1))
         _accumulate_videos(a.gamma, _videos(g * xhat).sum(axis=1))
         if x.requires_grad:

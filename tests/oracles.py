@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive (plain loops, no autodiff, no sharing
 with the package internals) so the tests check the real code against an
-independent derivation.
+independent derivation. `traced_peak` measures the memory tests' peaks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -164,3 +165,14 @@ def accumulate_clip_scores(clip_ranges, clip_scores, parent_len):
         for i, f in enumerate(range(start, end)):
             total[f] += scores[i]
     return total
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

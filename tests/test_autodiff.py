@@ -182,6 +182,37 @@ class TestBackwardContract:
         backward(sum_all(x))
         np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
 
+    def test_backward_consumes_interior_nodes_and_leaves_keep_grads(self):
+        rng = np.random.default_rng(9)
+        a, b = rnd(rng, 3, 2), rnd(rng, 3, 2)
+        c = Tensor(rng.standard_normal((3, 2)))
+        interior = [add(a, b)]
+        interior.append(l2_normalize_rows(mul(interior[0], c)))
+        interior.append(time_smooth(interior[1], 5.0))
+        interior.append(sum_all(interior[2]))
+        closures = [node._backward for node in interior]
+        backward(interior[-1])
+        for node, closure in zip(interior, closures):
+            assert node.grad is None and node._parents == ()
+            assert node._backward is not closure
+        for leaf in (a, b):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+        assert c.grad is None
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        # without the check the second loss would silently get no adjoint
+        # past the shared node
+        rng = np.random.default_rng(10)
+        a = rnd(rng, 3, 2)
+        shared = mul(a, Tensor(rng.standard_normal((3, 2))))
+        first, second = sum_all(shared), sum_all(scale(shared, 2.0))
+        backward(first)
+        grad = a.grad.copy()
+        for loss in (second, first):
+            with pytest.raises(ValueError, match="consumed by an earlier backward"):
+                backward(loss)
+        np.testing.assert_array_equal(a.grad, grad)  # raised before any adjoint moved
+
 
 class TestTapeRule:
     """Only a node that requires grad keeps its parents and backward."""

@@ -114,7 +114,8 @@ class TestSynth:
         (["--snr", "nan"], "snr must be positive"),
         (["--num-videos", "-1"], "num_videos must be >= 1"),
         (["--num-videos", "0"], "num_videos must be >= 1"),
-        (["--snr", "1e-320"], "not finite as float32"),  # noise std 1/snr is inf
+        (["--snr", "1e-320"], "snr must be positive (at least 1e-30"),  # below data.MIN_SNR
+        (["--snr", "1e-40"], "snr must be positive (at least 1e-30"),  # noise std 1/snr past float32
         (["--fps", "1e-320"], "fps must be finite and positive"),  # below data.MIN_FPS
         (["--min-gap-seconds=-inf"], "duration and gap must be finite"),
     ])
@@ -124,6 +125,7 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(cli.ERROR_PREFIX)
         assert message in err
+        assert not (tmp_path / "x").exists()
 
     def test_annotation_fps_matches(self, tmp_path):
         out = synth_small(tmp_path, n=2)

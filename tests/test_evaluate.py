@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from gebd.evaluate import (
     rel_dis_error,
     write_report_csv,
 )
-from oracles import brute_force_max_matching
+from oracles import brute_force_max_matching, traced_peak
 
 
 class TestRelDisError:
@@ -105,12 +104,7 @@ class TestMatchDetections:
         rng = np.random.default_rng(5)
         dets = list(rng.uniform(0, 100, size=5000))
         gts = list(rng.uniform(0, 100, size=5000))
-        tracemalloc.start()
-        try:
-            pairs = match_detections(dets, gts, 0.05, 100.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        pairs, peak = traced_peak(match_detections, dets, gts, 0.05, 100.0)
         assert len(pairs) > 4000
         assert peak < 16_000_000, peak
 

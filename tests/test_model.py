@@ -28,6 +28,7 @@ from gebd.model import (
     stack_videos,
 )
 from gebd.nn import gelu, layer_norm, random_params
+from oracles import traced_peak
 
 
 TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2)
@@ -254,12 +255,7 @@ def test_whole_video_forward_memory_per_frame(tmp_path):
     t = 18000
     rng = np.random.default_rng(17)
     video = VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)])
-    tracemalloc.start()
-    try:
-        scores = model_forward(video, model)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    scores, peak = traced_peak(model_forward, video, model)
     assert len(scores.scores) == t
     assert peak < 8_000 * t, peak / t
 
@@ -275,12 +271,7 @@ def test_feature_file_forward_memory_per_frame(tmp_path):
     t = 18000
     rng = np.random.default_rng(18)
     save_features(tmp_path / "long.gebf", VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)]))
-    tracemalloc.start()
-    try:
-        scores = model_forward(load_features(tmp_path / "long.gebf", fps=5.0), model)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    scores, peak = traced_peak(lambda: model_forward(load_features(tmp_path / "long.gebf", fps=5.0), model))
     assert len(scores.scores) == t
     assert peak < 3_500 * t, peak / t
 

@@ -1,7 +1,6 @@
 """Gaussian smoothing, peak picking, and clip-score merging."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from gebd.postprocess import (
     smoothing_taps,
     smoothing_window,
 )
-from oracles import accumulate_clip_scores, loop_pick_peaks
+from oracles import accumulate_clip_scores, loop_pick_peaks, traced_peak
 
 
 def scores_of(values, fps=5.0, video_id="v", smoothed=False):
@@ -168,13 +167,7 @@ def test_whole_video_postprocess_memory_linear_in_frames():
     t_len, fps = 6000, 30.0
     x = np.random.default_rng(6).uniform(0, 1, size=t_len)
     s = scores_of(x, fps=fps)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        pick_peaks(gaussian_smooth(s))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: pick_peaks(gaussian_smooth(s)))
     assert peak < 32 * t_len * 8
 
 

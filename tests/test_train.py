@@ -16,10 +16,12 @@ from gebd.train import (
     adam_step,
     bce_loss,
     lr_schedule,
+    _minibatch_gradients,
     train,
     write_loss_curve,
 )
 from gradcheck import check_op_gradients
+from oracles import traced_peak
 
 
 TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2)
@@ -262,6 +264,24 @@ class TestGradientOfLossThroughModel:
         worst = spot_check_model_gradients(build_loss, params, rng,
                                            coords_per_param=1, tol=1e-3)
         assert worst < 1e-3
+
+
+@pytest.mark.parametrize("t", [50, 200])
+def test_step_memory_per_batch_frame(t):
+    # Backward frees each activation and adjoint once nothing upstream needs
+    # it, so a bench-size step (B=8, four 32-dim stages, d_out 64) peaks at
+    # about 52 KB per batch frame at both lengths: linear in T. A backward
+    # that held the whole tape and every adjoint to its end peaked at ~101 KB.
+    config = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
+    dataset = []
+    for i in range(8):
+        video, ann = synth_video(60 + i, t, 5.0, config.stage_dims, [0.5 * t / 5.0], snr=1.0)
+        dataset.append((video, frame_labels(ann, t, 5.0, 1)))
+    model = GebdModel.build(config, seed=0)
+    batch = np.arange(8)
+    _minibatch_gradients(dataset, batch, model, True, 0)  # warm: first-call imports stay out of the peak
+    _, peak = traced_peak(_minibatch_gradients, dataset, batch, model, True, 1)
+    assert peak < 60_000 * 8 * t, peak / (8 * t)
 
 
 def test_write_loss_curve(tmp_path):
