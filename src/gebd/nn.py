@@ -12,12 +12,20 @@ tap j of a width 2m+1 kernel multiplies frame t + dilation*j;
 The `init_*` constructors take a `ParamSource`, `new(shape, kind) -> array`,
 called once per parameter in field order with kind the field name
 ("weights", "bias", "gamma", "beta"): `random_params` draws a fresh model,
-a checkpoint reader returns the stored blocks.
+a checkpoint reader returns the stored blocks. A source returns a finite
+array that nothing else holds (`random_params` draws one, the reader
+rejects a non-finite block and names it), so the constructors wrap it as a
+parameter without a second finiteness scan or a copy.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +39,9 @@ ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 # Python floats, not NumPy float64 scalars, so float32 inputs stay float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_ERF_MODULE = "scipy.special._special_ufuncs"
+_ERF_LOCK = threading.Lock()
 
 
 @dataclass
@@ -232,10 +243,40 @@ def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
     return Tensor(out, parents=(x, a.gamma, a.beta), backward=backward, validate=False)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    from scipy.special import erf  # here, so that importing gebd does not load scipy
+def _scipy_dir() -> str:
+    """The installed scipy package's directory, found without importing it."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise RuntimeError("GELU needs scipy's erf, and scipy is not installed")
+    return spec.submodule_search_locations[0]
 
+
+@functools.cache
+def _scipy_erf() -> np.ufunc:
+    """scipy's erf ufunc, the very object `scipy.special.erf` re-exports, so
+    GELU keeps its bits. It is loaded from its own compiled module, without
+    running `scipy.special`'s package init, whose array-API layer imports
+    numpy.f2py, numpy.testing, numpy.ma and numpy.random."""
+    scipy_dir = _scipy_dir()
+    spec = importlib.machinery.PathFinder.find_spec(_ERF_MODULE, [os.path.join(scipy_dir, "special")])
+    if spec is None:
+        from importlib.metadata import version  # only to name the install in the error
+
+        raise RuntimeError(
+            f"GELU needs scipy's compiled erf ({_ERF_MODULE}), which scipy "
+            f"{version('scipy')} at {scipy_dir} lacks; install scipy>=1.17"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.erf
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact Gaussian-CDF GELU: x * Phi(x), with Phi from scipy's erf.
+    Importing gebd loads nothing of scipy; the first GELU of a process loads
+    the erf module (`_scipy_erf`)."""
+    with _ERF_LOCK:  # threads that make the first GELU call together share one load
+        erf = _scipy_erf()
     phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
     def backward(g):
@@ -280,11 +321,15 @@ def random_params(rng: np.random.Generator) -> ParamSource:
     return new
 
 
+def _param(new: ParamSource, shape: tuple[int, ...], kind: str) -> Tensor:
+    return Tensor(new(shape, kind), requires_grad=True, validate=False)
+
+
 def init_conv1d(new: ParamSource, in_channels: int, out_channels: int,
                 width: int, dilation: int = 1) -> Conv1dKernel:
     return Conv1dKernel(
-        Tensor(new((out_channels, in_channels, width), "weights"), requires_grad=True),
-        Tensor(new((out_channels,), "bias"), requires_grad=True),
+        _param(new, (out_channels, in_channels, width), "weights"),
+        _param(new, (out_channels,), "bias"),
         dilation,
     )
 
@@ -292,16 +337,16 @@ def init_conv1d(new: ParamSource, in_channels: int, out_channels: int,
 def init_depthwise(new: ParamSource, channels: int, width: int,
                    dilation: int = 1) -> DepthwiseKernel:
     return DepthwiseKernel(
-        Tensor(new((channels, width), "weights"), requires_grad=True),
-        Tensor(new((channels,), "bias"), requires_grad=True),
+        _param(new, (channels, width), "weights"),
+        _param(new, (channels,), "bias"),
         dilation,
     )
 
 
 def init_layer_norm(new: ParamSource, channels: int, eps: float = 1e-5) -> LayerNormAffine:
     return LayerNormAffine(
-        Tensor(new((channels,), "gamma"), requires_grad=True),
-        Tensor(new((channels,), "beta"), requires_grad=True),
+        _param(new, (channels,), "gamma"),
+        _param(new, (channels,), "beta"),
         eps,
     )
 

@@ -44,6 +44,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def fresh_python(code):
+    """stdout lines of `code` run in a new interpreter that imports gebd from this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    return out.stdout.splitlines()
+
+
 def synth_small(tmp_path, n=4, seed=0, extra=()):
     out = tmp_path / "data"
     code = run(["synth", "--out", str(out), "--num-videos", str(n),
@@ -421,6 +430,78 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith(cli.ERROR_PREFIX)
         assert "clip_seconds > overlap_seconds" in err
+
+    def test_gelu_and_infer_load_scipys_erf_module_alone(self, tmp_path):
+        # GELU takes erf from scipy's compiled ufunc module, without the
+        # scipy.special package init; two threads that make the first GELU
+        # call together share one load and get the same bits
+        data = synth_small(tmp_path, n=2)
+        ckpt = tmp_path / "m.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4), seed=0))
+        race = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from gebd import nn\n"
+            "from gebd.autodiff import Tensor\n"
+            "x = Tensor(np.random.default_rng(0).standard_normal((64, 8)))\n"
+            "barrier, outs = threading.Barrier(2), [None, None]\n"
+            "def first_gelu(i):\n"
+            "    barrier.wait()\n"
+            "    outs[i] = nn.gelu(x).data\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=first_gelu, args=(i,)) for i in range(2)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(60)\n"
+            "print('alive:', any(t.is_alive() for t in threads))\n"
+            "print('same bits:', outs[0] is not None and np.array_equal(outs[0], outs[1]))\n"
+            "print('loads:', nn._scipy_erf.cache_info().misses)\n"
+            "print('scipy.special loaded:', 'scipy.special' in sys.modules)\n"
+        )
+        assert fresh_python(race) == ["alive: False", "same bits: True", "loads: 1",
+                                      "scipy.special loaded: False"]
+        infer = (
+            "import sys, gebd.cli\n"
+            f"code = gebd.cli.main(['infer', '--checkpoint', {str(ckpt)!r}, '--features', {str(data)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}, '--fps', '5'])\n"
+            "print('exit:', code)\n"
+            "print('scipy.special loaded:', 'scipy.special' in sys.modules)\n"
+        )
+        assert fresh_python(infer)[-2:] == ["exit: 0", "scipy.special loaded: False"]
+        assert len(list((tmp_path / "out" / "detections").glob("*.json"))) == 2
+
+    def test_missing_erf_module_clean_error(self, tmp_path, capsys, monkeypatch):
+        from importlib.metadata import version
+
+        from gebd import nn
+
+        data = synth_small(tmp_path, n=1)
+        ckpt = tmp_path / "m.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4), seed=0))
+        bare = tmp_path / "scipy"
+        bare.mkdir()
+        monkeypatch.setattr(nn, "_scipy_dir", lambda: str(bare))
+        nn._scipy_erf.cache_clear()
+        code = run(["infer", "--checkpoint", str(ckpt), "--features", str(data),
+                    "--out", str(tmp_path / "out"), "--fps", "5"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(cli.ERROR_PREFIX), lines
+        assert f"scipy {version('scipy')} at {bare}" in lines[0]
+
+    def test_non_finite_checkpoint_clean_error(self, tmp_path, capsys):
+        # the reader's scan is the one finiteness check of a checkpoint block
+        data = synth_small(tmp_path, n=1)
+        ckpt = tmp_path / "nan.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4), seed=0))
+        raw = bytearray(ckpt.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))
+        ckpt.write_bytes(bytes(raw))
+        code = run(["infer", "--checkpoint", str(ckpt), "--features", str(data),
+                    "--out", str(tmp_path / "out"), "--fps", "5"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(cli.ERROR_PREFIX), lines
+        assert f"non-finite values in bias block at offset {len(raw) - 4}" in lines[0]
 
 
 class TestEval:

@@ -6,6 +6,7 @@ import pytest
 
 from gebd.autodiff import Tensor, seq_tensor
 from gebd.nn import (
+    _scipy_erf,
     Conv1dKernel,
     DepthwiseKernel,
     LayerNormAffine,
@@ -223,6 +224,15 @@ class TestGelu:
 
     def test_at_one(self):
         assert gelu(Tensor([[1.0]])).data[0, 0] == pytest.approx(0.841345, abs=1e-5)
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_erf_is_scipys_bit_for_bit(self, dtype, bits):
+        from scipy.special import erf
+
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 5.9, -5.9, 6.0, -6.0, 27.0, -27.0,
+                 np.inf, -np.inf, np.nan]  # +-1 is the branch point
+        x = np.concatenate([edges, np.random.default_rng(0).standard_normal(4096) * 3]).astype(dtype)
+        assert np.array_equal(_scipy_erf()(x).view(bits), erf(x).view(bits))
 
 
 class TestSigmoid:
