@@ -142,9 +142,12 @@ def load_features(path: str | Path, fps: float, video_id: str | None = None) -> 
     """Read a feature file; fps travels with annotations, so callers supply it.
 
     Each stage is a read-only float32 view of the file bytes, not a copy.
+    The bytes are read into memory, not mapped as `load_checkpoint` maps a
+    checkpoint: training holds every video's stages for the whole run, and a
+    mapping would hold one file descriptor per video while any view lives.
     """
     path = Path(path)
-    reader = BlockReader(path, FEATURE_MAGIC, FEATURE_VERSION)
+    reader = BlockReader(path.read_bytes(), path, FEATURE_MAGIC, FEATURE_VERSION)
     t = reader.u32("frame count")
     if t < 1:
         raise ValueError(f"{path}: frame count must be >= 1 at offset 8")

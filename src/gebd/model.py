@@ -42,7 +42,7 @@ from .nn import (
 )
 from .postprocess import BoundaryScores
 from .tps import TpsParams, init_tps, tps_forward
-from .util import BlockReader, write_blocks
+from .util import BlockReader, map_read_only, write_blocks
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
@@ -231,10 +231,13 @@ def save_checkpoint(path: str | Path, model: GebdModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> GebdModel:
-    """An inference model: every parameter is a read-only float32 view into
-    the file bytes with requires_grad False, so its forward runs in float32
-    and keeps no tape. `train` rejects it; train a built model instead."""
-    reader = BlockReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    """An inference model: every parameter is a read-only float32 view into a
+    read-only mapping of the file (`util.map_read_only`), not into a copy,
+    with requires_grad False, so its forward runs in float32 and keeps no
+    tape. The model holds the mapping's one file descriptor until it is
+    dropped; replace a checkpoint it reads by rename (as `save_checkpoint`
+    does), never in place. `train` rejects it; train a built model instead."""
+    reader = BlockReader(map_read_only(path), path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     num_stages = reader.u32("stage count")
     dims = tuple(reader.u32(f"stage {k} dim") for k in range(num_stages))
     sizes = {name: reader.u32(name) for name in _SIZE_FIELDS}

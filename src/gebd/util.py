@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write a file via a temp file in the same directory plus rename."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces `path` (a temp file in the same directory
+    plus rename) when the block exits normally. If the block raises, the temp
+    file is removed and `path` is left untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -31,7 +36,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_writer(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def write_blocks(path: str | Path, magic: bytes, header: Sequence[int],
@@ -39,27 +45,45 @@ def write_blocks(path: str | Path, magic: bytes, header: Sequence[int],
     """Write the container `BlockReader` reads: magic, the u32 header fields
     (version first), then each block as row-major little-endian f32.
 
-    A block that is not finite as f32 (a NaN or inf, or a finite value past
-    the f32 range) is a ValueError and nothing is written: `BlockReader`
-    would reject the file."""
-    parts = [magic, struct.pack(f"<{len(header)}I", *header)]
-    for i, b in enumerate(blocks):
-        with np.errstate(over="ignore"):
-            f32 = np.ascontiguousarray(b, dtype="<f4")
-        if not np.all(np.isfinite(f32)):
-            raise ValueError(f"{path}: block {i} holds values that are not finite as float32")
-        parts.append(f32.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    Each block is written as soon as it is checked, so a save holds at most
+    one block's f32 cast, never the whole file. A block that is not finite as
+    f32 (a NaN or inf, or a finite value past the f32 range) is a ValueError
+    and `path` is left untouched: `BlockReader` would reject the file."""
+    with atomic_writer(path) as f:
+        f.write(magic + struct.pack(f"<{len(header)}I", *header))
+        for i, b in enumerate(blocks):
+            with np.errstate(over="ignore"):
+                f32 = np.ascontiguousarray(b, dtype="<f4")
+            if not np.all(np.isfinite(f32)):
+                raise ValueError(f"{path}: block {i} holds values that are not finite as float32")
+            f.write(f32)
+
+
+def map_read_only(path: str | Path) -> bytes | mmap.mmap:
+    """The contents of the file at `path` as a read-only shared mapping of
+    the page cache, not a copy; an empty file, which cannot be mapped, is b"".
+    The mapping holds one file descriptor until it is dropped. It sees later
+    writes to the same file, and a read past an end truncated since raises
+    SIGBUS, so a mapped file is replaced by rename, never rewritten in place."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 class BlockReader:
-    """Reader of the GEBF/GEBW container: magic, u32 version, u32 header
+    """Reader of the GEBF/GEBW container in `raw`, the bytes of the file at
+    `path` (which names it in messages): magic, u32 version, u32 header
     fields, f32 blocks, nothing after them. Each read checks that it fits in
-    the file before it allocates, and names the field and offset if not."""
+    `raw` before it allocates, and names the field and offset if not.
 
-    def __init__(self, path: str | Path, magic: bytes, version: int):
+    `raw` is `bytes` or a read-only mapping (`map_read_only`), and each block
+    is a view into it: a mapping stays open, with its file descriptor, while
+    any block lives."""
+
+    def __init__(self, raw: bytes | mmap.mmap, path: str | Path, magic: bytes, version: int):
         self.path = Path(path)
-        self.raw = self.path.read_bytes()
+        self.raw = raw
         if self.raw[0:4] != magic:
             raise ValueError(f"{self.path}: bad magic at offset 0, expected {magic!r}")
         self.offset = 4
@@ -77,8 +101,8 @@ class BlockReader:
 
     def f32(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """The next block as a read-only little-endian float32 view of `shape`
-        into the file bytes (no copy); rejects a block that does not fit in
-        the file or holds non-finite values."""
+        into `raw` (no copy); rejects a block that does not fit in the file
+        or holds non-finite values."""
         count = math.prod(shape)
         have = len(self.raw) - self.offset
         if 4 * count > have:

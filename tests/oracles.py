@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive (plain loops, no autodiff, no sharing
 with the package internals) so the tests check the real code against an
-independent derivation. `traced_peak` measures the memory tests' peaks.
+independent derivation. `traced_peak` measures the memory tests' peaks, and
+`open_descriptors` counts the process's open file descriptors.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 
 def naive_conv1d(x, weights, bias, dilation):
@@ -176,3 +179,11 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def open_descriptors() -> int:
+    """The number of this process's open file descriptors; skips the test
+    where /proc/self/fd does not exist."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open file descriptors")
+    return len(os.listdir("/proc/self/fd"))

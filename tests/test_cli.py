@@ -503,6 +503,30 @@ class TestInfer:
         assert len(lines) == 1 and lines[0].startswith(cli.ERROR_PREFIX), lines
         assert f"non-finite values in bias block at offset {len(raw) - 4}" in lines[0]
 
+    @pytest.mark.parametrize("name, raw, message", [
+        ("empty", b"", "bad magic at offset 0"),
+        ("short", b"GEB", "bad magic at offset 0"),
+        ("header-only", b"GEBW" + struct.pack("<12I", 1, 4, 6, 6, 6, 6, 4, 3, 8, 4, 5, 7),
+         "truncated weights block at offset 52: need 432 bytes, have 0"),
+        ("directory", None, "Is a directory"),
+        ("missing", None, "No such file or directory"),
+    ], ids=["empty", "short", "header-only", "directory", "missing"])
+    def test_empty_short_or_unreadable_checkpoint_clean_error(self, tmp_path, capsys, name, raw, message):
+        # an empty file cannot be mapped, so the loader checks its size
+        # first and these keep the reader's own messages
+        data = synth_small(tmp_path, n=1)
+        ckpt = tmp_path / "m.gebw"
+        if name == "directory":
+            ckpt.mkdir()
+        elif raw is not None:
+            ckpt.write_bytes(raw)
+        code = run(["infer", "--checkpoint", str(ckpt), "--features", str(data),
+                    "--out", str(tmp_path / "out"), "--fps", "5"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(cli.ERROR_PREFIX), lines
+        assert message in lines[0]
+
 
 class TestEval:
     def write_perfect_detections(self, tmp_path, data):

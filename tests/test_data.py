@@ -16,6 +16,7 @@ from gebd.data import (
     split_clips,
     synth_video,
 )
+from oracles import open_descriptors
 
 
 class TestFeatureFiles:
@@ -39,6 +40,16 @@ class TestFeatureFiles:
             assert stage.dtype == np.float32
             assert not stage.flags.writeable
             assert not stage.flags.owndata
+
+    def test_load_leaves_no_descriptor_open(self, tmp_path):
+        # the file is read into bytes, not mapped: training holds every
+        # video's stages, and a mapping would hold a descriptor per video
+        path = tmp_path / "v.gebf"
+        save_features(path, self.make_video())
+        before = open_descriptors()
+        video = load_features(path, fps=5.0)
+        assert open_descriptors() == before
+        assert video.num_frames == 12
 
     def test_synth_and_list_input_become_float64(self):
         video, _ = synth_video(0, 10, 5.0, (3, 4), [1.0])

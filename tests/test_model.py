@@ -27,7 +27,7 @@ from gebd.model import (
     stack_videos,
 )
 from gebd.nn import gelu, layer_norm, random_params
-from oracles import traced_peak
+from oracles import open_descriptors, traced_peak
 
 gelu(seq_tensor(np.zeros((1, 1))))  # loads GELU's erf here, so the memory tests keep its first-call load out of their peaks
 
@@ -36,6 +36,8 @@ TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2
 NO_DEPTHWISE = ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12,
                            d_head=6, neighbor_radius=3, fuse_distances=False, use_depthwise=False)
 BENCH = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
+# a 3.9 MB checkpoint whose largest block is 0.8 MB
+FEW_MB = ModelConfig(stage_dims=(96, 96, 96, 96), d_out=128, d_head=64, neighbor_radius=2)
 # every size field drawn off its default; the flags take all eight settings
 OFF_DEFAULT_CONFIGS = st.builds(
     ModelConfig,
@@ -394,6 +396,46 @@ class TestCheckpoint:
         again = load_checkpoint(path)
         stages = tiny_stages(11)
         np.testing.assert_array_equal(loaded.forward(stages).data, again.forward(stages).data)
+
+    def test_save_holds_about_one_block(self, tmp_path):
+        # each block is cast, checked and written in turn; joining every
+        # block's bytes before the write held about twice the file
+        model = GebdModel.build(FEW_MB, seed=21)
+        largest = max(p.data.size for _, p in model.parameters()) * 4
+        _, peak = traced_peak(save_checkpoint, tmp_path / "m.gebw", model)
+        size = (tmp_path / "m.gebw").stat().st_size
+        assert largest < size / 4
+        assert peak < 1.5 * largest, (peak, largest, size)
+
+    def test_load_copies_nothing(self, tmp_path):
+        # the parameters are views into a mapping of the file; the largest
+        # allocation is the finiteness scan's bool temporary of one block
+        path = tmp_path / "m.gebw"
+        save_checkpoint(path, GebdModel.build(FEW_MB, seed=22))
+        size = path.stat().st_size
+        _, peak = traced_peak(load_checkpoint, path)
+        assert peak < size / 8, (peak, size)
+
+    def test_loaded_model_holds_one_descriptor_until_dropped(self, tmp_path):
+        path = tmp_path / "m.gebw"
+        save_checkpoint(path, GebdModel.build(TINY, seed=23))
+        before = open_descriptors()
+        loaded = load_checkpoint(path)
+        assert open_descriptors() == before + 1
+        del loaded
+        assert open_descriptors() == before
+
+    def test_replacing_a_loaded_checkpoint_leaves_its_model_unchanged(self, tmp_path):
+        # save_checkpoint renames a new file over the path, so the mapping
+        # a loaded model reads keeps the old file's bytes
+        path = tmp_path / "m.gebw"
+        save_checkpoint(path, GebdModel.build(TINY, seed=24))
+        loaded = load_checkpoint(path)
+        stages = tiny_stages(24)
+        before = loaded.forward(stages).data.copy()
+        save_checkpoint(path, GebdModel.build(TINY, seed=25))
+        np.testing.assert_array_equal(loaded.forward(stages).data, before)
+        assert not np.array_equal(load_checkpoint(path).forward(stages).data, before)
 
     def test_truncation_and_magic_errors(self, tmp_path):
         model = GebdModel.build(TINY, seed=12)
