@@ -91,6 +91,7 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         data_mod.check_fps(self.fps)  # before the model's radius is derived from it
+        worker_count()  # the environment's GEBD_THREADS, so `infer` rejects it before reading a file
         self.model_config()
         data_mod.check_video_size(self.frames, self.stage_dims)
         data_mod.check_snr(self.snr)
@@ -197,19 +198,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")
     # every video's boundaries first, so a gap that does not fit fails before the directory is made
+    video_ids = [f"video{i:05d}" for i in range(cfg.num_videos)]
     all_times = []
-    for i in range(cfg.num_videos):
+    for i, video_id in enumerate(video_ids):
         bound_rng = np.random.default_rng((cfg.seed + i, 1))
         count = int(bound_rng.integers(cfg.min_boundaries, cfg.max_boundaries + 1))
-        all_times.append(data_mod.random_boundary_times(bound_rng, cfg.frames / cfg.fps, count,
-                                                        cfg.min_gap_seconds))
+        try:
+            all_times.append(data_mod.random_boundary_times(bound_rng, cfg.frames / cfg.fps, count,
+                                                            cfg.min_gap_seconds))
+        except ValueError as e:
+            raise ValueError(f"{video_id}: min_gap_seconds: {e}") from None
     out.mkdir(parents=True, exist_ok=True)
     annotations, entries = [], []
-    for i, times in enumerate(all_times):
+    for i, (video_id, times) in enumerate(zip(video_ids, all_times)):
         video_seed = cfg.seed + i
         video, ann = data_mod.synth_video(
             video_seed, cfg.frames, cfg.fps, cfg.stage_dims, times,
-            snr=cfg.snr, video_id=f"video{i:05d}",
+            snr=cfg.snr, video_id=video_id,
         )
         filename = f"{video.video_id}.gebf"
         data_mod.save_features(out / filename, video)

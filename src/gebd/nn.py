@@ -1,5 +1,5 @@
 """Neural building blocks: dilated 1D convolutions, layer norm, GELU, sigmoid,
-and the conv -> layer norm -> GELU block built from them.
+and the one block built from them, [depthwise ->] conv -> layer norm -> GELU.
 
 All operate on T x d sequence tensors or B x T x d batches of equal-length
 videos (frames on axis -2, channels on axis -1, one code path for both),
@@ -7,7 +7,9 @@ preserve the frame count ("same" length, zero padding outside each video),
 and are differentiable through the autodiff graph. Each parameter adjoint
 is computed per video and folded onto `grad` in batch order. Convolution
 tap j of a width 2m+1 kernel multiplies frame t + dilation*j;
-`weights[..., j + m]` holds that tap.
+`weights[..., j + m]` holds that tap. One rule says which taps run, in the
+forward and in both gradients: a tap with |dilation*j| >= T reads only
+padding and is skipped (`_tap_loop`), so no buffer grows with a dilation.
 
 The `init_*` constructors take a `ParamSource`, `new(shape, kind) -> array`,
 called once per parameter in field order with kind the field name
@@ -27,7 +29,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -45,65 +47,47 @@ _ERF_LOCK = threading.Lock()
 
 
 @dataclass
-class Conv1dKernel:
-    """Dense 1D convolution: weights (out_channels, in_channels, width), odd width."""
+class _Kernel:
+    """Weights with their leading axis over output channels and taps on the
+    last, odd-width axis; one bias per leading channel; dilation >= 1."""
 
+    ndim: ClassVar[int]
+    kind: ClassVar[str]
     weights: Tensor
     bias: Tensor
     dilation: int = 1
 
     def __post_init__(self):
-        if self.weights.data.ndim != 3:
-            raise ValueError(f"conv weights must be 3-D, got shape {self.weights.data.shape}")
-        out_ch, _, width = self.weights.data.shape
-        if width % 2 != 1:
-            raise ValueError(f"conv width must be odd, got {width}")
-        if self.bias.data.shape != (out_ch,):
-            raise ValueError(f"conv bias shape {self.bias.data.shape} does not match {out_ch} outputs")
+        shape = self.weights.data.shape
+        if len(shape) != self.ndim:
+            raise ValueError(f"{self.kind} weights must be {self.ndim}-D, got shape {shape}")
+        if shape[-1] % 2 != 1:
+            raise ValueError(f"{self.kind} width must be odd, got {shape[-1]}")
+        if self.bias.data.shape != shape[:1]:
+            raise ValueError(f"{self.kind} bias shape {self.bias.data.shape} does not match {shape[0]} channels")
         if int(self.dilation) < 1:
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
         self.dilation = int(self.dilation)
 
     @property
-    def out_channels(self) -> int:
-        return self.weights.data.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.data.shape[1]
-
-    @property
     def width(self) -> int:
-        return self.weights.data.shape[2]
+        return self.weights.data.shape[-1]
 
 
 @dataclass
-class DepthwiseKernel:
-    """Per-channel 1D convolution: weights (channels, width), odd width."""
+class Conv1dKernel(_Kernel):
+    """Dense 1D convolution: weights (out_channels, in_channels, width)."""
 
-    weights: Tensor
-    bias: Tensor
-    dilation: int = 1
+    ndim = 3
+    kind = "conv"
 
-    def __post_init__(self):
-        if self.weights.data.ndim != 2:
-            raise ValueError(f"depthwise weights must be 2-D, got shape {self.weights.data.shape}")
-        ch, width = self.weights.data.shape
-        if width % 2 != 1:
-            raise ValueError(f"depthwise width must be odd, got {width}")
-        if self.bias.data.shape != (ch,):
-            raise ValueError(f"depthwise bias shape {self.bias.data.shape} does not match {ch} channels")
-        if int(self.dilation) < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        self.dilation = int(self.dilation)
 
-    @property
-    def channels(self) -> int:
-        return self.weights.data.shape[0]
+@dataclass
+class DepthwiseKernel(_Kernel):
+    """Per-channel 1D convolution: weights (channels, width)."""
 
-    @property
-    def width(self) -> int:
-        return self.weights.data.shape[1]
+    ndim = 2
+    kind = "depthwise"
 
 
 @dataclass
@@ -123,10 +107,16 @@ class LayerNormAffine:
 
 @dataclass
 class ConvBlock:
-    """Conv -> layer norm -> GELU: the TPS branches, the merge and the decoder."""
+    """[depthwise ->] conv -> layer norm -> GELU: the TPS branches, the merge
+    and the decoder. Only a dilated TPS branch has the depthwise front."""
 
+    depthwise: DepthwiseKernel | None
     conv: Conv1dKernel
     norm: LayerNormAffine
+
+    @property
+    def dilation(self) -> int:
+        return self.conv.dilation
 
 
 def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
@@ -137,59 +127,60 @@ def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
     out[..., lo:hi, :] += y[..., lo + offset:hi + offset, :]
 
 
-def _tap_loop(x: Tensor, weights: Tensor, bias: Tensor, dilation: int,
-              forward, weight_grad, input_grad) -> Tensor:
+def _tap_loop(name: str, x: Tensor, k: _Kernel, forward, weight_grad, input_grad) -> Tensor:
     """Tap loop of both convolutions: tap `tap` reads frame t + dilation*(tap - m)
-    with weights `weights[..., tap]`. The kernel supplies the per-tap products:
-    forward(v, w_tap) and input_grad(g, w_tap) on the whole (batched) value,
-    weight_grad(g, sx) on one video's (T, channels) slices.
+    with weights `weights[..., tap]`, whose next-to-last axis is over the
+    input channels. The kernel supplies the per-tap products: forward(v, w_tap)
+    and input_grad(g, w_tap) on the whole (batched) value, weight_grad(g, sx)
+    on one video's (T, channels) slices.
 
-    The forward and the input gradient read their input in place: each tap's
-    product is taken on the unshifted value and added into the rows of the
-    result it lands on (`_add_rows`), and a tap that reaches past both ends
-    of the video adds nothing. Only the weight gradient, whose reduction
-    over T fixes its bits, reads the input shifted with zeros past the ends:
-    the backward copies one video at a time into a buffer with dilation*m
-    zero rows on each side and takes each tap's T rows as a slice of it.
-    Neither the forward nor the tape holds a shifted or padded copy."""
-    w = weights.data
-    width = w.shape[-1]
-    m = width // 2
+    One tap rule: a tap whose offset reaches past both ends of the video
+    (|offset| >= T) reads only zero padding, so the forward, the input
+    gradient and the weight gradient all skip it, and its weight gradient
+    is an exact zero. The forward and the input gradient read their input
+    in place: each tap's product is taken on the unshifted value and added
+    into the rows of the result it lands on (`_add_rows`). The weight
+    gradient, whose reduction over T fixes its bits, reads the input shifted
+    with zeros past the ends: the backward copies one video at a time into a
+    buffer padded by the largest reaching offset (at most T-1 rows) on each
+    side and takes each tap's T rows as a slice of it. Neither the forward
+    nor the tape holds a shifted or padded copy."""
+    _require_seq(x, name)
+    w = k.weights.data
+    if x.data.shape[-1] != w.shape[-2]:
+        raise ValueError(f"{name}: input has {x.data.shape[-1]} channels, kernel expects {w.shape[-2]}")
+    m = w.shape[-1] // 2
     t = x.data.shape[-2]
-    offsets = [dilation * (tap - m) for tap in range(width)]
-    reaching = [(tap, off) for tap, off in enumerate(offsets) if abs(off) < t]
-    out = np.tile(bias.data, x.data.shape[:-1] + (1,))
+    reaching = [(tap, off) for tap in range(w.shape[-1]) if abs(off := k.dilation * (tap - m)) < t]
+    out = np.tile(k.bias.data, x.data.shape[:-1] + (1,))
     for tap, off in reaching:
         _add_rows(out, forward(x.data, w[..., tap]), off)
 
     def backward(g):
-        if weights.requires_grad:
-            pad = dilation * m
+        if k.weights.requires_grad:
+            pad = max(abs(off) for _, off in reaching)
             xp = np.zeros((t + 2 * pad, x.data.shape[-1]), dtype=x.data.dtype)
             for gv, xv in zip(_videos(g), _videos(x.data)):
                 xp[pad:pad + t] = xv  # the zero rows past both ends stay zero
-                dw = np.empty_like(w)
-                for tap, off in enumerate(offsets):
+                dw = np.zeros_like(w)
+                for tap, off in reaching:
                     dw[..., tap] = weight_grad(gv, xp[pad + off:pad + off + t])
-                _accumulate(weights, dw)  # per video, in batch order
+                _accumulate(k.weights, dw)  # per video, in batch order
                 del dw  # free it before the next video's: one weight-sized array at a time
-        _accumulate_videos(bias, _videos(g).sum(axis=1))
+        _accumulate_videos(k.bias, _videos(g).sum(axis=1))
         if x.requires_grad:
             dx = np.zeros_like(x.data)
             for tap, off in reaching:
                 _add_rows(dx, input_grad(g, w[..., tap]), -off)
             _accumulate(x, dx)
 
-    return Tensor(out, parents=(x, weights, bias), backward=backward, validate=False)
+    return Tensor(out, parents=(x, k.weights, k.bias), backward=backward, validate=False)
 
 
 def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
     """Dilated 1D convolution with zero padding, output (..., T, out_channels)."""
-    _require_seq(x, "conv1d")
-    if x.data.shape[-1] != k.in_channels:
-        raise ValueError(f"conv1d: input has {x.data.shape[-1]} channels, kernel expects {k.in_channels}")
     return _tap_loop(
-        x, k.weights, k.bias, k.dilation,
+        "conv1d", x, k,
         forward=lambda v, w: v @ w.T,
         weight_grad=lambda g, sx: g.T @ sx,
         input_grad=lambda g, w: g @ w,
@@ -198,11 +189,8 @@ def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
 
 def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
     """Per-channel dilated 1D convolution; channel c depends only on channel c."""
-    _require_seq(x, "depthwise_conv1d")
-    if x.data.shape[-1] != k.channels:
-        raise ValueError(f"depthwise_conv1d: input has {x.data.shape[-1]} channels, kernel expects {k.channels}")
     return _tap_loop(
-        x, k.weights, k.bias, k.dilation,
+        "depthwise_conv1d", x, k,
         forward=lambda v, w: v * w,
         weight_grad=lambda g, sx: (g * sx).sum(axis=0),
         input_grad=lambda g, w: g * w,
@@ -287,8 +275,9 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def conv_block(x: Tensor, block: ConvBlock) -> Tensor:
-    """gelu(layer_norm(conv1d(x))). Any block with `conv` and `norm` fields
-    runs here, a TPS branch after its depthwise front included."""
+    """gelu(layer_norm(conv1d([depthwise_conv1d](x))))."""
+    if block.depthwise is not None:
+        x = depthwise_conv1d(x, block.depthwise)  # rebound, so the `del` below frees it after the conv
     y = conv1d(x, block.conv)
     del x  # an input no tape or caller holds is freed before the norm and GELU run
     return gelu(layer_norm(y, block.norm))
@@ -353,5 +342,6 @@ def init_layer_norm(new: ParamSource, channels: int, eps: float = 1e-5) -> Layer
 
 def init_conv_block(new: ParamSource, in_channels: int, out_channels: int,
                     width: int, dilation: int = 1) -> ConvBlock:
-    return ConvBlock(init_conv1d(new, in_channels, out_channels, width, dilation),
+    """A block without a depthwise front (`tps.init_branch` builds the one with it)."""
+    return ConvBlock(None, init_conv1d(new, in_channels, out_channels, width, dilation),
                      init_layer_norm(new, out_channels))

@@ -5,6 +5,10 @@ them into one T x d_out sequence per stage and overall.
 
 Every constructor and forward reads the structure (sizes, neighbor radius
 and switches) from the `ModelConfig` it takes; none restates any of it.
+A branch is an `nn.ConvBlock`, run by `nn.conv_block` like the merge and
+the decoder; `init_branch` alone decides which branches get a depthwise
+front. A branch dilated past a video's length keeps only its center tap
+there, in the forward and in both gradients (`nn._tap_loop`).
 
 Every function takes a (T, d) video or a (B, T, d) batch of equal-length
 videos (frames on axis -2, channels on axis -1) and returns the same
@@ -31,15 +35,13 @@ from .autodiff import (
 from .nn import (
     Conv1dKernel,
     ConvBlock,
-    DepthwiseKernel,
-    LayerNormAffine,
     ParamSource,
     conv1d,
     conv_block,
-    depthwise_conv1d,
     init_conv1d,
     init_conv_block,
     init_depthwise,
+    init_layer_norm,
 )
 
 if TYPE_CHECKING:  # model imports this module
@@ -49,28 +51,13 @@ NORMALIZE_EPS = 1e-12
 
 
 @dataclass
-class TpsBranchParams:
-    """One dilation-rate view: optional width-3 depthwise front, then a width-3
-    dilated conv block (`conv_block` runs its conv and norm). Depthwise is
-    present only for dilation > 1."""
-
-    depthwise: DepthwiseKernel | None
-    conv: Conv1dKernel
-    norm: LayerNormAffine
-
-    @property
-    def dilation(self) -> int:
-        return self.conv.dilation
-
-
-@dataclass
 class TpsStageParams:
     """Branches plus the two width-1 projections of one feature stage:
     `compress` maps concatenated branch outputs back to the stage width
     (the comprehensive view), `fuse` maps the concatenated per-view
     features to d_out."""
 
-    branches: list[TpsBranchParams]
+    branches: list[ConvBlock]
     compress: Conv1dKernel
     fuse: Conv1dKernel
 
@@ -81,12 +68,6 @@ class TpsParams:
 
     stages: list[TpsStageParams]
     merge: ConvBlock
-
-
-def branch_forward(x: Tensor, branch: TpsBranchParams) -> Tensor:
-    """[depthwise if dilated] -> conv -> layer norm -> gelu; shape preserved."""
-    # the depthwise output is passed unnamed, so `conv_block` can free it after the conv
-    return conv_block(x if branch.depthwise is None else depthwise_conv1d(x, branch.depthwise), branch)
 
 
 def residual_normalize(f: Tensor, x: Tensor) -> Tensor:
@@ -168,7 +149,7 @@ def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tens
     the views themselves are concatenated instead (the alternative reading
     of the fusion input).
     """
-    branch_outputs = [branch_forward(x, b) for b in stage.branches]
+    branch_outputs = [conv_block(x, b) for b in stage.branches]
     if config.use_residual:
         views = [residual_normalize(f, x) for f in branch_outputs]
     else:
@@ -186,10 +167,12 @@ def tps_forward(stage_inputs: list[Tensor], params: TpsParams, config: ModelConf
     return conv_block(concat_channels(per_stage), params.merge)
 
 
-def init_branch(new: ParamSource, channels: int, dilation: int, use_depthwise: bool) -> TpsBranchParams:
+def init_branch(new: ParamSource, channels: int, dilation: int, use_depthwise: bool) -> ConvBlock:
+    """One dilation-rate view: a width-3 dilated conv block, after a width-3
+    depthwise front only when dilated and `use_depthwise`."""
     depthwise = init_depthwise(new, channels, width=3) if dilation > 1 and use_depthwise else None
-    block = init_conv_block(new, channels, channels, width=3, dilation=dilation)
-    return TpsBranchParams(depthwise, block.conv, block.norm)
+    return ConvBlock(depthwise, init_conv1d(new, channels, channels, width=3, dilation=dilation),
+                     init_layer_norm(new, channels))
 
 
 def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStageParams:

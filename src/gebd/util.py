@@ -8,7 +8,6 @@ import math
 import mmap
 import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
@@ -19,10 +18,12 @@ import numpy as np
 def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file that replaces `path` (a temp file in the same directory
     plus rename) when the block exits normally. If the block raises, the temp
-    file is removed and `path` is left untouched."""
+    file is removed and `path` is left untouched. The temp file is created
+    with mode 0666 less the process umask, as `open` would create `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             yield f
@@ -169,8 +170,11 @@ def worker_count() -> int:
     """Worker cap of `infer`'s pool over file groups; GEBD_THREADS overrides."""
     env = os.environ.get("GEBD_THREADS")
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0  # not an integer: the same error as a count below 1
         if n < 1:
-            raise ValueError("GEBD_THREADS must be >= 1")
+            raise ValueError(f"GEBD_THREADS must be an integer >= 1, got {env!r}")
         return n
     return min(8, os.cpu_count() or 1)

@@ -22,9 +22,9 @@ from gebd.model import (
     save_checkpoint,
     sd_forward,
 )
-from gebd.nn import conv1d, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
+from gebd.nn import conv1d, conv_block, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
-from gebd.tps import branch_forward, similarity_vector, stage_forward, tps_forward
+from gebd.tps import similarity_vector, stage_forward, tps_forward
 from gebd.train import TrainConfig, bce_loss, train
 from gradcheck import check_op_gradients, directional_check, mul, spot_check_model_gradients, sum_all
 from oracles import accumulate_clip_scores, brute_force_max_matching, naive_conv1d, naive_depthwise_conv1d
@@ -177,9 +177,9 @@ def test_criterion_3_architecture_conformance():
         checks.append(dilations == [1, 2, 4, 8])
         for br in stage.branches:
             checks.append((br.depthwise is not None) == (br.dilation > 1))
-            out = branch_forward(x, br)
+            out = conv_block(x, br)
             checks.append(out.data.shape == (t_len, d_k))  # Output size T x d_k
-        view = l2_normalize_rows(branch_forward(x, stage.branches[0]), 1e-12)
+        view = l2_normalize_rows(conv_block(x, stage.branches[0]), 1e-12)
         dist = similarity_vector([view], config.neighbor_radius)
         checks.append(dist.data.shape == (t_len, 2 * config.neighbor_radius))
         stage_out = stage_forward(x, stage, config)

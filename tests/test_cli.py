@@ -127,6 +127,7 @@ class TestSynth:
         (["--snr", "1e-40"], "snr must be positive (at least 1e-30"),  # noise std 1/snr past float32
         (["--fps", "1e-320"], "fps must be finite and positive"),  # below data.MIN_FPS
         (["--min-gap-seconds=-inf"], "duration and gap must be finite"),
+        (["--min-gap-seconds", "5"], "video00000: min_gap_seconds: cannot fit"),  # 6 s videos
     ])
     def test_nan_or_non_positive_settings_rejected(self, tmp_path, capsys, flags, message):
         code = run(["synth", "--out", str(tmp_path / "x"), "--num-videos", "1", *SMALL, *flags])
@@ -882,6 +883,21 @@ class TestWorkerCount:
             worker_count()
         monkeypatch.delenv("GEBD_THREADS")
         assert worker_count() >= 1
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_value_fails_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("infer loaded the checkpoint before checking GEBD_THREADS")
+
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        monkeypatch.setenv("GEBD_THREADS", value)
+        out = tmp_path / "out"
+        code = run(["infer", "--checkpoint", str(tmp_path / "m.gebw"), "--features", str(tmp_path / "f"),
+                    "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX) and "GEBD_THREADS" in err[0], err
+        assert not out.exists()
 
 
 class TestTrainSmokeTiming:

@@ -281,8 +281,10 @@ def test_random_config_file_resolves_or_value_error(work, lines, junk):
 # Flag values by RunConfig field type. Sizes stay small: the argv fuzz looks
 # for values the CLI mishandles, not for requests that are merely big. The
 # exceptions are the sizes the memory budget bounds, which also draw sizes
-# far past physical memory; a large num_videos, epochs, batch_size,
-# decoder_blocks or branch_count would run for real.
+# far past physical memory, and the block counts: decoder_blocks and
+# branch_count also draw 24 and 40, whose dilations (up to 2^40) reach past
+# every 12-frame video of the corpus, so no buffer may be sized from a
+# dilation. A large num_videos, epochs or batch_size would run for real.
 SMALL_INTS = ["-1", "0", "1", "2", "3", "12"]
 HUGE_SIZES = ["1000000000000", str(2 ** 32)]
 ARGV_VALUES = {
@@ -298,6 +300,8 @@ ARGV_VALUES = {
 ARGV_VALUES["seed"] = st.sampled_from(["-1", "0", "7", str(2 ** 64)])
 for name in ("frames", "d_out", "d_head"):
     ARGV_VALUES[name] = st.sampled_from(SMALL_INTS + HUGE_SIZES)
+for name in ("branch_count", "decoder_blocks"):
+    ARGV_VALUES[name] = st.sampled_from(SMALL_INTS + ["24", "40"])
 FIELD_TYPES = {f.name: f.type for f in fields(cli.RunConfig)}
 
 

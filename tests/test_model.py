@@ -1,6 +1,8 @@
 """Decoder, head, full model forward, and checkpoint round trips."""
 
 import hashlib
+import os
+import stat
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gebd.autodiff import seq_tensor
-from gebd.data import VideoFeatures, load_features, save_features, split_clips
+from gebd.data import Annotation, VideoFeatures, load_features, save_annotations, save_features, split_clips
 from gebd.model import (
     GebdModel,
     ModelConfig,
@@ -62,6 +64,14 @@ GOLDEN_CHECKPOINTS = [
     (NO_DEPTHWISE, 7, "b749266f9b79b33938028044ac86d9fa0101f1316efc6f01619af7652b3f1aef"),
     (BENCH, 0, "e00d1c4c5e2244193ebf1ba4fe92491565978ad909d6dda6298a9dd7a525ce08"),
     (BENCH, 7, "9d3089410bd34802ded025c154e6aa23205196b90b7b856a673ac538c6a702a9"),
+]
+
+# sha256 of the newline-joined `parameters()` paths of each GOLDEN_CHECKPOINTS
+# config: the names a divergence error prints, which the bytes do not pin.
+GOLDEN_PATHS = [
+    (TINY, "77a2545b7494d926f7ea7bcc96d19e9e02f793b3bc3b7e652878b3a3ae64a3bd"),
+    (NO_DEPTHWISE, "59a1793db86e438c471f29332ec1cd14228d053bd2c316836d4166b0d87dad02"),
+    (BENCH, "77a2545b7494d926f7ea7bcc96d19e9e02f793b3bc3b7e652878b3a3ae64a3bd"),
 ]
 
 
@@ -329,6 +339,25 @@ class TestCheckpoint:
         path = tmp_path / "m.gebw"
         save_checkpoint(path, GebdModel.build(cfg, seed=seed))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg, digest", GOLDEN_PATHS, ids=["tiny", "no_depthwise", "bench"])
+    def test_parameter_paths_pinned(self, cfg, digest):
+        paths = "\n".join(name for name, _ in GebdModel.build(cfg, seed=0).parameters())
+        assert hashlib.sha256(paths.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        model = GebdModel.build(TINY, seed=0)
+        video = VideoFeatures("v", 2.0, tiny_stages(0))
+        old = os.umask(umask)
+        try:
+            save_checkpoint(tmp_path / "m.gebw", model)
+            save_features(tmp_path / "v.gebf", video)
+            save_annotations(tmp_path / "a.json", [Annotation("v", 6.0, (3.0,), 2.0)])
+        finally:
+            os.umask(old)
+        for name in ("m.gebw", "v.gebf", "a.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         path = tmp_path / "m.gebw"

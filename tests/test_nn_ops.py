@@ -4,7 +4,7 @@ finite-difference gradients."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, seq_tensor
+from gebd.autodiff import Tensor, backward, seq_tensor
 from gebd.nn import (
     _scipy_erf,
     Conv1dKernel,
@@ -179,6 +179,18 @@ class TestTapsPastTheEnds:
         k = make_depthwise(rng, 3, width, dilation)
         w = Tensor(rng.uniform(-1, 1, size=(t, 3)))
         check_op_gradients(lambda: sum_all(mul(depthwise_conv1d(x, k), w)), [x, k.weights, k.bias])
+
+    @pytest.mark.parametrize("t, width, dilation", PAST_THE_ENDS)
+    def test_taps_past_both_ends_get_exact_zero_weight_gradients(self, t, width, dilation):
+        rng = np.random.default_rng(100 + t)
+        x = seq_tensor(rng.uniform(-2, 2, size=(2, t, 3)))
+        far = [tap for tap in range(width) if abs(dilation * (tap - width // 2)) >= t]
+        assert far
+        for op, k in ((conv1d, make_conv(rng, 3, 2, width, dilation)),
+                      (depthwise_conv1d, make_depthwise(rng, 3, width, dilation))):
+            backward(sum_all(op(x, k)))
+            assert not k.weights.grad[..., far].any()
+            assert k.weights.grad[..., width // 2].all()
 
 
 class TestLayerNorm:

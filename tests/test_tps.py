@@ -6,9 +6,8 @@ import pytest
 
 from gebd.autodiff import Tensor, backward, seq_tensor
 from gebd.model import ModelConfig
-from gebd.nn import Conv1dKernel, random_params
+from gebd.nn import Conv1dKernel, conv_block, random_params
 from gebd.tps import (
-    branch_forward,
     comprehensive_rep,
     init_branch,
     init_stage,
@@ -43,13 +42,13 @@ class TestBranchStructure:
         rng = np.random.default_rng(1)
         x = seq_tensor(rng.standard_normal((11, 6)))
         for r in (1, 2, 4, 8):
-            out = branch_forward(x, init_branch(random_params(rng), 6, r, True))
+            out = conv_block(x, init_branch(random_params(rng), 6, r, True))
             assert out.data.shape == (11, 6)
 
     def test_zero_input_zero_params_gives_zero(self):
         # with zero biases and beta=0: norm(0)=0, gelu(0)=0
         br = init_branch(random_params(np.random.default_rng(2)), 4, 2, True)
-        out = branch_forward(seq_tensor(np.zeros((6, 4))), br)
+        out = conv_block(seq_tensor(np.zeros((6, 4))), br)
         np.testing.assert_allclose(out.data, np.zeros((6, 4)), atol=1e-15)
 
 

@@ -284,6 +284,26 @@ def test_step_memory_per_batch_frame(t):
     assert peak < 60_000 * 8 * t, peak / (8 * t)
 
 
+def test_step_memory_does_not_grow_with_dilation():
+    # Decoder block i has dilation 2^(i+1), so at 18 blocks most taps reach
+    # past both ends of a T=50 video. Those taps read only padding and are
+    # skipped, so the weight gradient pads by at most T-1 rows: the step peaks
+    # at about 1.3 MB with 3 blocks and 1.8 MB with 18. A pad of dilation
+    # rows per side would peak at 34 MB with 18.
+    peaks = []
+    for blocks in (3, 18):
+        config = ModelConfig(stage_dims=(8, 8, 8, 8), decoder_blocks=blocks, d_out=8, d_head=8)
+        dataset = []
+        for i in range(2):
+            video, ann = synth_video(60 + i, 50, 5.0, config.stage_dims, [5.0], snr=1.0)
+            dataset.append((video, frame_labels(ann, 50, 5.0, 1)))
+        model = GebdModel.build(config, seed=0)
+        batch = np.arange(2)
+        _minibatch_gradients(dataset, batch, model, True, 0)  # warm: first-call imports stay out of the peak
+        peaks.append(traced_peak(_minibatch_gradients, dataset, batch, model, True, 1)[1])
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
 def test_write_loss_curve(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_curve(path, [(0, 0.0, 0.7), (1, 2e-4, 0.65)])
