@@ -8,6 +8,10 @@ video of a batch gets the bits it would get alone. A parameter's adjoint is
 computed per video and folded onto its `grad` one video at a time, in batch
 order (`_accumulate_videos`): that is the order in which the tapes of
 separate per-video forwards add into it, so batching keeps gradient bits.
+A fold adds in place only into a grad array that an earlier fold allocated
+(or that an op handed over as its own, `owned`); a grad that a caller set,
+or an adjoint that a backward also hands to another parent (`add`), is
+never written, so the first fold onto it makes a fresh sum.
 Values are float32 when the input is float32 and float64 otherwise; every
 op of the model forward keeps float32 inputs in float32.
 
@@ -32,6 +36,7 @@ built it.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,7 +53,7 @@ def _as_value(data) -> np.ndarray:
 class Tensor:
     """Immutable array plus the bookkeeping needed for reverse mode."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_grad_owned", "requires_grad", "_parents", "_backward")
 
     def __init__(
         self,
@@ -72,6 +77,15 @@ class Tensor:
         # only a node that can receive an adjoint keeps the tape
         self._parents = tuple(parents) if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        # an array set from outside may be held elsewhere: folds never write it
+        self._grad, self._grad_owned = g, False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,12 +116,23 @@ def seq_tensor(data, requires_grad: bool = False) -> Tensor:
     return t
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> bool:
+    """t.grad + g, with the bits and dtype of that sum. It is added in place
+    into a grad that an earlier fold allocated; `owned` says that g is an
+    array the caller allocated and holds alone, so it may become such a grad
+    itself. Returns whether g became the grad."""
     if not t.requires_grad:
-        return
+        return False
     if g.shape != t.data.shape:
         raise ValueError(f"adjoint shape {g.shape} does not match value shape {t.data.shape}")
-    t.grad = g if t.grad is None else t.grad + g
+    if t._grad is None:
+        t._grad, t._grad_owned = g, owned
+        return True
+    if t._grad_owned and np.result_type(t._grad, g) == t._grad.dtype:
+        np.add(t._grad, g, out=t._grad)
+    else:
+        t._grad, t._grad_owned = t._grad + g, True
+    return False
 
 
 def _videos(a: np.ndarray) -> np.ndarray:
@@ -127,16 +152,25 @@ def _require_seq(x: Tensor, what: str) -> None:
         raise ValueError(f"{what}: expected a (T, d) or (B, T, d) sequence tensor, got shape {x.data.shape}")
 
 
+def _sum(terms: Sequence[Tensor], what: str) -> np.ndarray:
+    """The elementwise sum of equally shaped tensors: the value of `add`,
+    and what `l2_normalize_rows`' node rebuilds in its backward."""
+    if any(t.data.shape != terms[0].data.shape for t in terms):
+        raise ValueError(f"{what}: shape mismatch {' vs '.join(str(t.data.shape) for t in terms)}")
+    total = terms[0].data
+    for t in terms[1:]:
+        total = total + t.data
+    return total
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two equally shaped tensors."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
 
     def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return Tensor(a.data + b.data, parents=(a, b), backward=backward, validate=False)
+    return Tensor(_sum((a, b), "add"), parents=(a, b), backward=backward, validate=False)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -149,41 +183,62 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data * c, parents=(x,), backward=backward, validate=False)
 
 
+def _channel_slices(parts: Sequence[Tensor], what: str) -> list[slice]:
+    """The channel columns of each part in the concatenation of `parts`:
+    sequence tensors that share their frames, concatenated in order."""
+    if not parts:
+        raise ValueError(f"{what}: empty part list")
+    for p in parts:
+        _require_seq(p, what)
+    rows = parts[0].data.shape[:-1]
+    if any(p.data.shape[:-1] != rows for p in parts):
+        raise ValueError(f"{what}: all parts must share the frame count")
+    ends = list(accumulate(p.data.shape[-1] for p in parts))
+    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def _concat(parts: Sequence[Tensor]) -> np.ndarray:
+    """The concatenated value of `parts` (a lone part's own array)."""
+    return parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=-1)
+
+
+def _split(parts: Sequence[Tensor], slices: Sequence[slice], g: np.ndarray) -> None:
+    """Hand each part its channel columns of the concatenation's adjoint."""
+    for p, cols in zip(parts, slices):
+        _accumulate(p, g[..., cols])
+
+
 def concat_channels(parts: Iterable[Tensor]) -> Tensor:
     """Concatenate sequence tensors along the channel axis, order preserved."""
     parts = list(parts)
-    if not parts:
-        raise ValueError("concat_channels: empty part list")
-    for p in parts:
-        _require_seq(p, "concat_channels")
-    rows = parts[0].data.shape[:-1]
-    if any(p.data.shape[:-1] != rows for p in parts):
-        raise ValueError("concat_channels: all parts must share the frame count")
-    widths = [p.data.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
-
-    def backward(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[..., off:off + w])
-            off += w
-
-    return Tensor(out, parents=tuple(parts), backward=backward, validate=False)
+    slices = _channel_slices(parts, "concat_channels")
+    return Tensor(_concat(parts), parents=tuple(parts), backward=lambda g: _split(parts, slices, g), validate=False)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Divide each row by sqrt(|row|^2 + eps^2); zero rows map to zero."""
+    return _normalized_sum([x], eps, "l2_normalize_rows")
+
+
+def _normalized_sum(terms: Sequence[Tensor], eps: float, what: str) -> Tensor:
+    """l2_normalize_rows of the sum of `terms` (`_sum`) as one node. It keeps
+    the terms and the row norms, not the sum: its backward rebuilds the sum
+    with the forward's own adds, so it gets the forward's bits, and hands
+    the sum's adjoint to every term, as `add` does."""
     if eps <= 0:
-        raise ValueError("l2_normalize_rows: eps must be positive")
-    _require_seq(x, "l2_normalize_rows")
-    norms = np.sqrt((x.data ** 2).sum(axis=-1) + eps * eps)[..., None]
+        raise ValueError(f"{what}: eps must be positive")
+    _require_seq(terms[0], what)
+    total = _sum(terms, what)
+    norms = np.sqrt((total ** 2).sum(axis=-1) + eps * eps)[..., None]
 
     def backward(g):
-        dot = (g * x.data).sum(axis=-1)[..., None]
-        dx = g / norms - x.data * (dot / norms ** 3)
-        _accumulate(x, dx)
+        total = _sum(terms, what)
+        dot = (g * total).sum(axis=-1)[..., None]
+        dsum = g / norms - total * (dot / norms ** 3)
+        for t in terms:
+            _accumulate(t, dsum)
 
-    return Tensor(x.data / norms, parents=(x,), backward=backward, validate=False)
+    return Tensor(total / norms, parents=tuple(terms), backward=backward, validate=False)
 
 
 def fold_sum(parts: Iterable[Tensor]) -> Tensor:

@@ -5,11 +5,20 @@ All operate on T x d sequence tensors or B x T x d batches of equal-length
 videos (frames on axis -2, channels on axis -1, one code path for both),
 preserve the frame count ("same" length, zero padding outside each video),
 and are differentiable through the autodiff graph. Each parameter adjoint
-is computed per video and folded onto `grad` in batch order. Convolution
+is computed per video and folded onto `grad` in batch order; a conv
+weight's grad is a tap-major (width, ...) array, exposed as its
+(..., width) view, that later videos are added into in place. Convolution
 tap j of a width 2m+1 kernel multiplies frame t + dilation*j;
 `weights[..., j + m]` holds that tap. One rule says which taps run, in the
 forward and in both gradients: a tap with |dilation*j| >= T reads only
 padding and is skipped (`_tap_loop`), so no buffer grows with a dilation.
+
+The tape keeps what a backward cannot rebuild for less than a GEMM, with
+the forward's own ops and so with its bits. A block's layer norm and GELU
+are one node (`_norm_gelu`) that keeps the conv output, each frame's mean
+and inverse deviation and the GELU's Gaussian CDF, not the normalized
+output. A conv over several inputs side by side (`_conv1d_parts`) keeps
+them, not their concatenation.
 
 The `init_*` constructors take a `ParamSource`, `new(shape, kind) -> array`,
 called once per parameter in field order with kind the field name
@@ -33,7 +42,16 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, _accumulate_videos, _require_seq, _videos
+from .autodiff import (
+    Tensor,
+    _accumulate,
+    _accumulate_videos,
+    _channel_slices,
+    _concat,
+    _require_seq,
+    _split,
+    _videos,
+)
 from .util import check_fits_in_memory
 
 ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
@@ -127,72 +145,100 @@ def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
     out[..., lo:hi, :] += y[..., lo + offset:hi + offset, :]
 
 
-def _tap_loop(name: str, x: Tensor, k: _Kernel, forward, weight_grad, input_grad) -> Tensor:
-    """Tap loop of both convolutions: tap `tap` reads frame t + dilation*(tap - m)
+def _tap_loop(name: str, parts: list[Tensor], k: _Kernel, forward, weight_grad, input_grad) -> Tensor:
+    """Tap loop of both convolutions over the channel concatenation of
+    `parts` (one part: its input): tap `tap` reads frame t + dilation*(tap - m)
     with weights `weights[..., tap]`, whose next-to-last axis is over the
     input channels. The kernel supplies the per-tap products: forward(v, w_tap)
-    and input_grad(g, w_tap) on the whole (batched) value, weight_grad(g, sx)
-    on one video's (T, channels) slices.
+    and input_grad(g, w_tap) on the whole (batched) value, and
+    weight_grad(g, sx, out) on one video's (T, channels) slices, written
+    into `out`.
 
     One tap rule: a tap whose offset reaches past both ends of the video
     (|offset| >= T) reads only zero padding, so the forward, the input
     gradient and the weight gradient all skip it, and its weight gradient
     is an exact zero. The forward and the input gradient read their input
     in place: each tap's product is taken on the unshifted value and added
-    into the rows of the result it lands on (`_add_rows`). The weight
-    gradient, whose reduction over T fixes its bits, reads the input shifted
-    with zeros past the ends: the backward copies one video at a time into a
+    into the rows of the result it lands on (`_add_rows`). The tape keeps
+    the parts, not their concatenation, which lives only through the
+    forward. The weight gradient, whose reduction over T fixes its bits,
+    reads the input shifted with zeros past the ends: the backward copies
+    one video at a time, part by part into its channel columns, into a
     buffer padded by the largest reaching offset (at most T-1 rows) on each
-    side and takes each tap's T rows as a slice of it. Neither the forward
-    nor the tape holds a shifted or padded copy."""
-    _require_seq(x, name)
+    side and takes each tap's T rows as a slice of it.
+
+    The weight gradient is tap-major: each video's taps are written into
+    the contiguous slots of a (width, ...) array of the weights' dtype (so
+    a float32 weight gets each video's gradient rounded before the fold),
+    and the weights' grad is its (..., width) view. The first video's array
+    becomes the grad when there is none yet; each later video (and each
+    later run of a minibatch) is added onto the grad in place (`_accumulate`),
+    in batch order, through one reused scratch array."""
+    slices = _channel_slices(parts, name)
     w = k.weights.data
-    if x.data.shape[-1] != w.shape[-2]:
-        raise ValueError(f"{name}: input has {x.data.shape[-1]} channels, kernel expects {w.shape[-2]}")
+    if slices[-1].stop != w.shape[-2]:
+        raise ValueError(f"{name}: input has {slices[-1].stop} channels, kernel expects {w.shape[-2]}")
     m = w.shape[-1] // 2
-    t = x.data.shape[-2]
+    shape = parts[0].data.shape[:-1] + (slices[-1].stop,)
+    t = shape[-2]
     reaching = [(tap, off) for tap in range(w.shape[-1]) if abs(off := k.dilation * (tap - m)) < t]
-    out = np.tile(k.bias.data, x.data.shape[:-1] + (1,))
+    v = _concat(parts)
+    out = np.tile(k.bias.data, shape[:-1] + (1,))
     for tap, off in reaching:
-        _add_rows(out, forward(x.data, w[..., tap]), off)
+        _add_rows(out, forward(v, w[..., tap]), off)
+    dtype = v.dtype
+    del v
 
     def backward(g):
         if k.weights.requires_grad:
             pad = max(abs(off) for _, off in reaching)
-            xp = np.zeros((t + 2 * pad, x.data.shape[-1]), dtype=x.data.dtype)
-            for gv, xv in zip(_videos(g), _videos(x.data)):
-                xp[pad:pad + t] = xv  # the zero rows past both ends stay zero
-                dw = np.zeros_like(w)
+            xp = np.zeros((t + 2 * pad, shape[-1]), dtype=dtype)
+            dw = None
+            for b, gv in enumerate(_videos(g)):
+                for p, cols in zip(parts, slices):
+                    xp[pad:pad + t, cols] = _videos(p.data)[b]  # the zero rows past both ends stay zero
+                if dw is None:  # zeros: the taps that reach nothing stay exact zeros
+                    dw = np.zeros((w.shape[-1],) + w.shape[:-1], dtype=w.dtype)
                 for tap, off in reaching:
-                    dw[..., tap] = weight_grad(gv, xp[pad + off:pad + off + t])
-                _accumulate(k.weights, dw)  # per video, in batch order
-                del dw  # free it before the next video's: one weight-sized array at a time
+                    weight_grad(gv, xp[pad + off:pad + off + t], dw[tap])
+                if _accumulate(k.weights, np.moveaxis(dw, 0, -1), owned=True):  # per video, in batch order
+                    dw = None  # it is the grad now: a later video takes a new scratch
         _accumulate_videos(k.bias, _videos(g).sum(axis=1))
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
+        if any(p.requires_grad for p in parts):
+            dx = np.zeros(shape, dtype=dtype)
             for tap, off in reaching:
                 _add_rows(dx, input_grad(g, w[..., tap]), -off)
-            _accumulate(x, dx)
+            _split(parts, slices, dx)
 
-    return Tensor(out, parents=(x, k.weights, k.bias), backward=backward, validate=False)
+    return Tensor(out, parents=(*parts, k.weights, k.bias), backward=backward, validate=False)
+
+
+_DENSE = dict(
+    forward=lambda v, w: v @ w.T,
+    weight_grad=lambda g, sx, out: np.matmul(g.T, sx, out=out),
+    input_grad=lambda g, w: g @ w,
+)
 
 
 def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
     """Dilated 1D convolution with zero padding, output (..., T, out_channels)."""
-    return _tap_loop(
-        "conv1d", x, k,
-        forward=lambda v, w: v @ w.T,
-        weight_grad=lambda g, sx: g.T @ sx,
-        input_grad=lambda g, w: g @ w,
-    )
+    return _tap_loop("conv1d", [x], k, **_DENSE)
+
+
+def _conv1d_parts(parts: list[Tensor], k: Conv1dKernel) -> Tensor:
+    """conv1d of the channel concatenation of `parts`, keeping the parts on
+    the tape instead of the concatenation; a lone part is plain `conv1d`."""
+    if len(parts) == 1:
+        return conv1d(parts[0], k)
+    return _tap_loop("conv1d", parts, k, **_DENSE)
 
 
 def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
     """Per-channel dilated 1D convolution; channel c depends only on channel c."""
     return _tap_loop(
-        "depthwise_conv1d", x, k,
+        "depthwise_conv1d", [x], k,
         forward=lambda v, w: v * w,
-        weight_grad=lambda g, sx: (g * sx).sum(axis=0),
+        weight_grad=lambda g, sx, out: np.copyto(out, (g * sx).sum(axis=0)),
         input_grad=lambda g, w: g * w,
     )
 
@@ -205,6 +251,16 @@ def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
     forward's own ops, so it gets the forward's bits without holding a
     (..., T, d) copy.
     """
+    out, mu, inv = _norm_values(x, a)
+
+    def backward(g):
+        _norm_backward(g, x, a, (x.data - mu) * inv, inv)
+
+    return Tensor(out, parents=(x, a.gamma, a.beta), backward=backward, validate=False)
+
+
+def _norm_values(x: Tensor, a: LayerNormAffine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """layer_norm's output with each frame's mean and inverse deviation."""
     _require_seq(x, "layer_norm")
     d = x.data.shape[-1]
     if a.gamma.data.shape[0] != d:
@@ -213,22 +269,26 @@ def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
     centered = x.data - mu
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.eps)
-    out = centered * inv * a.gamma.data + a.beta.data
+    return _affine(centered * inv, a), mu, inv
 
-    def backward(g):
-        xhat = (x.data - mu) * inv
-        _accumulate_videos(a.beta, _videos(g).sum(axis=1))
-        _accumulate_videos(a.gamma, _videos(g * xhat).sum(axis=1))
-        if x.requires_grad:
-            dxhat = g * a.gamma.data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            _accumulate(x, dx)
 
-    return Tensor(out, parents=(x, a.gamma, a.beta), backward=backward, validate=False)
+def _affine(xhat: np.ndarray, a: LayerNormAffine) -> np.ndarray:
+    return xhat * a.gamma.data + a.beta.data
+
+
+def _norm_backward(g: np.ndarray, x: Tensor, a: LayerNormAffine, xhat: np.ndarray, inv: np.ndarray) -> None:
+    """Push layer_norm's output adjoint `g` to gamma, beta and the input x,
+    given the normalized input and the inverse deviations."""
+    _accumulate_videos(a.beta, _videos(g).sum(axis=1))
+    _accumulate_videos(a.gamma, _videos(g * xhat).sum(axis=1))
+    if x.requires_grad:
+        dxhat = g * a.gamma.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        _accumulate(x, dx)
 
 
 def _scipy_dir() -> str:
@@ -263,24 +323,59 @@ def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x), with Phi from scipy's erf.
     Importing gebd loads nothing of scipy; the first GELU of a process loads
     the erf module (`_scipy_erf`)."""
-    with _ERF_LOCK:  # threads that make the first GELU call together share one load
-        erf = _scipy_erf()
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    phi_cdf = _phi(x.data)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data ** 2) * _INV_SQRT_2PI
-        _accumulate(x, g * (phi_cdf + x.data * pdf))
+        _accumulate(x, _gelu_adjoint(g, x.data, phi_cdf))
 
     return Tensor(x.data * phi_cdf, parents=(x,), backward=backward, validate=False)
 
 
+def _phi(v: np.ndarray) -> np.ndarray:
+    """The Gaussian CDF of every entry: GELU(v) is v * _phi(v)."""
+    with _ERF_LOCK:  # threads that make the first GELU call together share one load
+        erf = _scipy_erf()
+    return 0.5 * (1.0 + erf(v * _INV_SQRT2))
+
+
+def _gelu_adjoint(g: np.ndarray, v: np.ndarray, phi_cdf: np.ndarray) -> np.ndarray:
+    """The adjoint of GELU's input v, given its output adjoint and _phi(v)."""
+    pdf = np.exp(-0.5 * v ** 2) * _INV_SQRT_2PI
+    return g * (phi_cdf + v * pdf)
+
+
+def _norm_gelu(y: Tensor, a: LayerNormAffine) -> Tensor:
+    """gelu(layer_norm(y, a)) as one node. The tape keeps y, each frame's
+    mean and inverse deviation, and the normalized output's Gaussian CDF,
+    not the normalized output: the backward rebuilds it with the forward's
+    own ops (`_affine`), so both gradients get the bits of the two nodes."""
+    z, mu, inv = _norm_values(y, a)
+    phi_cdf = _phi(z)
+    out = z * phi_cdf
+    del z  # freed before the next op runs, in training and in inference
+
+    def backward(g):
+        xhat = (y.data - mu) * inv
+        _norm_backward(_gelu_adjoint(g, _affine(xhat, a), phi_cdf), y, a, xhat, inv)
+
+    return Tensor(out, parents=(y, a.gamma, a.beta), backward=backward, validate=False)
+
+
 def conv_block(x: Tensor, block: ConvBlock) -> Tensor:
-    """gelu(layer_norm(conv1d([depthwise_conv1d](x))))."""
+    """gelu(layer_norm(conv1d([depthwise_conv1d](x)))), the norm and the GELU
+    as one node (`_norm_gelu`)."""
+    return _conv_block([x], block)
+
+
+def _conv_block(parts: list[Tensor], block: ConvBlock) -> Tensor:
+    """conv_block of the channel concatenation of `parts` (`_conv1d_parts`);
+    only a one-part block has a depthwise front."""
     if block.depthwise is not None:
-        x = depthwise_conv1d(x, block.depthwise)  # rebound, so the `del` below frees it after the conv
-    y = conv1d(x, block.conv)
-    del x  # an input no tape or caller holds is freed before the norm and GELU run
-    return gelu(layer_norm(y, block.norm))
+        (x,) = parts
+        parts = [depthwise_conv1d(x, block.depthwise)]
+    y = _conv1d_parts(parts, block.conv)
+    del parts  # an input no tape or caller holds is freed before the norm and GELU run
+    return _norm_gelu(y, block.norm)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -10,6 +10,12 @@ the decoder; `init_branch` alone decides which branches get a depthwise
 front. A branch dilated past a video's length keeps only its center tap
 there, in the forward and in both gradients (`nn._tap_loop`).
 
+No sum or concatenation stays on the training tape: a residual view is one
+node that keeps the branch output and the stage input and rebuilds their
+sum in its backward, and the convs that read several tensors side by side
+(`compress`, `merge`, and `fuse` with `fuse_distances` off) keep those
+tensors, not their concatenation (`nn._conv1d_parts`).
+
 Every function takes a (T, d) video or a (B, T, d) batch of equal-length
 videos (frames on axis -2, channels on axis -1) and returns the same
 layout; each video of a batch gets the bits it would get alone. A batch
@@ -24,19 +30,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _accumulate,
-    _require_seq,
-    add,
-    concat_channels,
-    l2_normalize_rows,
-)
+from .autodiff import Tensor, _accumulate, _normalized_sum, _require_seq, l2_normalize_rows
 from .nn import (
     Conv1dKernel,
     ConvBlock,
     ParamSource,
-    conv1d,
+    _conv1d_parts,
+    _conv_block,
     conv_block,
     init_conv1d,
     init_conv_block,
@@ -71,8 +71,9 @@ class TpsParams:
 
 
 def residual_normalize(f: Tensor, x: Tensor) -> Tensor:
-    """Row-normalized residual sum: (f + x) / |f + x|."""
-    return l2_normalize_rows(add(f, x), NORMALIZE_EPS)
+    """Row-normalized residual sum: (f + x) / |f + x|, as one node that
+    keeps f and x, not their sum: its backward rebuilds the sum."""
+    return _normalized_sum([f, x], NORMALIZE_EPS, "residual_normalize")
 
 
 def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
@@ -134,8 +135,10 @@ def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
 
 
 def comprehensive_rep(branch_outputs: list[Tensor], compress: Conv1dKernel) -> Tensor:
-    """Width-1 projection of all branch outputs back to the stage width, row-normalized."""
-    return l2_normalize_rows(conv1d(concat_channels(branch_outputs), compress), NORMALIZE_EPS)
+    """Width-1 projection of all branch outputs back to the stage width,
+    row-normalized. The projection reads the branch outputs side by side and
+    keeps them, not their concatenation (`nn._conv1d_parts`)."""
+    return l2_normalize_rows(_conv1d_parts(branch_outputs, compress), NORMALIZE_EPS)
 
 
 def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tensor:
@@ -155,16 +158,15 @@ def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tens
     else:
         views = [l2_normalize_rows(f, NORMALIZE_EPS) for f in branch_outputs]
     views.append(comprehensive_rep(branch_outputs, stage.compress))
-    feats = similarity_vector(views, config.neighbor_radius) if config.fuse_distances else concat_channels(views)
-    return conv1d(feats, stage.fuse)
+    feats = [similarity_vector(views, config.neighbor_radius)] if config.fuse_distances else views
+    return _conv1d_parts(feats, stage.fuse)
 
 
 def tps_forward(stage_inputs: list[Tensor], params: TpsParams, config: ModelConfig) -> Tensor:
-    """All stages, concatenated and merged by the width-3 block, to T x d_out."""
+    """All stages, merged side by side by the width-3 block, to T x d_out."""
     if len(stage_inputs) != len(params.stages):
         raise ValueError(f"expected {len(params.stages)} stage inputs, got {len(stage_inputs)}")
-    per_stage = [stage_forward(x, p, config) for x, p in zip(stage_inputs, params.stages)]
-    return conv_block(concat_channels(per_stage), params.merge)
+    return _conv_block([stage_forward(x, p, config) for x, p in zip(stage_inputs, params.stages)], params.merge)
 
 
 def init_branch(new: ParamSource, channels: int, dilation: int, use_depthwise: bool) -> ConvBlock:

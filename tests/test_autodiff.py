@@ -5,6 +5,7 @@ import pytest
 
 from gebd.autodiff import (
     Tensor,
+    _accumulate,
     add,
     backward,
     concat_channels,
@@ -153,6 +154,49 @@ class TestL2NormalizeRows:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError, match="eps"):
             l2_normalize_rows(Tensor(np.ones((2, 2))), eps=0.0)
+
+
+class TestGradFold:
+    """`_accumulate` gives the bits and dtype of t.grad + g. It adds in place
+    only into a grad that a fold allocated or that an op handed over as
+    `owned`; any other array, set by a caller or shared with another
+    parent, is never written."""
+
+    def test_owned_grad_is_added_into_in_place(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        first = np.array([1.0, 2.0, 3.0])
+        _accumulate(t, first, owned=True)
+        _accumulate(t, np.full(3, 0.5))
+        assert t.grad is first
+        np.testing.assert_array_equal(first, [1.5, 2.5, 3.5])
+
+    def test_adjoint_not_owned_is_never_written(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        shared = np.array([1.0, 2.0, 3.0])
+        _accumulate(t, shared)
+        _accumulate(t, np.full(3, 0.5))
+        _accumulate(t, np.full(3, 0.25))
+        np.testing.assert_array_equal(shared, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.grad, [1.75, 2.75, 3.75])
+
+    def test_grad_set_from_outside_is_never_written(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        _accumulate(t, np.ones(3), owned=True)
+        held = np.zeros(3)
+        t.grad = held  # the setter drops the ownership of the earlier array
+        _accumulate(t, np.ones(3))
+        np.testing.assert_array_equal(held, np.zeros(3))
+        np.testing.assert_array_equal(t.grad, np.ones(3))
+
+    def test_wider_adjoint_promotes_as_a_fresh_sum_would(self):
+        t = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        first = np.ones(3, np.float32)
+        _accumulate(t, first, owned=True)
+        third = np.full(3, 1.0 / 3.0)
+        _accumulate(t, third)
+        assert t.grad.dtype == np.float64
+        np.testing.assert_array_equal(t.grad, np.ones(3, np.float32) + third)
+        np.testing.assert_array_equal(first, np.ones(3, np.float32))
 
 
 class TestBackwardContract:

@@ -23,6 +23,8 @@ from gebd.nn import (
     Conv1dKernel,
     DepthwiseKernel,
     LayerNormAffine,
+    _conv1d_parts,
+    _norm_gelu,
     conv1d,
     depthwise_conv1d,
     gelu,
@@ -30,7 +32,7 @@ from gebd.nn import (
     sigmoid,
 )
 from gebd.postprocess import smooth_frames
-from gebd.tps import similarity_vector
+from gebd.tps import residual_normalize, similarity_vector
 from gebd.train import bce_loss
 from gradcheck import check_op_gradients, mul, sum_all
 
@@ -48,6 +50,7 @@ def _kernels(dtype):
     return {
         "conv": Conv1dKernel(_param(rng, (4, D, 3), dtype), _param(rng, (4,), dtype), dilation=2),
         "pointwise": Conv1dKernel(_param(rng, (6, D, 1), dtype), _param(rng, (6,), dtype)),
+        "parts": Conv1dKernel(_param(rng, (4, 2 * D, 3), dtype), _param(rng, (4,), dtype), dilation=2),
         "depthwise": DepthwiseKernel(_param(rng, (D, 3), dtype), _param(rng, (D,), dtype), dilation=3),
         "norm": LayerNormAffine(_param(rng, (D,), dtype), _param(rng, (D,), dtype)),
         "head": Conv1dKernel(_param(rng, (1, D, 3), dtype), _param(rng, (1,), dtype)),
@@ -82,6 +85,9 @@ def _ops(dtype):
         "bce_loss": (lambda x: _head_loss(x, k["head"]), [k["head"].weights, k["head"].bias]),
         "conv_norm_gelu": (lambda x: gelu(layer_norm(depthwise_conv1d(x, k["depthwise"]), k["norm"])),
                            [k["depthwise"].weights, k["depthwise"].bias, k["norm"].gamma, k["norm"].beta]),
+        "norm_gelu": (lambda x: _norm_gelu(x, k["norm"]), [k["norm"].gamma, k["norm"].beta]),
+        "residual_normalize": (lambda x: residual_normalize(gelu(x), x), []),
+        "conv1d_parts": (lambda x: _conv1d_parts([x, gelu(x)], k["parts"]), [k["parts"].weights, k["parts"].bias]),
     }
 
 

@@ -4,16 +4,21 @@ finite-difference gradients."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, backward, seq_tensor
+from gebd.autodiff import Tensor, add, backward, concat_channels, fold_sum, seq_tensor
 from gebd.nn import (
+    _conv1d_parts,
+    _conv_block,
+    _norm_gelu,
     _scipy_erf,
     Conv1dKernel,
     DepthwiseKernel,
     LayerNormAffine,
     conv1d,
+    conv_block,
     depthwise_conv1d,
     gelu,
     init_conv1d,
+    init_conv_block,
     init_depthwise,
     init_layer_norm,
     layer_norm,
@@ -21,7 +26,7 @@ from gebd.nn import (
     sigmoid,
 )
 from gradcheck import check_op_gradients, mul, sum_all
-from oracles import naive_conv1d, naive_depthwise_conv1d, naive_layer_norm
+from oracles import naive_conv1d, naive_depthwise_conv1d, naive_layer_norm, traced_peak
 
 
 def make_conv(rng, in_ch, out_ch, width, dilation):
@@ -323,6 +328,171 @@ class TestGradients:
             return sum_all(mul(gelu(layer_norm(conv1d(x, k), a)), w))
 
         check_op_gradients(loss, [x, k.weights, k.bias, a.gamma, a.beta])
+
+
+def _weighted(rng, out_shape, dtype=np.float64):
+    return Tensor(rng.uniform(-1, 1, size=out_shape).astype(dtype))
+
+
+def _grads(loss, leaves):
+    """Every leaf's grad after one backward of `loss` from no grads."""
+    for leaf in leaves:
+        leaf.grad = None
+    backward(loss)
+    return [leaf.grad for leaf in leaves]
+
+
+class TestRecomputedNodes:
+    """The norm+GELU node and the conv over parts keep less on the tape than
+    the chains they stand for, and give those chains' bits and gradients."""
+
+    def _norm(self, rng, d):
+        a = init_layer_norm(random_params(rng), d)
+        a.gamma.update_data(rng.uniform(0.5, 1.5, size=d))
+        a.beta.update_data(rng.uniform(-0.5, 0.5, size=d))
+        return a
+
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    def test_norm_gelu_gradients(self, shape):
+        rng = np.random.default_rng(40)
+        y = Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
+        a = self._norm(rng, shape[-1])
+        w = _weighted(rng, shape)
+        check_op_gradients(lambda: sum_all(mul(_norm_gelu(y, a), w)), [y, a.gamma, a.beta])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_norm_gelu_bits_equal_layer_norm_then_gelu(self, dtype):
+        rng = np.random.default_rng(41)
+        y = Tensor(rng.uniform(-2, 2, size=(3, 7, 5)).astype(dtype), requires_grad=True)
+        a = self._norm(rng, 5)
+        w = _weighted(rng, (3, 7, 5), dtype)
+        leaves = [y, a.gamma, a.beta]
+        fused = _norm_gelu(y, a)
+        got = _grads(sum_all(mul(fused, w)), leaves)
+        chain = gelu(layer_norm(y, a))
+        want = _grads(sum_all(mul(chain, w)), leaves)
+        np.testing.assert_array_equal(fused.data, chain.data)
+        for g, h in zip(got, want):
+            np.testing.assert_array_equal(g, h)
+
+    def _parts(self, rng, batch=2, t=7):
+        return [Tensor(rng.uniform(-2, 2, size=(batch, t, c)), requires_grad=True) for c in (2, 3)]
+
+    @pytest.mark.parametrize("dilation", [1, 2, 8])
+    def test_conv_over_parts_gradients(self, dilation):
+        rng = np.random.default_rng(42 + dilation)
+        parts = self._parts(rng)
+        k = make_conv(rng, 5, 4, 3, dilation)
+        w = _weighted(rng, (2, 7, 4))
+        check_op_gradients(lambda: sum_all(mul(_conv1d_parts(parts, k), w)), [*parts, k.weights, k.bias])
+
+    def test_conv_over_parts_bits_equal_conv_of_concatenation(self):
+        rng = np.random.default_rng(45)
+        parts = self._parts(rng, batch=9)
+        k = make_conv(rng, 5, 4, 3, 2)
+        w = _weighted(rng, (9, 7, 4))
+        leaves = [*parts, k.weights, k.bias]
+        over_parts = _conv1d_parts(parts, k)
+        assert over_parts._parents == (*parts, k.weights, k.bias)  # the parts, not a concatenation
+        got = _grads(sum_all(mul(over_parts, w)), leaves)
+        concatenated = conv1d(concat_channels(parts), k)
+        want = _grads(sum_all(mul(concatenated, w)), leaves)
+        np.testing.assert_array_equal(over_parts.data, concatenated.data)
+        for g, h in zip(got, want):
+            np.testing.assert_array_equal(g, h)
+
+    def test_conv_block_over_parts_bits_equal_conv_block_of_concatenation(self):
+        rng = np.random.default_rng(46)
+        parts = self._parts(rng, batch=3)
+        block = init_conv_block(random_params(rng), 5, 4, width=3, dilation=2)
+        w = _weighted(rng, (3, 7, 4))
+        leaves = [*parts, block.conv.weights, block.conv.bias, block.norm.gamma, block.norm.beta]
+        over_parts = _conv_block(parts, block)
+        got = _grads(sum_all(mul(over_parts, w)), leaves)
+        concatenated = conv_block(concat_channels(parts), block)
+        want = _grads(sum_all(mul(concatenated, w)), leaves)
+        np.testing.assert_array_equal(over_parts.data, concatenated.data)
+        for g, h in zip(got, want):
+            np.testing.assert_array_equal(g, h)
+
+
+class TestWeightGradientFold:
+    """A conv weight's grad is a tap-major array the op allocated, and later
+    videos are added into it in place; an array the op did not allocate is
+    never written."""
+
+    def _video_by_video(self, x, k, seed, start=None):
+        """The weight grad folded from separate per-video backwards, in batch order."""
+        total = start
+        for b in range(x.data.shape[0]):
+            k.weights.grad = None
+            backward(sum_all(mul(conv1d(Tensor(x.data[b]), k), Tensor(seed.data[b]))))
+            total = k.weights.grad if total is None else total + k.weights.grad
+        return total
+
+    def test_grad_is_a_tap_major_view(self):
+        rng = np.random.default_rng(50)
+        k = make_conv(rng, 3, 4, 5, 1)
+        backward(sum_all(conv1d(seq_tensor(rng.standard_normal((3, 6, 3))), k)))
+        assert k.weights.grad.shape == (4, 3, 5)
+        assert np.moveaxis(k.weights.grad, -1, 0).flags.c_contiguous
+
+    def test_grad_set_by_the_caller_is_not_written(self):
+        rng = np.random.default_rng(51)
+        x = seq_tensor(rng.standard_normal((3, 6, 2)))
+        k = make_conv(rng, 2, 3, 3, 1)
+        seed = _weighted(rng, (3, 6, 3))
+        start = rng.uniform(-1, 1, size=(3, 2, 3))
+        held = start.copy()
+        k.weights.grad = start
+        backward(sum_all(mul(conv1d(x, k), seed)))
+        got = k.weights.grad
+        np.testing.assert_array_equal(start, held)
+        np.testing.assert_array_equal(got, self._video_by_video(x, k, seed, held))
+
+    @pytest.mark.parametrize("conv_first", [True, False])
+    def test_adjoint_that_add_shares_is_not_written(self, conv_first):
+        # add hands one adjoint array to both parents: the conv's fold onto
+        # the weights must not write it, or q's grad would change too
+        rng = np.random.default_rng(52)
+        x = seq_tensor(rng.standard_normal((3, 6, 2)))
+        k = make_conv(rng, 2, 3, 3, 1)
+        q = Tensor(rng.uniform(-1, 1, size=(3, 2, 3)), requires_grad=True)
+        seed, s2 = _weighted(rng, (3, 6, 3)), _weighted(rng, (3, 2, 3))
+        conv_only = self._video_by_video(x, k, seed)
+        k.weights.grad = None
+        losses = [sum_all(mul(conv1d(x, k), seed)), sum_all(mul(add(k.weights, q), s2))]
+        backward(fold_sum(losses if conv_first else losses[::-1]))
+        np.testing.assert_array_equal(q.grad, s2.data)
+        np.testing.assert_allclose(k.weights.grad, conv_only + s2.data, rtol=1e-12)
+
+    def test_float32_weight_rounds_each_video_before_the_fold(self):
+        # a float64 adjoint reaches a float32 conv: each video's weight
+        # gradient is rounded to float32, and float32 grads are added
+        rng = np.random.default_rng(53)
+        x = seq_tensor(rng.standard_normal((3, 6, 2)).astype(np.float32))
+        k = make_conv(rng, 2, 3, 3, 2)
+        k = Conv1dKernel(Tensor(k.weights.data.astype(np.float32), requires_grad=True),
+                         Tensor(k.bias.data.astype(np.float32), requires_grad=True), 2)
+        seed = _weighted(rng, (3, 6, 3))
+        backward(sum_all(mul(conv1d(x, k), seed)))
+        got = k.weights.grad
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, self._video_by_video(x, k, seed))
+
+    def test_wide_conv_backward_holds_one_scratch_beyond_the_grad(self):
+        # 256 -> 256 channels, width 3, 8 videos. Each video's weight gradient
+        # is written into one reused tap-major scratch and added into the grad
+        # in place, so the backward peaks at about the grad, the scratch and
+        # the loss's adjoint: 2.2 weights' bytes at T=16. A fresh grad + dw
+        # per video and a temporary per tap peaked at 3.2.
+        rng = np.random.default_rng(54)
+        k = make_conv(rng, 256, 256, 3, 1)
+        x = seq_tensor(rng.standard_normal((8, 16, 256)))
+        loss = sum_all(conv1d(x, k))
+        _, peak = traced_peak(backward, loss)
+        adjoint = 8 * 16 * 256 * 8
+        assert peak < 2.25 * k.weights.data.nbytes + adjoint, peak / k.weights.data.nbytes
 
 
 def test_float32_in_float32_out():

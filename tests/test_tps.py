@@ -4,7 +4,7 @@ full forwards against an independent straight-line oracle."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, backward, seq_tensor
+from gebd.autodiff import Tensor, add, backward, l2_normalize_rows, seq_tensor
 from gebd.model import ModelConfig
 from gebd.nn import Conv1dKernel, conv_block, random_params
 from gebd.tps import (
@@ -17,7 +17,7 @@ from gebd.tps import (
     stage_forward,
     tps_forward,
 )
-from gradcheck import mul, sum_all
+from gradcheck import check_op_gradients, mul, sum_all
 from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward
 
 
@@ -77,6 +77,28 @@ class TestResidualNormalize:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             residual_normalize(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
+    def test_gradients_reach_both_terms(self, shape):
+        rng = np.random.default_rng(6)
+        f, x = (Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True) for _ in range(2))
+        w = Tensor(rng.uniform(-1, 1, size=shape))
+        check_op_gradients(lambda: sum_all(mul(residual_normalize(f, x), w)), [f, x])
+
+    def test_bits_equal_add_then_l2_normalize_rows(self):
+        # one node that keeps f and x and rebuilds their sum in its backward
+        rng = np.random.default_rng(7)
+        f, x = (Tensor(rng.uniform(-2, 2, size=(3, 6, 5)), requires_grad=True) for _ in range(2))
+        w = Tensor(rng.uniform(-1, 1, size=(3, 6, 5)))
+        results = []
+        for op in (residual_normalize, lambda f, x: l2_normalize_rows(add(f, x), 1e-12)):
+            f.grad = x.grad = None
+            out = op(f, x)
+            backward(sum_all(mul(out, w)))
+            results.append((out.data, f.grad, x.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+        assert residual_normalize(f, x)._parents == (f, x)
 
 
 class TestNeighborDistances:
