@@ -14,7 +14,6 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .model import (
     load_checkpoint,
     neighbor_radius_for,
     save_checkpoint,
-    stack_videos,
+    score_clips,
 )
 from .train import TrainConfig, train, write_loss_curve
 from .util import atomic_write_text, worker_count
@@ -37,9 +36,9 @@ from .util import atomic_write_text, worker_count
 PROG = "gebd"
 ERROR_PREFIX = f"{PROG}: error: "
 # `infer` scores consecutive feature files of at most this many bytes in all
-# as one group: one batched forward per run of equal length, and one thread
-# pool task. Ten 50-frame files of four 32-dim stages fit; a longer or wider
-# video is a group of its own.
+# as one group: one `score_clips` call, which batches runs of equal length,
+# and one thread pool task. Ten 50-frame files of four 32-dim stages fit; a
+# longer or wider video is a group of its own.
 INFER_GROUP_BYTES = 256 * 1024
 
 
@@ -271,18 +270,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[post_mod.BoundaryScores]:
     """Scores of consecutive videos. Each video is scored as clips: one
     clip spanning it, or in clip mode `split_clips`'s windows (a short
-    video's one window spans it too). The clips take one forward per run of
-    consecutive equal lengths, each gets the bits it would get alone, and
-    `merge_clip_scores` assembles each video's scores from its clips."""
+    video's one window spans it too). `score_clips` computes every clip,
+    each with the bits it would get alone, and `merge_clip_scores`
+    assembles each video's scores from its clips."""
     pieces = []  # (video index, clip)
     for i, video in enumerate(videos):
         clips = (data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds) if cfg.clip_mode
                  else [data_mod.Clip(video.video_id, 0, video.num_frames, video.stages, video.fps)])
         pieces += [(i, clip) for clip in clips]
-    raw = []
-    for _, run in groupby((clip.stages for _, clip in pieces), key=lambda stages: stages[0].shape[0]):
-        run = list(run)
-        raw += list(model.forward(stack_videos(run)).data.reshape(len(run), -1))
+    raw = score_clips(model, [clip.stages for _, clip in pieces])
     scored = [[] for _ in videos]
     for (i, clip), x in zip(pieces, raw):
         sc = post_mod.BoundaryScores(clip.video_id, clip.fps, x)

@@ -22,6 +22,7 @@ Checkpoint layout (little endian):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,16 @@ CHECKPOINT_VERSION = 1
 # flags word that follows them is `_FLAG_FIELDS[i]`
 _SIZE_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius")
 _FLAG_FIELDS = ("fuse_distances", "use_residual", "use_depthwise")
+# `score_clips` computes a clip as windows that keep at most WINDOW_FRAMES of
+# its frames each, or WINDOW_HALOS halos if that is more, so the halos cost
+# at most 2/WINDOW_HALOS more frames. A halo is the receptive field rounded up
+# to a multiple of WINDOW_ALIGN rows, so every window starts on such a row and
+# every window but a clip's last spans a multiple of it: OpenBLAS runs a
+# GEMM's last M mod 16 rows through a different kernel, whose last bits
+# differ, and aligned windows leave those rows where the whole clip has them.
+WINDOW_FRAMES = 2048
+WINDOW_HALOS = 32
+WINDOW_ALIGN = 64
 
 
 @dataclass
@@ -172,6 +183,19 @@ class GebdModel:
         t = tps_forward(inputs, self.tps, self.config)
         return head_forward(sd_forward(t, self.decoder), self.head)
 
+    def receptive_field(self) -> int:
+        """Frames on each side of a frame that its score reads, from the
+        kernels' reach and the neighbor radius: 30 for the default model
+        (widest branch 8 + its depthwise 1, radius 5, merge 1, decoder
+        2 + 4 + 8, head 1). Every layer is local in time, so a window with
+        this many more frames on each side, or that ends where the video
+        does, scores its own frames as the whole video would."""
+        radius = self.config.neighbor_radius if self.config.fuse_distances else 0
+        stage = max(max(b.reach for b in s.branches) + s.compress.reach + radius + s.fuse.reach
+                    for s in self.tps.stages)
+        return (stage + self.tps.merge.reach + sum(b.reach for b in self.decoder.blocks)
+                + self.head.conv1.reach + self.head.conv2.reach)
+
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every learnable leaf with its field path (e.g.
         "tps/stages/0/branches/1/conv/weights"), in checkpoint order."""
@@ -195,11 +219,50 @@ def stack_videos(stage_lists: list[list[np.ndarray]]) -> list[np.ndarray]:
     return stacks
 
 
+def window_spans(t: int, keep: int, halo: int) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, start, end) of each window of a t-frame clip: frames
+    [lo, hi) are computed to keep [start, end), the runs of `keep` frames
+    from frame 0, with `halo` more frames on each side clamped at the clip's
+    ends. A clip of at most keep + 2 * halo frames is one window."""
+    if t <= keep + 2 * halo:
+        return [(0, t, 0, t)]
+    return [(max(0, s - halo), min(t, s + keep + halo), s, min(t, s + keep)) for s in range(0, t, keep)]
+
+
+def score_clips(model: GebdModel, clips: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Raw per-frame scores of each clip, given its stage arrays, in the
+    model's dtype. Each clip is computed as windows (`window_spans`) with a
+    halo of the receptive field rounded up to WINDOW_ALIGN frames, so its
+    scores have the bits of a whole-clip forward while the activations alive
+    at once never span more than one window. Consecutive windows of equal
+    length take one batched forward, but no batch spans more frames than
+    the widest window."""
+    halo = -(-model.receptive_field() // WINDOW_ALIGN) * WINDOW_ALIGN
+    return _score_windows(model, clips, max(WINDOW_FRAMES, WINDOW_HALOS * halo), halo)
+
+
+def _score_windows(model: GebdModel, clips: list[list[np.ndarray]], keep: int, halo: int) -> list[np.ndarray]:
+    """`score_clips` with windows that keep `keep` frames and have `halo`."""
+    dtype = model.head.conv2.weights.data.dtype
+    scores = [np.empty(len(stages[0]), dtype) for stages in clips]
+    windows = [(i, *span) for i, stages in enumerate(clips) for span in window_spans(len(stages[0]), keep, halo)]
+    for length, run in groupby(windows, key=lambda w: w[2] - w[1]):
+        run = list(run)
+        per_batch = max(1, (keep + 2 * halo) // length)
+        for b in range(0, len(run), per_batch):
+            batch = run[b:b + per_batch]
+            pred = model.forward(stack_videos([[s[lo:hi] for s in clips[i]] for i, lo, hi, _, _ in batch]))
+            for (i, lo, _, start, end), x in zip(batch, pred.data.reshape(len(batch), -1)):
+                scores[i][start:end] = x[start - lo:end - lo]
+            del pred  # and a built model's tape with it, before the next window runs
+    return scores
+
+
 def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:
-    """Raw (unsmoothed) per-frame boundary scores for one video."""
+    """Raw (unsmoothed) per-frame boundary scores for one video (`score_clips`)."""
     check_features_compatible(model.config, video)
-    pred = model.forward(video.stages)
-    return BoundaryScores(video.video_id, video.fps, pred.data[:, 0].copy(), smoothed=False)
+    (scores,) = score_clips(model, [video.stages])
+    return BoundaryScores(video.video_id, video.fps, scores, smoothed=False)
 
 
 def neighbor_radius_for(fps: float) -> int:

@@ -91,6 +91,11 @@ class _Kernel:
     def width(self) -> int:
         return self.weights.data.shape[-1]
 
+    @property
+    def reach(self) -> int:
+        """Frames on each side of an output frame that it reads."""
+        return self.dilation * (self.width // 2)
+
 
 @dataclass
 class Conv1dKernel(_Kernel):
@@ -136,6 +141,10 @@ class ConvBlock:
     def dilation(self) -> int:
         return self.conv.dilation
 
+    @property
+    def reach(self) -> int:
+        return self.conv.reach + (self.depthwise.reach if self.depthwise is not None else 0)
+
 
 def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
     """out[..., t, :] += y[..., t + offset, :] for every t with t + offset in
@@ -174,6 +183,7 @@ def _tap_loop(name: str, parts: list[Tensor], k: _Kernel, forward, weight_grad, 
     becomes the grad when there is none yet; each later video (and each
     later run of a minibatch) is added onto the grad in place (`_accumulate`),
     in batch order, through one reused scratch array."""
+    parts = tuple(parts)  # the backward keeps its own sequence, not the caller's list
     slices = _channel_slices(parts, name)
     w = k.weights.data
     if slices[-1].stop != w.shape[-2]:
@@ -188,6 +198,7 @@ def _tap_loop(name: str, parts: list[Tensor], k: _Kernel, forward, weight_grad, 
         _add_rows(out, forward(v, w[..., tap]), off)
     dtype = v.dtype
     del v
+    grad_axes = (*range(1, w.ndim), 0)  # the tap-major (width, ...) buffer as the weights' (..., width) view
 
     def backward(g):
         if k.weights.requires_grad:
@@ -201,7 +212,7 @@ def _tap_loop(name: str, parts: list[Tensor], k: _Kernel, forward, weight_grad, 
                     dw = np.zeros((w.shape[-1],) + w.shape[:-1], dtype=w.dtype)
                 for tap, off in reaching:
                     weight_grad(gv, xp[pad + off:pad + off + t], dw[tap])
-                if _accumulate(k.weights, np.moveaxis(dw, 0, -1), owned=True):  # per video, in batch order
+                if _accumulate(k.weights, dw.transpose(grad_axes), owned=True):  # per video, in batch order
                     dw = None  # it is the grad now: a later video takes a new scratch
         _accumulate_videos(k.bias, _videos(g).sum(axis=1))
         if any(p.requires_grad for p in parts):

@@ -151,13 +151,19 @@ def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tens
     at `neighbor_radius`, built by one op for the whole batch); with it off
     the views themselves are concatenated instead (the alternative reading
     of the fusion input).
+
+    The comprehensive view is made first; then each branch output is let go
+    as its own view is made, so an inference forward (no tape) holds one
+    branch output fewer with each view instead of all of them to the end.
     """
     branch_outputs = [conv_block(x, b) for b in stage.branches]
-    if config.use_residual:
-        views = [residual_normalize(f, x) for f in branch_outputs]
-    else:
-        views = [l2_normalize_rows(f, NORMALIZE_EPS) for f in branch_outputs]
-    views.append(comprehensive_rep(branch_outputs, stage.compress))
+    comprehensive = comprehensive_rep(branch_outputs, stage.compress)
+    views = []
+    while branch_outputs:
+        f = branch_outputs.pop(0)
+        views.append(residual_normalize(f, x) if config.use_residual else l2_normalize_rows(f, NORMALIZE_EPS))
+        del f
+    views.append(comprehensive)
     feats = [similarity_vector(views, config.neighbor_radius)] if config.fuse_distances else views
     return _conv1d_parts(feats, stage.fuse)
 

@@ -167,7 +167,7 @@ def train(
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss_value = _minibatch_gradients(dataset, batch, model, cfg.smooth_training, global_step)
+                    loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_training, global_step)
                     grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
                     for (name, _), g in zip(named, grads):
                         if not np.all(np.isfinite(g)):
@@ -180,8 +180,10 @@ def train(
     return model, curve
 
 
-def _minibatch_gradients(dataset, batch, model: GebdModel, smooth_training: bool, step: int) -> float:
-    """Set every parameter's grad to the minibatch loss gradient; return the loss.
+def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tensor],
+                         smooth_training: bool, step: int) -> float:
+    """Set the grad of every parameter in `params` (all of the model's) to
+    the minibatch loss gradient; return the loss.
 
     Each maximal run of consecutive equal-length videos is one batched pass.
     The graph is local, so it is freed before the next minibatch's forward.
@@ -197,7 +199,8 @@ def _minibatch_gradients(dataset, batch, model: GebdModel, smooth_training: bool
     loss_value = float(total.data[0, 0])
     if not math.isfinite(loss_value):
         raise TrainingDiverged(f"non-finite loss at step {step}")
-    model.zero_grads()
+    for p in params:
+        p.grad = None
     backward(total)
     return loss_value
 

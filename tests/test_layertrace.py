@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from gebd import cli
+from gebd.model import GebdModel, ModelConfig, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -44,3 +45,20 @@ def test_layertrace_runs_train_infer_and_eval(tmp_path):
     assert train["nn.conv1d"]["calls"] > 0 and train["nn.conv1d.bwd"]["calls"] > 0
     assert infer["nn.conv1d"]["calls"] > 0
     assert len(list((tmp_path / "scored" / "detections").glob("*.json"))) == 3
+
+
+def test_layertrace_runs_infer_on_a_video_of_several_windows(tmp_path):
+    # 4500 frames are three 2048-frame windows: three traced model forwards
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--num-videos", "1", "--frames", "4500", "--fps", "5",
+                     "--stage-dims", "6,6"]) == 0
+    ckpt = tmp_path / "model.gebw"
+    save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6), d_out=4, d_head=3, neighbor_radius=5)))
+    infer = _traced(tmp_path, "infer", "--checkpoint", ckpt, "--features", data,
+                    "--out", tmp_path / "scored", "--fps", 5)
+    assert infer["model.forward"]["calls"] == 3
+    assert cli.main(["infer", "--checkpoint", str(ckpt), "--features", str(data),
+                     "--out", str(tmp_path / "untraced"), "--fps", "5"]) == 0
+    detections = [(tmp_path / run / "detections" / "video00000.json").read_bytes() for run in ("scored", "untraced")]
+    assert json.loads(detections[0])["video_id"] == "video00000"
+    assert detections[0] == detections[1]

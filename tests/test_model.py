@@ -259,9 +259,12 @@ class TestModelConfig:
 
 
 def test_whole_video_forward_memory_per_frame(tmp_path):
-    # A loaded model keeps no tape, so a whole-video forward holds a few
-    # layers of float32 activations at a time: about 5 KB per frame for
-    # this model, where the taped float64 forward held about 80 KB.
+    # A loaded model keeps no tape, and `model_forward` scores the video as
+    # windows of at most 2176 frames, each cast to float32 from the float64
+    # stages as it runs: 18000 frames peak at about 380 bytes per frame, one
+    # window's activations plus the scores. A whole-video forward held a few
+    # layers of float32 activations for every frame, about 3.1 KB per frame,
+    # and the taped float64 forward about 80 KB.
     path = tmp_path / "m.gebw"
     save_checkpoint(path, GebdModel.build(BENCH, seed=17))
     model = load_checkpoint(path)
@@ -270,15 +273,16 @@ def test_whole_video_forward_memory_per_frame(tmp_path):
     video = VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)])
     scores, peak = traced_peak(model_forward, video, model)
     assert len(scores.scores) == t
-    assert peak < 8_000 * t, peak / t
+    assert peak < 1_000 * t, peak / t
 
 
 def test_feature_file_forward_memory_per_frame(tmp_path):
-    # The file's stages reach the float32 model as views of its bytes and
-    # each conv reads its input in place, so reading the file and scoring
-    # it peak at about 3.1 KB per frame; copying the stages to float64 and
-    # back and shifting each conv input took about 6.1 KB, and a conv block
-    # that held its input through its norm and GELU about 3.9 KB.
+    # The file's stages reach the float32 model as views of its bytes, and
+    # the model scores one window of at most 2176 frames at a time, so
+    # reading the file (512 bytes per frame) and scoring it peak at about
+    # 830 bytes per frame. A whole-video forward peaked at about 3.1 KB per
+    # frame; before it read the file's views in place and each conv its
+    # input, at about 6.1 KB.
     save_checkpoint(tmp_path / "m.gebw", GebdModel.build(BENCH, seed=18))
     model = load_checkpoint(tmp_path / "m.gebw")
     t = 18000
@@ -286,7 +290,7 @@ def test_feature_file_forward_memory_per_frame(tmp_path):
     save_features(tmp_path / "long.gebf", VideoFeatures("long", 5.0, [rng.standard_normal((t, 32)) for _ in range(4)]))
     scores, peak = traced_peak(lambda: model_forward(load_features(tmp_path / "long.gebf", fps=5.0), model))
     assert len(scores.scores) == t
-    assert peak < 3_500 * t, peak / t
+    assert peak < 1_200 * t, peak / t
 
 
 def _forward_inputs(model, stages, monkeypatch):

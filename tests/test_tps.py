@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gebd.autodiff import Tensor, add, backward, l2_normalize_rows, seq_tensor
-from gebd.model import ModelConfig
+from gebd.model import ModelConfig, _leaves
 from gebd.nn import Conv1dKernel, conv_block, random_params
 from gebd.tps import (
     comprehensive_rep,
@@ -18,7 +18,7 @@ from gebd.tps import (
     tps_forward,
 )
 from gradcheck import check_op_gradients, mul, sum_all
-from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward
+from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward, traced_peak
 
 
 def make_stage(seed=0, channels=6, n=4, d_out=8, radius=2, **switches):
@@ -292,6 +292,23 @@ class TestStageForward:
         got = stage_forward(seq_tensor(x), stage, config).data
         want = naive_stage_forward(x, stage, 1, use_residual=False)
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    @pytest.mark.parametrize("use_residual", [True, False])
+    def test_wide_inference_stage_lets_each_branch_output_go(self, use_residual):
+        # Without a tape, a view does not hold its branch output, so each
+        # branch output is freed as its view is made: a 4-branch 256-wide
+        # stage peaks at about 10 (T, d) arrays, inside the last branch's
+        # conv block. Holding every branch output until the comprehensive
+        # view was made last peaked at about 14.
+        t, d = 400, 256
+        stage, config = make_stage(seed=20, channels=d, n=4, d_out=64, radius=5, use_residual=use_residual)
+        for _, p in _leaves(stage, ""):
+            p.requires_grad = False
+        x = seq_tensor(np.random.default_rng(20).standard_normal((t, d)))
+        want = stage_forward(x, stage, config).data  # warm: first-call imports stay out of the peak
+        out, peak = traced_peak(stage_forward, x, stage, config)
+        np.testing.assert_array_equal(out.data, want)
+        assert peak < 12 * t * d * 8, peak / (t * d * 8)
 
 
 class TestTpsForward:

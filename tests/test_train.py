@@ -197,8 +197,8 @@ class TestTrainLoop:
         real = train_mod._minibatch_gradients
         snapshot = []
 
-        def inject(dataset, batch, model, smooth_targets, step):
-            loss = real(dataset, batch, model, smooth_targets, step)
+        def inject(dataset, batch, model, params, smooth_targets, step):
+            loss = real(dataset, batch, model, params, smooth_targets, step)
             if step == 2:
                 target.grad = np.array(target.grad)
                 target.grad[1] = np.nan
@@ -313,9 +313,10 @@ def test_step_memory_per_batch_frame(t):
         video, ann = synth_video(60 + i, t, 5.0, config.stage_dims, [0.5 * t / 5.0], snr=1.0)
         dataset.append((video, frame_labels(ann, t, 5.0, 1)))
     model = GebdModel.build(config, seed=0)
+    params = [p for _, p in model.parameters()]
     batch = np.arange(8)
-    _minibatch_gradients(dataset, batch, model, True, 0)  # warm: first-call imports stay out of the peak
-    _, peak = traced_peak(_minibatch_gradients, dataset, batch, model, True, 1)
+    _minibatch_gradients(dataset, batch, model, params, True, 0)  # warm: first-call imports stay out of the peak
+    _, peak = traced_peak(_minibatch_gradients, dataset, batch, model, params, True, 1)
     assert peak < 42_000 * 8 * t, peak / (8 * t)
 
 
@@ -333,9 +334,10 @@ def test_step_memory_does_not_grow_with_dilation():
             video, ann = synth_video(60 + i, 50, 5.0, config.stage_dims, [5.0], snr=1.0)
             dataset.append((video, frame_labels(ann, 50, 5.0, 1)))
         model = GebdModel.build(config, seed=0)
+        params = [p for _, p in model.parameters()]
         batch = np.arange(2)
-        _minibatch_gradients(dataset, batch, model, True, 0)  # warm: first-call imports stay out of the peak
-        peaks.append(traced_peak(_minibatch_gradients, dataset, batch, model, True, 1)[1])
+        _minibatch_gradients(dataset, batch, model, params, True, 0)  # warm: first-call imports stay out of the peak
+        peaks.append(traced_peak(_minibatch_gradients, dataset, batch, model, params, True, 1)[1])
     assert peaks[1] < 2 * peaks[0], peaks
 
 
