@@ -3,51 +3,46 @@
 Pipeline: multi-stage features -> temporal pyramid similarity -> dilated
 similarity decoder -> per-frame boundary scores -> Gaussian smoothing and
 peak picking -> F1 at relative distance.
+
+The API below loads on first use (PEP 562): `import gebd` imports no
+submodule, so a command that needs none of numpy, as `gebd eval` does not,
+never loads it. Reading any name in `__all__` imports every public module
+and binds every name, `gebd.train` to the function, not the submodule.
 """
 
-from .autodiff import Tensor, backward, seq_tensor
-from .data import Annotation, Clip, VideoFeatures, frame_labels, load_annotations, load_features, save_annotations, save_features, split_clips, synth_video
-from .evaluate import DEFAULT_TAUS, EvalReport, f1_at, f1_sweep, match_detections, rel_dis_error
-from .model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
-from .postprocess import BoundaryScores, DetectionList, gaussian_smooth, merge_clip_scores, pick_peaks
-from .train import AdamState, TrainConfig, adam_step, bce_loss, lr_schedule, train
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState",
-    "Annotation",
-    "BoundaryScores",
-    "Clip",
-    "DEFAULT_TAUS",
-    "DetectionList",
-    "EvalReport",
-    "GebdModel",
-    "ModelConfig",
-    "Tensor",
-    "TrainConfig",
-    "VideoFeatures",
-    "adam_step",
-    "backward",
-    "bce_loss",
-    "f1_at",
-    "f1_sweep",
-    "frame_labels",
-    "gaussian_smooth",
-    "load_annotations",
-    "load_checkpoint",
-    "load_features",
-    "lr_schedule",
-    "match_detections",
-    "merge_clip_scores",
-    "model_forward",
-    "pick_peaks",
-    "rel_dis_error",
-    "save_annotations",
-    "save_checkpoint",
-    "save_features",
-    "seq_tensor",
-    "split_clips",
-    "synth_video",
-    "train",
-]
+# the public names, by the module that exports them
+_API = {
+    "autodiff": ("Tensor", "backward", "seq_tensor"),
+    "data": ("Annotation", "Clip", "VideoFeatures", "frame_labels", "load_annotations", "load_features",
+             "save_annotations", "save_features", "split_clips", "synth_video"),
+    "evaluate": ("DEFAULT_TAUS", "EvalReport", "f1_at", "f1_sweep", "match_detections", "rel_dis_error"),
+    "model": ("GebdModel", "ModelConfig", "load_checkpoint", "model_forward", "save_checkpoint"),
+    "postprocess": ("BoundaryScores", "DetectionList", "gaussian_smooth", "merge_clip_scores", "pick_peaks"),
+    "train": ("AdamState", "TrainConfig", "adam_step", "bce_loss", "lr_schedule", "train"),
+}
+
+__all__ = sorted(name for names in _API.values() for name in names)
+
+
+def _load_api() -> None:
+    """Import the public modules, then bind every name: binding last makes
+    `train` the function, whatever importing the `train` submodule bound."""
+    modules = {name: importlib.import_module(f".{name}", __name__) for name in _API}
+    for module, names in _API.items():
+        for name in names:
+            globals()[name] = getattr(modules[module], name)
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        _load_api()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

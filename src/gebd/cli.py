@@ -5,6 +5,10 @@ config file, then command-line flags (flags win). The merged `RunConfig`
 checks every setting when it is built, before a command reads a file or
 makes a directory. Every run echoes the fully resolved configuration into
 its output directory so it can be reproduced from the echo plus the seed.
+
+Each command imports the modules it runs when it runs: `eval`, and the
+setting checks of every command, need only the standard library, so
+`gebd eval` never loads numpy.
 """
 
 from __future__ import annotations
@@ -12,26 +16,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import data as data_mod
 from . import evaluate as eval_mod
-from . import postprocess as post_mod
-from .model import (
-    GebdModel,
+from .boundaries import load_annotations, load_detections
+from .config import (
     ModelConfig,
-    check_features_compatible,
-    load_checkpoint,
+    TrainConfig,
+    check_clip_settings,
+    check_fps,
+    check_positive_radius,
+    check_snr,
+    check_video_size,
     neighbor_radius_for,
-    save_checkpoint,
-    score_clips,
 )
-from .train import TrainConfig, train, write_loss_curve
 from .util import atomic_write_text, worker_count
+
+if TYPE_CHECKING:
+    from .model import GebdModel
+    from .postprocess import BoundaryScores
 
 PROG = "gebd"
 ERROR_PREFIX = f"{PROG}: error: "
@@ -89,14 +94,14 @@ class RunConfig:
                              f"got {self.min_boundaries}/{self.max_boundaries}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        data_mod.check_fps(self.fps)  # before the model's radius is derived from it
+        check_fps(self.fps)  # before the model's radius is derived from it
         worker_count()  # the environment's GEBD_THREADS, so `infer` rejects it before reading a file
         self.model_config()
-        data_mod.check_video_size(self.frames, self.stage_dims)
-        data_mod.check_snr(self.snr)
+        check_video_size(self.frames, self.stage_dims)
+        check_snr(self.snr)
         self.train_config()
-        data_mod.check_positive_radius(self.positive_radius_frames)
-        data_mod.check_clip_settings(self.clip_seconds, self.overlap_seconds)
+        check_positive_radius(self.positive_radius_frames)
+        check_clip_settings(self.clip_seconds, self.overlap_seconds)
         try:
             eval_mod.check_sweep_settings(self.taus, self.eval_average)
         except ValueError as e:
@@ -192,6 +197,10 @@ def _echo_config(out_dir: Path, cfg: RunConfig) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import data as data_mod
+
     cfg = resolve_config(args)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
@@ -229,7 +238,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
-    annotations = data_mod.load_annotations(annotations_path)
+    from . import data as data_mod
+
+    annotations = load_annotations(annotations_path)
     files = sorted(features_dir.glob("*.gebf"))
     if not files:
         raise ValueError(f"no .gebf feature files in {features_dir}")
@@ -246,6 +257,9 @@ def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .model import GebdModel, save_checkpoint
+    from .train import train, write_loss_curve
+
     cfg = resolve_config(args)
     dataset, _ = _load_dataset(Path(args.features), Path(args.annotations), cfg)
     fps_values = {video.fps for video, _ in dataset}
@@ -267,12 +281,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[post_mod.BoundaryScores]:
+def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[BoundaryScores]:
     """Scores of consecutive videos. Each video is scored as clips: one
     clip spanning it, or in clip mode `split_clips`'s windows (a short
     video's one window spans it too). `score_clips` computes every clip,
     each with the bits it would get alone, and `merge_clip_scores`
     assembles each video's scores from its clips."""
+    from . import data as data_mod
+    from . import postprocess as post_mod
+    from .model import score_clips
+
     pieces = []  # (video index, clip)
     for i, video in enumerate(videos):
         clips = (data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds) if cfg.clip_mode
@@ -304,6 +322,12 @@ def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import data as data_mod
+    from . import postprocess as post_mod
+    from .model import check_features_compatible, load_checkpoint
+
     cfg = resolve_config(args)
     model = load_checkpoint(args.checkpoint)
     features_path = Path(args.features)
@@ -336,12 +360,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    annotations = data_mod.load_annotations(args.annotations)
+    annotations = load_annotations(args.annotations)
     det_path = Path(args.detections)
     det_files = sorted(det_path.glob("*.json")) if det_path.is_dir() else [det_path]
     detections = {}
     for f in det_files:
-        d = post_mod.load_detections(f)
+        d = load_detections(f)
         if d.video_id in detections:
             raise ValueError(f"duplicate detections for video id {d.video_id!r}")
         detections[d.video_id] = d

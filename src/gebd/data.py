@@ -1,69 +1,35 @@
-"""Feature streams and annotations: binary IO, synthetic generation, labels, clips.
+"""Feature streams: the f32 block container, binary IO, synthetic generation,
+labels, clips.
 
 Feature file layout (little endian, bit-exact):
     magic "GEBF" | u32 version=1 | u32 T | u32 num_stages |
     num_stages x u32 channel dims | per stage a row-major f32 block of T*d values.
 A loaded feature file's stages are read-only float32 views of its bytes, which
 a float32 model reads without a copy.
+The checkpoint (`model`) is the same container under its own magic.
 
-Annotation files are UTF-8 JSON arrays of
-    {"video_id": str, "duration": seconds, "fps": number, "boundaries": [seconds]}.
+Annotations and their files (`boundaries`) and the setting checks
+(`config`) need no numpy and live there; this module re-exports them.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import mmap
+import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .util import (
-    BlockReader,
-    atomic_write_text,
-    check_fits_in_memory,
-    json_number,
-    json_numbers,
-    json_str,
-    read_json,
-    write_blocks,
-)
+from .boundaries import Annotation, load_annotations, save_annotations  # noqa: F401  (re-exported)
+from .config import check_clip_settings, check_fps, check_positive_radius, check_snr, check_video_size
+from .util import atomic_writer
 
 FEATURE_MAGIC = b"GEBF"
 FEATURE_VERSION = 1
-
-
-# the slowest frame rate: a u32 frame count then lasts below 4.3e15 s, so every
-# timestamp (f + 0.5) / fps and duration frames / fps stays finite
-MIN_FPS = 1e-6
-
-
-def check_fps(fps: float, video_id: str | None = None) -> None:
-    """The one frame-rate check, for every fps a video, file or command carries."""
-    if not (math.isfinite(fps) and fps >= MIN_FPS):
-        where = "" if video_id is None else f"{video_id}: "
-        raise ValueError(f"{where}fps must be finite and positive (at least {MIN_FPS:g}), got {fps}")
-
-
-def check_video_size(num_frames: int, stage_dims: Sequence[int]) -> None:
-    """A synthetic video has at least one frame, and its float64 features
-    fit in physical memory."""
-    if num_frames < 1:
-        raise ValueError(f"frames must be >= 1, got {num_frames}")
-    check_fits_in_memory(8 * num_frames * sum(stage_dims),
-                         f"a video of {num_frames} frames at stage_dims {tuple(stage_dims)}")
-
-
-# the lowest signal-to-noise ratio: the noise std 1/snr stays a million times
-# below the float32 maximum, so a feature many sigmas out still fits float32
-MIN_SNR = 1e-30
-
-
-def check_snr(snr: float | None) -> None:
-    if snr is not None and not snr >= MIN_SNR:
-        raise ValueError(f"snr must be positive (at least {MIN_SNR:g}, or None for noiseless), got {snr}")
 
 
 @dataclass
@@ -97,27 +63,6 @@ class VideoFeatures:
 
 
 @dataclass
-class Annotation:
-    """Ground-truth boundary timestamps for one video."""
-
-    video_id: str
-    duration: float
-    boundaries: tuple[float, ...]
-    fps: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"{self.video_id}: duration must be finite and positive, got {self.duration}")
-        check_fps(self.fps, self.video_id)
-        self.boundaries = tuple(float(b) for b in self.boundaries)
-        for i, b in enumerate(self.boundaries):
-            if not 0 <= b < self.duration:
-                raise ValueError(f"{self.video_id}: boundary {b} outside [0, {self.duration})")
-            if i > 0 and b <= self.boundaries[i - 1]:
-                raise ValueError(f"{self.video_id}: boundaries must be strictly increasing")
-
-
-@dataclass
 class Clip:
     """A contiguous frame window sliced out of a parent video."""
 
@@ -130,6 +75,90 @@ class Clip:
     @property
     def num_frames(self) -> int:
         return self.end_frame - self.start_frame
+
+
+def write_blocks(path: str | Path, magic: bytes, header: Sequence[int],
+                 blocks: Sequence[np.ndarray]) -> None:
+    """Write the container `BlockReader` reads: magic, the u32 header fields
+    (version first), then each block as row-major little-endian f32.
+
+    Each block is written as soon as it is checked, so a save holds at most
+    one block's f32 cast, never the whole file. A block that is not finite as
+    f32 (a NaN or inf, or a finite value past the f32 range) is a ValueError
+    and `path` is left untouched: `BlockReader` would reject the file."""
+    with atomic_writer(path) as f:
+        f.write(magic + struct.pack(f"<{len(header)}I", *header))
+        for i, b in enumerate(blocks):
+            with np.errstate(over="ignore"):
+                f32 = np.ascontiguousarray(b, dtype="<f4")
+            if not np.all(np.isfinite(f32)):
+                raise ValueError(f"{path}: block {i} holds values that are not finite as float32")
+            f.write(f32)
+
+
+def map_read_only(path: str | Path) -> bytes | mmap.mmap:
+    """The contents of the file at `path` as a read-only shared mapping of
+    the page cache, not a copy; an empty file, which cannot be mapped, is b"".
+    The mapping holds one file descriptor until it is dropped. It sees later
+    writes to the same file, and a read past an end truncated since raises
+    SIGBUS, so a mapped file is replaced by rename, never rewritten in place."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+class BlockReader:
+    """Reader of the GEBF/GEBW container in `raw`, the bytes of the file at
+    `path` (which names it in messages): magic, u32 version, u32 header
+    fields, f32 blocks, nothing after them. Each read checks that it fits in
+    `raw` before it allocates, and names the field and offset if not.
+
+    `raw` is `bytes` or a read-only mapping (`map_read_only`), and each block
+    is a view into it: a mapping stays open, with its file descriptor, while
+    any block lives."""
+
+    def __init__(self, raw: bytes | mmap.mmap, path: str | Path, magic: bytes, version: int):
+        self.path = Path(path)
+        self.raw = raw
+        if self.raw[0:4] != magic:
+            raise ValueError(f"{self.path}: bad magic at offset 0, expected {magic!r}")
+        self.offset = 4
+        found = self.u32("version")
+        if found != version:
+            raise ValueError(f"{self.path}: unsupported version {found} at offset 4")
+
+    def u32(self, what: str) -> int:
+        """The next little-endian u32 header field."""
+        if self.offset + 4 > len(self.raw):
+            raise ValueError(f"{self.path}: truncated while reading {what} at offset {self.offset}")
+        value = struct.unpack_from("<I", self.raw, self.offset)[0]
+        self.offset += 4
+        return value
+
+    def f32(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next block as a read-only little-endian float32 view of `shape`
+        into `raw` (no copy); rejects a block that does not fit in the file
+        or holds non-finite values."""
+        count = math.prod(shape)
+        have = len(self.raw) - self.offset
+        if 4 * count > have:
+            raise ValueError(
+                f"{self.path}: truncated {what} at offset {self.offset}: "
+                f"need {4 * count} bytes, have {have}"
+            )
+        block = np.frombuffer(self.raw, dtype="<f4", count=count, offset=self.offset)
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"{self.path}: non-finite values in {what} at offset {self.offset}")
+        self.offset += 4 * count
+        return block.reshape(shape)
+
+    def finish(self) -> None:
+        """Reject bytes left after the last block."""
+        if self.offset != len(self.raw):
+            raise ValueError(
+                f"{self.path}: {len(self.raw) - self.offset} trailing bytes at offset {self.offset}"
+            )
 
 
 def save_features(path: str | Path, video: VideoFeatures) -> None:
@@ -234,11 +263,6 @@ def nearest_frame(timestamp: float, fps: float, num_frames: int) -> int:
     return min(max(f, 0), num_frames - 1)
 
 
-def check_positive_radius(positive_radius_frames: int) -> None:
-    if positive_radius_frames < 0:
-        raise ValueError(f"positive_radius_frames must be >= 0, got {positive_radius_frames}")
-
-
 def frame_labels(annotation: Annotation, num_frames: int, fps: float,
                  positive_radius_frames: int) -> np.ndarray:
     """0/1 target per frame: nearest frame to each boundary, widened by the radius."""
@@ -250,13 +274,6 @@ def frame_labels(annotation: Annotation, num_frames: int, fps: float,
         hi = min(num_frames, f + positive_radius_frames + 1)
         labels[lo:hi] = 1.0
     return labels
-
-
-def check_clip_settings(clip_seconds: float, overlap_seconds: float) -> None:
-    """The clip settings `split_clips` takes: finite clip_seconds > overlap_seconds >= 0."""
-    if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
-        raise ValueError(f"clip settings must be finite with clip_seconds > overlap_seconds >= 0, "
-                         f"got {clip_seconds}/{overlap_seconds}")
 
 
 def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: float) -> list[Clip]:
@@ -292,37 +309,3 @@ def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: floa
         )
         for s in starts
     ]
-
-
-def save_annotations(path: str | Path, annotations: Iterable[Annotation]) -> None:
-    records = [
-        {
-            "video_id": a.video_id,
-            "duration": a.duration,
-            "fps": a.fps,
-            "boundaries": list(a.boundaries),
-        }
-        for a in annotations
-    ]
-    atomic_write_text(path, json.dumps(records, indent=2) + "\n")
-
-
-def load_annotations(path: str | Path) -> dict[str, Annotation]:
-    records = read_json(path)
-    if not isinstance(records, list):
-        raise ValueError(f"{path}: expected a JSON array of annotation records")
-    out: dict[str, Annotation] = {}
-    for i, rec in enumerate(records):
-        try:
-            ann = Annotation(
-                video_id=json_str(rec["video_id"], "video_id"),
-                duration=json_number(rec["duration"], "duration"),
-                boundaries=tuple(json_numbers(rec["boundaries"], "boundaries")),
-                fps=json_number(rec["fps"], "fps"),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: annotations[{i}]: {e}") from e
-        if ann.video_id in out:
-            raise ValueError(f"{path}: annotations[{i}]: duplicate video_id {ann.video_id!r}")
-        out[ann.video_id] = ann
-    return out

@@ -9,6 +9,10 @@ The matching is a two-pointer greedy over sorted times, and it is maximum:
 each detection's window is a contiguous run of sorted truths whose ends move
 right as the detection does, so giving each detection, in ascending order,
 the earliest free truth in its window never loses a match.
+
+The module is pure Python, so `gebd eval` loads no numpy, yet it keeps
+numpy's bits: times sort as `np.argsort(kind="stable")` sorts them, NaN
+last, and every mean sums as `np.mean` does (`_pairwise_sum`).
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .util import atomic_write_text
 
@@ -30,6 +32,12 @@ def rel_dis_error(detected: float, ground_truth: float, video_len: float) -> flo
     if video_len <= 0:
         raise ValueError(f"video length must be positive, got {video_len}")
     return abs(detected - ground_truth) / video_len
+
+
+def _stable_order(values: list[float]) -> list[int]:
+    """The indices that sort `values` ascending, NaN last and ties in index
+    order: `np.argsort(values, kind="stable")`."""
+    return sorted(range(len(values)), key=lambda i: (math.isnan(values[i]), values[i]))
 
 
 def match_detections(
@@ -45,21 +53,52 @@ def match_detections(
         raise ValueError(f"tau must be positive, got {tau}")
     if video_len <= 0:
         raise ValueError(f"video length must be positive, got {video_len}")
-    d = np.asarray(dets, dtype=np.float64)
-    g = np.asarray(gts, dtype=np.float64)
-    d_order = np.argsort(d, kind="stable")
-    g_order = np.argsort(g, kind="stable")
-    truths = g[g_order].tolist()
+    d = [float(x) for x in dets]
+    g = [float(x) for x in gts]
+    g_order = _stable_order(g)
+    truths = [g[k] for k in g_order]
     pairs = []
     j = 0
-    for i, det in zip(d_order.tolist(), d[d_order].tolist()):
+    for i in _stable_order(d):
+        det = d[i]
         # a truth below this detection's window is below every later one's
         while j < len(truths) and truths[j] < det and rel_dis_error(det, truths[j], video_len) > tau:
             j += 1
         if j < len(truths) and rel_dis_error(det, truths[j], video_len) <= tau:
-            pairs.append((i, int(g_order[j])))
+            pairs.append((i, g_order[j]))
             j += 1
     return sorted(pairs)
+
+
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    """The float64 sum of a[lo:lo + n] in numpy's order: in order from 0.0
+    below 8 values, eight running sums combined as a tree up to 128, and
+    above that the sum of two halves split at a multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for x in a[lo:lo + n]:
+            total += x
+        return total
+    if n <= 128:
+        r = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[end:lo + n]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
+def _mean(values) -> float:
+    """`float(np.mean(values))` bit for bit, for a non-empty sequence of numbers."""
+    a = [float(v) for v in values]
+    # numpy's reduction adds the sum to 0.0, so a sum of -0.0 means 0.0
+    return (0.0 + _pairwise_sum(a, 0, len(a))) / len(a)
 
 
 def _prf(tp: int, nd: int, ng: int) -> tuple[float, float, float]:
@@ -83,6 +122,13 @@ def f1_at(
     return _prf(len(match_detections(dets, gts, tau, video_len)), len(dets), len(gts))
 
 
+def _tau_label(tau: float) -> str:
+    """A threshold in two decimals, as the default grid prints, unless they
+    do not state it in full (0.001, 1e-300): then its shortest repr."""
+    two = f"{tau:.2f}"
+    return two if float(two) == tau else repr(tau)
+
+
 @dataclass
 class TauMetrics:
     tau: float
@@ -97,33 +143,39 @@ class EvalReport:
 
     @property
     def avg_precision(self) -> float:
-        return float(np.mean([m.precision for m in self.per_tau]))
+        return _mean([m.precision for m in self.per_tau])
 
     @property
     def avg_recall(self) -> float:
-        return float(np.mean([m.recall for m in self.per_tau]))
+        return _mean([m.recall for m in self.per_tau])
 
     @property
     def avg_f1(self) -> float:
-        return float(np.mean([m.f1 for m in self.per_tau]))
+        return _mean([m.f1 for m in self.per_tau])
 
     def to_csv(self) -> str:
         lines = ["tau,precision,recall,f1"]
         for m in self.per_tau:
-            lines.append(f"{m.tau:.2f},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}")
+            lines.append(f"{_tau_label(m.tau)},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}")
         lines.append(f"avg,{self.avg_precision:.6f},{self.avg_recall:.6f},{self.avg_f1:.6f}")
         return "\n".join(lines) + "\n"
 
 
 def check_sweep_settings(taus: Sequence[float], average: str) -> None:
-    """The averaging mode and the non-empty, finite, positive thresholds `f1_sweep` takes."""
+    """The averaging mode and the non-empty, finite, positive, distinct
+    thresholds `f1_sweep` takes: a repeated one would be a repeated row of
+    the report, counted twice in its average."""
     if average not in ("micro", "macro"):
         raise ValueError(f"average must be 'micro' or 'macro', got {average!r}")
     if not len(taus):
         raise ValueError("f1_sweep: empty threshold list")
+    seen = set()
     for tau in taus:
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"f1_sweep: thresholds must be finite and positive, got {tau}")
+        if tau in seen:
+            raise ValueError(f"f1_sweep: threshold {tau} is given more than once")
+        seen.add(tau)
 
 
 def f1_sweep(
@@ -148,7 +200,7 @@ def f1_sweep(
             p, r, f1 = _prf(tp, nd, ng)
         else:
             per_video = [f1_at(dets, gts, tau, video_len) for dets, gts, video_len in corpus]
-            p, r, f1 = (float(np.mean([v[i] for v in per_video])) for i in range(3))
+            p, r, f1 = (_mean([v[i] for v in per_video]) for i in range(3))
         rows.append(TauMetrics(float(tau), p, r, f1))
     return EvalReport(rows)
 

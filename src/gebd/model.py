@@ -1,7 +1,8 @@
 """Full scoring model: similarity features, dilated decoder, per-frame head.
 
-`ModelConfig` is the one statement of the model's structure: every
-constructor and forward, those of `tps` included, reads it from the config.
+`ModelConfig` (defined in `config`, which needs no numpy) is the one
+statement of the model's structure: every constructor and forward, those
+of `tps` included, reads it from the config.
 
 The parameter tree is written once, in the `init_*` constructors: each
 takes a parameter source (`nn.ParamSource`) and requests every parameter
@@ -28,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, seq_tensor
-from .data import VideoFeatures
+from .config import ModelConfig, neighbor_radius_for
+from .data import BlockReader, VideoFeatures, map_read_only, write_blocks
 from .nn import (
     Conv1dKernel,
     ConvBlock,
@@ -43,7 +45,6 @@ from .nn import (
 )
 from .postprocess import BoundaryScores
 from .tps import TpsParams, init_tps, tps_forward
-from .util import BlockReader, map_read_only, write_blocks
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
@@ -61,32 +62,6 @@ _FLAG_FIELDS = ("fuse_distances", "use_residual", "use_depthwise")
 WINDOW_FRAMES = 2048
 WINDOW_HALOS = 32
 WINDOW_ALIGN = 64
-
-
-@dataclass
-class ModelConfig:
-    """Structural hyperparameters; neighbor_radius is `neighbor_radius_for(fps)`
-    of the data the model is built for (one second of neighbors per side)."""
-
-    stage_dims: tuple[int, ...] = (256, 512, 1024, 2048)
-    branch_count: int = 4
-    decoder_blocks: int = 3
-    d_out: int = 256
-    d_head: int = 128
-    neighbor_radius: int = 5
-    fuse_distances: bool = True
-    use_residual: bool = True
-    use_depthwise: bool = True
-
-    def __post_init__(self):
-        self.stage_dims = tuple(int(d) for d in self.stage_dims)
-        if not self.stage_dims or any(d < 1 for d in self.stage_dims):
-            raise ValueError(f"stage_dims must be positive, got {self.stage_dims}")
-        for name in ("branch_count", "d_out", "d_head", "neighbor_radius"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.decoder_blocks < 0:
-            raise ValueError("decoder_blocks must be >= 0")
 
 
 @dataclass
@@ -265,11 +240,6 @@ def model_forward(video: VideoFeatures, model: GebdModel) -> BoundaryScores:
     return BoundaryScores(video.video_id, video.fps, scores, smoothed=False)
 
 
-def neighbor_radius_for(fps: float) -> int:
-    """The one fps -> radius rule: a model trains with it and scores the fps that map to its radius."""
-    return max(1, round(fps))
-
-
 def check_features_compatible(config: ModelConfig, video: VideoFeatures) -> None:
     """Raise naming the mismatched field when features do not fit the model."""
     if video.stage_dims != config.stage_dims:
@@ -295,7 +265,7 @@ def save_checkpoint(path: str | Path, model: GebdModel) -> None:
 
 def load_checkpoint(path: str | Path) -> GebdModel:
     """An inference model: every parameter is a read-only float32 view into a
-    read-only mapping of the file (`util.map_read_only`), not into a copy,
+    read-only mapping of the file (`data.map_read_only`), not into a copy,
     with requires_grad False, so its forward runs in float32 and keeps no
     tape. The model holds the mapping's one file descriptor until it is
     dropped; replace a checkpoint it reads by rename (as `save_checkpoint`

@@ -1,6 +1,8 @@
 """Score post-processing: Gaussian smoothing, peak picking, clip-score merging.
 
-Frame f carries the timestamp (f + 0.5) / fps everywhere.
+Frame f carries the timestamp (f + 0.5) / fps everywhere. Detections and
+their files (`boundaries`) need no numpy and live there; this module
+re-exports them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Clip, check_fps
+from .boundaries import DetectionList, load_detections, save_detections  # noqa: F401  (re-exported)
+from .config import check_fps
+from .data import Clip
 from .util import atomic_write_text, json_number, json_numbers, json_str, read_json
 
 PEAK_THRESHOLD = 0.1
@@ -41,21 +45,6 @@ class BoundaryScores:
         if not np.all(np.isfinite(self.scores)):
             raise ValueError(f"{self.video_id}: scores must be finite")
         check_fps(self.fps, self.video_id)
-
-
-@dataclass
-class DetectionList:
-    """Sorted boundary timestamps (seconds) emitted for one video."""
-
-    video_id: str
-    timestamps: list[float]
-
-    def __post_init__(self):
-        self.timestamps = [float(t) for t in self.timestamps]
-        if not all(math.isfinite(t) for t in self.timestamps):
-            raise ValueError(f"{self.video_id}: timestamps must be finite")
-        if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
-            raise ValueError(f"{self.video_id}: timestamps must be strictly increasing")
 
 
 def smoothing_window(fps: float) -> int:
@@ -204,17 +193,3 @@ def load_scores(path: str | Path) -> BoundaryScores:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: invalid score file: {e}") from e
-
-
-def save_detections(path: str | Path, d: DetectionList) -> None:
-    rec = {"video_id": d.video_id, "timestamps": d.timestamps}
-    atomic_write_text(path, json.dumps(rec) + "\n")
-
-
-def load_detections(path: str | Path) -> DetectionList:
-    rec = read_json(path)
-    try:
-        return DetectionList(json_str(rec["video_id"], "video_id"),
-                             json_numbers(rec["timestamps"], "timestamps"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: invalid detection file: {e}") from e

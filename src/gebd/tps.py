@@ -26,11 +26,12 @@ splits it into videos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, _accumulate, _normalized_sum, _require_seq, l2_normalize_rows
+from .config import ModelConfig
 from .nn import (
     Conv1dKernel,
     ConvBlock,
@@ -43,9 +44,6 @@ from .nn import (
     init_depthwise,
     init_layer_norm,
 )
-
-if TYPE_CHECKING:  # model imports this module
-    from .model import ModelConfig
 
 NORMALIZE_EPS = 1e-12
 

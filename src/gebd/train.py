@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, _accumulate, backward, fold_sum, scale, time_smooth
+from .config import TrainConfig
 from .data import VideoFeatures
 from .model import GebdModel, stack_videos
 from .util import atomic_write_text
@@ -25,27 +26,6 @@ BCE_CLAMP = 1e-7
 
 class TrainingDiverged(RuntimeError):
     pass
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 8
-    lr_peak: float = 4e-4
-    lr_final: float = 4e-6
-    warmup_epochs: int = 2
-    smooth_training: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("epochs", 0), ("batch_size", 1), ("warmup_epochs", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # epochs == 0 means "initialize only" and skips the schedule entirely
-        if self.epochs > 0 and self.warmup_epochs >= self.epochs:
-            raise ValueError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
-        if not 0 < self.lr_final < self.lr_peak:
-            raise ValueError(f"need 0 < lr_final < lr_peak, got {self.lr_final} / {self.lr_peak}")
 
 
 def bce_loss(pred: Tensor, target) -> Tensor:

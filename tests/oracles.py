@@ -161,6 +161,25 @@ def brute_force_max_matching(dets, gts, tau, video_len):
     return best(0, 0)
 
 
+def numpy_match_detections(dets, gts, tau, video_len):
+    """The matching as numpy orders it: each side by `np.argsort(kind="stable")`
+    (NaN last, ties in index order), then the same two-pointer greedy."""
+    d = np.asarray(dets, dtype=np.float64)
+    g = np.asarray(gts, dtype=np.float64)
+    d_order = np.argsort(d, kind="stable")
+    g_order = np.argsort(g, kind="stable")
+    truths = g[g_order].tolist()
+    pairs = []
+    j = 0
+    for i, det in zip(d_order.tolist(), d[d_order].tolist()):
+        while j < len(truths) and truths[j] < det and abs(det - truths[j]) / video_len > tau:
+            j += 1
+        if j < len(truths) and abs(det - truths[j]) / video_len <= tau:
+            pairs.append((i, int(g_order[j])))
+            j += 1
+    return sorted(pairs)
+
+
 def accumulate_clip_scores(clip_ranges, clip_scores, parent_len):
     """Plain-loop summation of clip scores onto the parent timeline."""
     total = np.zeros(parent_len)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gebd import cli
+from gebd import model as model_mod
 from gebd.data import VideoFeatures, load_annotations, load_features, save_features, split_clips, synth_video
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
 from gebd.postprocess import (
@@ -123,9 +124,9 @@ class TestSynth:
         (["--snr", "nan"], "snr must be positive"),
         (["--num-videos", "-1"], "num_videos must be >= 1"),
         (["--num-videos", "0"], "num_videos must be >= 1"),
-        (["--snr", "1e-320"], "snr must be positive (at least 1e-30"),  # below data.MIN_SNR
+        (["--snr", "1e-320"], "snr must be positive (at least 1e-30"),  # below config.MIN_SNR
         (["--snr", "1e-40"], "snr must be positive (at least 1e-30"),  # noise std 1/snr past float32
-        (["--fps", "1e-320"], "fps must be finite and positive"),  # below data.MIN_FPS
+        (["--fps", "1e-320"], "fps must be finite and positive"),  # below config.MIN_FPS
         (["--min-gap-seconds=-inf"], "duration and gap must be finite"),
         (["--min-gap-seconds", "5"], "video00000: min_gap_seconds: cannot fit"),  # 6 s videos
     ])
@@ -243,7 +244,7 @@ class TestInfer:
             seen.append([clip.start_frame for clip, _ in scored])
             return original(scored)
 
-        monkeypatch.setattr(cli.post_mod, "merge_clip_scores", spy)
+        monkeypatch.setattr(post_mod, "merge_clip_scores", spy)
         out = tmp_path / "clipinfer"
         code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
                     "--features", str(data), "--out", str(out), "--fps", "5",
@@ -391,7 +392,7 @@ class TestInfer:
         def fail(*args, **kwargs):
             raise AssertionError("checkpoint read before the clip settings were checked")
 
-        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        monkeypatch.setattr(model_mod, "load_checkpoint", fail)
         code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
                     "--out", str(tmp_path / "bad"), "--fps", "5", "--overlap-seconds", "20"])
         assert code == 1
@@ -889,7 +890,7 @@ class TestWorkerCount:
         def fail(*args, **kwargs):
             raise AssertionError("infer loaded the checkpoint before checking GEBD_THREADS")
 
-        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        monkeypatch.setattr(model_mod, "load_checkpoint", fail)
         monkeypatch.setenv("GEBD_THREADS", value)
         out = tmp_path / "out"
         code = run(["infer", "--checkpoint", str(tmp_path / "m.gebw"), "--features", str(tmp_path / "f"),

@@ -1,6 +1,8 @@
 """Relative-distance error, one-to-one matching, F1, and the threshold sweep."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gebd import evaluate
+from gebd import cli, evaluate
+from gebd.boundaries import Annotation, DetectionList, save_annotations, save_detections
 from gebd.evaluate import (
     DEFAULT_TAUS,
     EvalReport,
@@ -19,7 +22,7 @@ from gebd.evaluate import (
     rel_dis_error,
     write_report_csv,
 )
-from oracles import brute_force_max_matching, traced_peak
+from oracles import brute_force_max_matching, numpy_match_detections, traced_peak
 
 
 class TestRelDisError:
@@ -230,3 +233,89 @@ class TestReportCsv:
         write_report_csv(path, report)
         avg_line = path.read_text().strip().splitlines()[-1]
         assert avg_line == f"avg,1.000000,0.750000,{(2 / 3 + 1) / 2:.6f}"
+
+
+class TestThresholds:
+    def test_repeated_threshold_rejected(self):
+        with pytest.raises(ValueError, match="0.05 is given more than once"):
+            f1_sweep([([1.0], [1.0], 10.0)], taus=(0.05, 0.1, 0.05))
+
+    def test_repeated_threshold_is_one_cli_error_line(self, tmp_path, capsys):
+        write_eval_corpus(tmp_path)
+        code = cli.main(["eval", "--detections", str(tmp_path / "detections"),
+                         "--annotations", str(tmp_path / "annotations.json"),
+                         "--out", str(tmp_path / "report.csv"), "--taus", "0.05,0.05"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX) and "more than once" in err[0], err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("taus, labels", [
+        ((0.001, 0.004), ["0.001", "0.004"]),
+        ((1e-300,), ["1e-300"]),
+        ((0.1 + 0.2, 0.3), ["0.30000000000000004", "0.30"]),
+        (DEFAULT_TAUS, ["0.05", "0.10", "0.15", "0.20", "0.25", "0.30", "0.35", "0.40", "0.45", "0.50"]),
+    ])
+    def test_tau_column_states_each_threshold(self, taus, labels):
+        rows = f1_sweep([([1.0], [1.0], 10.0)], taus=taus).to_csv().splitlines()[1:-1]
+        assert [row.split(",")[0] for row in rows] == labels
+
+
+class TestNumpyOrders:
+    """evaluate is pure Python, so `gebd eval` runs without numpy; these pin
+    the bits it must still share with numpy's sort and mean."""
+
+    def test_mean_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        lists = [(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)).tolist() for n in range(1, 301)]
+        lists.append(rng.uniform(0, 1, size=20_000).tolist())  # longer than numpy's 8192-element buffer
+        lists += [[-0.0], [-0.0] * 9, [0.1] * 129]
+        for values in lists:
+            assert evaluate._mean(values).hex() == float(np.mean(values)).hex(), len(values)
+
+    def test_matching_is_numpys_on_ties_signed_zeros_inf_and_nan(self):
+        rng = np.random.default_rng(9)
+        pool = [0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 9.5, np.inf, -np.inf, np.nan]
+        for _ in range(3000):
+            dets = rng.choice(pool, size=rng.integers(0, 8)).tolist()
+            gts = rng.choice(pool, size=rng.integers(0, 8)).tolist()
+            tau = float(rng.choice([0.05, 0.1, 0.25, np.inf]))
+            video_len = float(rng.choice([1.0, 10.0]))
+            assert match_detections(dets, gts, tau, video_len) == numpy_match_detections(dets, gts, tau, video_len)
+
+
+def write_eval_corpus(root):
+    """A fixed corpus of 300 videos at three frame rates, with annotation and
+    detection files under `root`: timestamps on frame centres, so errors of
+    exactly tau occur, and videos with no truths or no detections."""
+    rng = random.Random(19)
+    annotations = []
+    (root / "detections").mkdir()
+    for i in range(300):
+        fps = rng.choice([5.0, 10.0, 29.97])
+        frames = rng.randint(10, 400)
+        truth_frames = sorted(rng.sample(range(frames), rng.randint(0, min(frames, 8))))
+        det_frames = {min(frames - 1, max(0, f + rng.randint(-12, 12))) for f in truth_frames if rng.random() < 0.8}
+        det_frames |= {rng.randrange(frames) for _ in range(rng.randint(0, 4))}
+        vid = f"v{i:03d}"
+        annotations.append(Annotation(vid, frames / fps, tuple((f + 0.5) / fps for f in truth_frames), fps))
+        save_detections(root / "detections" / f"{vid}.json",
+                        DetectionList(vid, [(f + 0.5) / fps for f in sorted(det_frames)]))
+    save_annotations(root / "annotations.json", annotations)
+
+
+# report.csv of `write_eval_corpus` as numpy's sort and mean computed it
+REPORT_SHA256 = {
+    "micro": "d5886acc31efd3d576659b94dae261e510c4aa90eeff6dc5f0266c631577ada5",
+    "macro": "d547a693327d10c18f73bdb7551e2f82fa0f1d5396e292722f329c7554198d1d",
+}
+
+
+@pytest.mark.parametrize("average", ["micro", "macro"])
+def test_report_bytes_are_pinned(tmp_path, average):
+    write_eval_corpus(tmp_path)
+    report = tmp_path / "report.csv"
+    assert cli.main(["eval", "--detections", str(tmp_path / "detections"),
+                     "--annotations", str(tmp_path / "annotations.json"),
+                     "--out", str(report), "--eval-average", average]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[average]

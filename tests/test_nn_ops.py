@@ -1,6 +1,8 @@
 """Convolutions, layer norm, GELU, sigmoid: values against naive oracles and
 finite-difference gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gebd.nn import (
     _conv1d_parts,
     _conv_block,
     _norm_gelu,
+    _phi,
     _scipy_erf,
     Conv1dKernel,
     DepthwiseKernel,
@@ -250,6 +253,17 @@ class TestGelu:
                  np.inf, -np.inf, np.nan]  # +-1 is the branch point
         x = np.concatenate([edges, np.random.default_rng(0).standard_normal(4096) * 3]).astype(dtype)
         assert np.array_equal(_scipy_erf()(x).view(bits), erf(x).view(bits))
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_phi_is_the_erf_formula_bit_for_bit(self, dtype, bits):
+        # _phi runs erf on |u| and restores the sign; the direct formula runs it on u
+        from scipy.special import erf
+
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 5.9, -5.9, 27.0, -27.0, np.inf, -np.inf]
+        v = np.concatenate([edges, np.random.default_rng(1).standard_normal(4096)]).astype(dtype)
+        want = 0.5 * (1.0 + erf(v * (1.0 / math.sqrt(2.0))))
+        assert want.dtype == dtype
+        assert np.array_equal(_phi(v).view(bits), want.view(bits))
 
 
 class TestSigmoid:
