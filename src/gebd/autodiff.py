@@ -41,7 +41,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .postprocess import smooth_frames
+# the eps of every row normalization, tps's residual views included
+NORMALIZE_EPS = 1e-12
 
 
 def _as_value(data) -> np.ndarray:
@@ -215,21 +216,19 @@ def concat_channels(parts: Iterable[Tensor]) -> Tensor:
     return Tensor(_concat(parts), parents=tuple(parts), backward=lambda g: _split(parts, slices, g), validate=False)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Divide each row by sqrt(|row|^2 + eps^2); zero rows map to zero."""
-    return _normalized_sum([x], eps, "l2_normalize_rows")
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Divide each row by sqrt(|row|^2 + NORMALIZE_EPS^2); zero rows map to zero."""
+    return _normalized_sum([x], "l2_normalize_rows")
 
 
-def _normalized_sum(terms: Sequence[Tensor], eps: float, what: str) -> Tensor:
+def _normalized_sum(terms: Sequence[Tensor], what: str) -> Tensor:
     """l2_normalize_rows of the sum of `terms` (`_sum`) as one node. It keeps
     the terms and the row norms, not the sum: its backward rebuilds the sum
     with the forward's own adds, so it gets the forward's bits, and hands
     the sum's adjoint to every term, as `add` does."""
-    if eps <= 0:
-        raise ValueError(f"{what}: eps must be positive")
     _require_seq(terms[0], what)
     total = _sum(terms, what)
-    norms = np.sqrt((total ** 2).sum(axis=-1) + eps * eps)[..., None]
+    norms = np.sqrt((total ** 2).sum(axis=-1) + NORMALIZE_EPS * NORMALIZE_EPS)[..., None]
 
     def backward(g):
         total = _sum(terms, what)
@@ -260,16 +259,6 @@ def fold_sum(parts: Iterable[Tensor]) -> Tensor:
             _accumulate(p, np.full(p.data.shape, g[0, 0]))
 
     return Tensor([[total]], parents=tuple(parts), backward=backward, validate=False)
-
-
-def time_smooth(x: Tensor, fps: float) -> Tensor:
-    """Fixed Gaussian smoothing along the frame axis (`postprocess.smooth_frames`)."""
-    _require_seq(x, "time_smooth")
-
-    def backward(g):
-        _accumulate(x, smooth_frames(g, fps, adjoint=True))
-
-    return Tensor(smooth_frames(x.data, fps), parents=(x,), backward=backward, validate=False)
 
 
 def _spent(g: np.ndarray) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -86,12 +87,14 @@ class RunConfig:
 
     def __post_init__(self):
         """Check every setting, each by the rule of the field's owner; only
-        the synth counts and the seed have their rules here."""
+        the synth counts, the gap and the seed have their rules here."""
         if self.num_videos < 1:
             raise ValueError(f"num_videos must be >= 1, got {self.num_videos}")
         if not 0 <= self.min_boundaries <= self.max_boundaries:
             raise ValueError(f"need 0 <= min_boundaries <= max_boundaries, "
                              f"got {self.min_boundaries}/{self.max_boundaries}")
+        if not (math.isfinite(self.min_gap_seconds) and self.min_gap_seconds >= 0):
+            raise ValueError(f"min_gap_seconds must be finite and >= 0, got {self.min_gap_seconds}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_fps(self.fps)  # before the model's radius is derived from it
@@ -253,7 +256,7 @@ def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
         video = data_mod.load_features(f, fps=ann.fps)
         labels = data_mod.frame_labels(ann, video.num_frames, ann.fps, cfg.positive_radius_frames)
         dataset.append((video, labels))
-    return dataset, annotations
+    return dataset
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -261,7 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .train import train, write_loss_curve
 
     cfg = resolve_config(args)
-    dataset, _ = _load_dataset(Path(args.features), Path(args.annotations), cfg)
+    dataset = _load_dataset(Path(args.features), Path(args.annotations), cfg)
     fps_values = {video.fps for video, _ in dataset}
     if len(fps_values) != 1:
         raise ValueError(f"training videos must share one fps, got {sorted(fps_values)}")

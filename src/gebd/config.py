@@ -104,5 +104,5 @@ class TrainConfig:
         # epochs == 0 means "initialize only" and skips the schedule entirely
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ValueError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
-        if not 0 < self.lr_final < self.lr_peak:
-            raise ValueError(f"need 0 < lr_final < lr_peak, got {self.lr_final} / {self.lr_peak}")
+        if not 0 < self.lr_final < self.lr_peak < math.inf:
+            raise ValueError(f"need 0 < lr_final < lr_peak < inf, got {self.lr_final} / {self.lr_peak}")

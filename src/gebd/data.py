@@ -167,8 +167,9 @@ def save_features(path: str | Path, video: VideoFeatures) -> None:
     write_blocks(path, FEATURE_MAGIC, header, video.stages)
 
 
-def load_features(path: str | Path, fps: float, video_id: str | None = None) -> VideoFeatures:
-    """Read a feature file; fps travels with annotations, so callers supply it.
+def load_features(path: str | Path, fps: float) -> VideoFeatures:
+    """Read a feature file, named by its stem; fps travels with annotations,
+    so callers supply it.
 
     Each stage is a read-only float32 view of the file bytes, not a copy.
     The bytes are read into memory, not mapped as `load_checkpoint` maps a
@@ -191,7 +192,7 @@ def load_features(path: str | Path, fps: float, video_id: str | None = None) -> 
         dims.append(d)
     stages = [reader.f32((t, d), f"stage {k} payload") for k, d in enumerate(dims)]
     reader.finish()
-    return VideoFeatures(video_id or path.stem, fps, stages)
+    return VideoFeatures(path.stem, fps, stages)
 
 
 def synth_video(

@@ -10,9 +10,9 @@ each detection's window is a contiguous run of sorted truths whose ends move
 right as the detection does, so giving each detection, in ascending order,
 the earliest free truth in its window never loses a match.
 
-The module is pure Python, so `gebd eval` loads no numpy, yet it keeps
-numpy's bits: times sort as `np.argsort(kind="stable")` sorts them, NaN
-last, and every mean sums as `np.mean` does (`_pairwise_sum`).
+The module is pure Python, so `gebd eval` loads no numpy. Times sort as
+`np.argsort(kind="stable")` sorts them, NaN last, and every mean divides a
+correctly rounded sum (`math.fsum`), so it does not depend on input order.
 """
 
 from __future__ import annotations
@@ -70,35 +70,9 @@ def match_detections(
     return sorted(pairs)
 
 
-def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
-    """The float64 sum of a[lo:lo + n] in numpy's order: in order from 0.0
-    below 8 values, eight running sums combined as a tree up to 128, and
-    above that the sum of two halves split at a multiple of 8."""
-    if n < 8:
-        total = 0.0
-        for x in a[lo:lo + n]:
-            total += x
-        return total
-    if n <= 128:
-        r = a[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += a[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in a[end:lo + n]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
-
-
 def _mean(values) -> float:
-    """`float(np.mean(values))` bit for bit, for a non-empty sequence of numbers."""
-    a = [float(v) for v in values]
-    # numpy's reduction adds the sum to 0.0, so a sum of -0.0 means 0.0
-    return (0.0 + _pairwise_sum(a, 0, len(a))) / len(a)
+    """The mean of a non-empty sequence of numbers, from their correctly rounded sum."""
+    return math.fsum(values) / len(values)
 
 
 def _prf(tp: int, nd: int, ng: int) -> tuple[float, float, float]:

@@ -22,7 +22,7 @@ Checkpoint layout (little endian):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import groupby
 from pathlib import Path
 
@@ -68,7 +68,7 @@ WINDOW_ALIGN = 64
 class SdParams:
     """Stacked width-3 conv blocks with dilations 2, 4, ... applied in order."""
 
-    blocks: list[ConvBlock] = field(default_factory=list)
+    blocks: list[ConvBlock]
 
 
 @dataclass

@@ -59,6 +59,7 @@ ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 # Python floats, not NumPy float64 scalars, so float32 inputs stay float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-5
 
 _ERF_MODULE = "scipy.special._special_ufuncs"
 _ERF_LOCK = threading.Lock()
@@ -119,13 +120,10 @@ class LayerNormAffine:
 
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
     def __post_init__(self):
         if self.gamma.data.ndim != 1 or self.gamma.data.shape != self.beta.data.shape:
             raise ValueError("layer norm gamma/beta must be equal-length 1-D arrays")
-        if self.eps <= 0:
-            raise ValueError("layer norm eps must be positive")
 
 
 @dataclass
@@ -279,7 +277,7 @@ def _norm_values(x: Tensor, a: LayerNormAffine) -> tuple[np.ndarray, np.ndarray,
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + a.eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     return _affine(centered * inv, a), mu, inv
 
 
@@ -438,21 +436,12 @@ def init_conv1d(new: ParamSource, in_channels: int, out_channels: int,
     )
 
 
-def init_depthwise(new: ParamSource, channels: int, width: int,
-                   dilation: int = 1) -> DepthwiseKernel:
-    return DepthwiseKernel(
-        _param(new, (channels, width), "weights"),
-        _param(new, (channels,), "bias"),
-        dilation,
-    )
+def init_depthwise(new: ParamSource, channels: int, width: int) -> DepthwiseKernel:
+    return DepthwiseKernel(_param(new, (channels, width), "weights"), _param(new, (channels,), "bias"))
 
 
-def init_layer_norm(new: ParamSource, channels: int, eps: float = 1e-5) -> LayerNormAffine:
-    return LayerNormAffine(
-        _param(new, (channels,), "gamma"),
-        _param(new, (channels,), "beta"),
-        eps,
-    )
+def init_layer_norm(new: ParamSource, channels: int) -> LayerNormAffine:
+    return LayerNormAffine(_param(new, (channels,), "gamma"), _param(new, (channels,), "beta"))
 
 
 def init_conv_block(new: ParamSource, in_channels: int, out_channels: int,

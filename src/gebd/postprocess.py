@@ -12,14 +12,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundaries import DetectionList, load_detections, save_detections  # noqa: F401  (re-exported)
 from .config import check_fps
-from .data import Clip
 from .util import atomic_write_text, json_number, json_numbers, json_str, read_json
+
+if TYPE_CHECKING:
+    from .data import Clip
 
 PEAK_THRESHOLD = 0.1
 PEAK_NEIGHBOR_SECONDS = 0.5
@@ -120,19 +123,14 @@ def gaussian_smooth(s: BoundaryScores) -> BoundaryScores:
     return BoundaryScores(s.video_id, s.fps, smoothed, smoothed=True)
 
 
-def pick_peaks(
-    s: BoundaryScores,
-    threshold: float = PEAK_THRESHOLD,
-    neighbor_seconds: float = PEAK_NEIGHBOR_SECONDS,
-) -> DetectionList:
-    """Frames that top every neighbor within the window and clear the threshold.
-
-    On a plateau of equal window-maxima only the earliest frame fires.
-    """
+def pick_peaks(s: BoundaryScores) -> DetectionList:
+    """Frames above PEAK_THRESHOLD that top every neighbor within
+    PEAK_NEIGHBOR_SECONDS; on a plateau of equal window-maxima only the
+    earliest frame fires."""
     x = s.scores
-    w = int(math.floor(neighbor_seconds * s.fps + 1e-9))
+    w = int(math.floor(PEAK_NEIGHBOR_SECONDS * s.fps + 1e-9))
     window_max = sliding_window_view(np.pad(x, w, constant_values=-np.inf), 2 * w + 1).max(axis=1)
-    candidate = (x > threshold) & (x >= window_max)
+    candidate = (x > PEAK_THRESHOLD) & (x >= window_max)
     fires = candidate.copy()
     fires[1:] &= ~(candidate[:-1] & (x[:-1] == x[1:]))
     return DetectionList(s.video_id, ((np.flatnonzero(fires) + 0.5) / s.fps).tolist())

@@ -45,8 +45,6 @@ from .nn import (
     init_layer_norm,
 )
 
-NORMALIZE_EPS = 1e-12
-
 
 @dataclass
 class TpsStageParams:
@@ -71,7 +69,7 @@ class TpsParams:
 def residual_normalize(f: Tensor, x: Tensor) -> Tensor:
     """Row-normalized residual sum: (f + x) / |f + x|, as one node that
     keeps f and x, not their sum: its backward rebuilds the sum."""
-    return _normalized_sum([f, x], NORMALIZE_EPS, "residual_normalize")
+    return _normalized_sum([f, x], "residual_normalize")
 
 
 def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
@@ -136,7 +134,7 @@ def comprehensive_rep(branch_outputs: list[Tensor], compress: Conv1dKernel) -> T
     """Width-1 projection of all branch outputs back to the stage width,
     row-normalized. The projection reads the branch outputs side by side and
     keeps them, not their concatenation (`nn._conv1d_parts`)."""
-    return l2_normalize_rows(_conv1d_parts(branch_outputs, compress), NORMALIZE_EPS)
+    return l2_normalize_rows(_conv1d_parts(branch_outputs, compress))
 
 
 def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tensor:
@@ -159,7 +157,7 @@ def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tens
     views = []
     while branch_outputs:
         f = branch_outputs.pop(0)
-        views.append(residual_normalize(f, x) if config.use_residual else l2_normalize_rows(f, NORMALIZE_EPS))
+        views.append(residual_normalize(f, x) if config.use_residual else l2_normalize_rows(f))
         del f
     views.append(comprehensive)
     feats = [similarity_vector(views, config.neighbor_radius)] if config.fuse_distances else views

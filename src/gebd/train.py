@@ -1,4 +1,4 @@
-"""Training: per-frame BCE loss, warmup + cosine schedule, Adam, and the loop.
+"""Training: time smoothing, per-frame BCE loss, warmup + cosine schedule, Adam, and the loop.
 
 The schedule rises linearly from 0 to lr_peak over the warmup epochs, then
 follows a cosine from lr_peak down to lr_final at the last step. The model
@@ -15,13 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, backward, fold_sum, scale, time_smooth
+from .autodiff import Tensor, _accumulate, _require_seq, backward, fold_sum, scale
 from .config import TrainConfig
 from .data import VideoFeatures
 from .model import GebdModel, stack_videos
+from .postprocess import smooth_frames
 from .util import atomic_write_text
 
 BCE_CLAMP = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,6 +56,16 @@ def bce_loss(pred: Tensor, target) -> Tensor:
     return Tensor(values[..., None, None], parents=(pred,), backward=bwd, validate=False)
 
 
+def time_smooth(x: Tensor, fps: float) -> Tensor:
+    """Fixed Gaussian smoothing along the frame axis (`postprocess.smooth_frames`)."""
+    _require_seq(x, "time_smooth")
+
+    def backward(g):
+        _accumulate(x, smooth_frames(g, fps, adjoint=True))
+
+    return Tensor(smooth_frames(x.data, fps), parents=(x,), backward=backward, validate=False)
+
+
 def lr_schedule(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
     """Learning rate for a global step index (0-based)."""
     if step < 0 or steps_per_epoch < 1:
@@ -79,16 +93,9 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Standard bias-corrected Adam update, in place on the parameter tensors."""
+def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState, lr: float) -> None:
+    """Standard bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS),
+    in place on the parameter tensors."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state length mismatch")
     state.step += 1
@@ -97,11 +104,11 @@ def adam_step(
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(f"grad shape {g.shape} does not match param {p.data.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1 ** t)
-        v_hat = state.v[i] / (1.0 - beta2 ** t)
-        p.update_data(p.data - lr * m_hat / (np.sqrt(v_hat) + eps))
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        p.update_data(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 def train(

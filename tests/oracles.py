@@ -13,6 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gebd.nn import LAYER_NORM_EPS
+
 
 def naive_conv1d(x, weights, bias, dilation):
     """Direct summation over taps and input channels; zero outside [0, T)."""
@@ -125,7 +127,7 @@ def naive_stage_forward(x, stage, radius, fuse_distances=True, use_residual=True
             h = naive_depthwise_conv1d(h, br.depthwise.weights.data, br.depthwise.bias.data,
                                        br.depthwise.dilation)
         h = naive_conv1d(h, br.conv.weights.data, br.conv.bias.data, br.conv.dilation)
-        h = naive_layer_norm(h, br.norm.gamma.data, br.norm.beta.data, br.norm.eps)
+        h = naive_layer_norm(h, br.norm.gamma.data, br.norm.beta.data, LAYER_NORM_EPS)
         branch_outputs.append(naive_gelu(h))
     views = []
     for f in branch_outputs:

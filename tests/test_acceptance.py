@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, scale, seq_tensor, time_smooth
+from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, scale, seq_tensor
 from gebd.data import frame_labels, random_boundary_times, split_clips, synth_video, VideoFeatures
 from gebd.evaluate import f1_sweep, match_detections, rel_dis_error
 from gebd.model import (
@@ -25,7 +25,7 @@ from gebd.model import (
 from gebd.nn import conv1d, conv_block, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
 from gebd.tps import similarity_vector, stage_forward, tps_forward
-from gebd.train import TrainConfig, bce_loss, train
+from gebd.train import TrainConfig, bce_loss, time_smooth, train
 from gradcheck import check_op_gradients, directional_check, mul, spot_check_model_gradients, sum_all
 from oracles import accumulate_clip_scores, brute_force_max_matching, naive_conv1d, naive_depthwise_conv1d
 
@@ -117,7 +117,7 @@ def test_criterion_2_gradient_suite():
     xn = Tensor(rng.uniform(-2, 2, size=(6, 4)), requires_grad=True)
     wn = Tensor(rng.uniform(-1, 1, size=(6, 4)))
     worst = max(worst, check_op_gradients(
-        lambda: sum_all(mul(l2_normalize_rows(xn, 1e-6), wn)), [xn], tol))
+        lambda: sum_all(mul(l2_normalize_rows(xn), wn)), [xn], tol))
     worst = max(worst, check_op_gradients(
         lambda: sum_all(mul(time_smooth(xn, 5.0), wn)), [xn], tol))
     k = make_conv(rng, 3, 2, 3, 2)
@@ -179,7 +179,7 @@ def test_criterion_3_architecture_conformance():
             checks.append((br.depthwise is not None) == (br.dilation > 1))
             out = conv_block(x, br)
             checks.append(out.data.shape == (t_len, d_k))  # Output size T x d_k
-        view = l2_normalize_rows(conv_block(x, stage.branches[0]), 1e-12)
+        view = l2_normalize_rows(conv_block(x, stage.branches[0]))
         dist = similarity_vector([view], config.neighbor_radius)
         checks.append(dist.data.shape == (t_len, 2 * config.neighbor_radius))
         stage_out = stage_forward(x, stage, config)

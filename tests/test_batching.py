@@ -16,7 +16,6 @@ from gebd.autodiff import (
     l2_normalize_rows,
     scale,
     seq_tensor,
-    time_smooth,
 )
 from gebd.model import GebdModel, ModelConfig
 from gebd.nn import (
@@ -33,7 +32,7 @@ from gebd.nn import (
 )
 from gebd.postprocess import smooth_frames
 from gebd.tps import residual_normalize, similarity_vector
-from gebd.train import bce_loss
+from gebd.train import bce_loss, time_smooth
 from gradcheck import check_op_gradients, mul, sum_all
 
 BATCHES = (1, 3, 9)

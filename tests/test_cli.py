@@ -120,14 +120,16 @@ class TestSynth:
             assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--min-gap-seconds", "nan"], "cannot fit"),
+        (["--min-gap-seconds", "nan"], "min_gap_seconds must be finite and >= 0"),
+        (["--min-boundaries", "0", "--max-boundaries", "0", "--min-gap-seconds", "nan"], "min_gap_seconds must be"),
+        (["--min-boundaries", "0", "--max-boundaries", "0", "--min-gap-seconds", "-5"], "min_gap_seconds must be"),
         (["--snr", "nan"], "snr must be positive"),
         (["--num-videos", "-1"], "num_videos must be >= 1"),
         (["--num-videos", "0"], "num_videos must be >= 1"),
         (["--snr", "1e-320"], "snr must be positive (at least 1e-30"),  # below config.MIN_SNR
         (["--snr", "1e-40"], "snr must be positive (at least 1e-30"),  # noise std 1/snr past float32
         (["--fps", "1e-320"], "fps must be finite and positive"),  # below config.MIN_FPS
-        (["--min-gap-seconds=-inf"], "duration and gap must be finite"),
+        (["--min-gap-seconds=-inf"], "min_gap_seconds must be finite and >= 0"),
         (["--min-gap-seconds", "5"], "video00000: min_gap_seconds: cannot fit"),  # 6 s videos
     ])
     def test_nan_or_non_positive_settings_rejected(self, tmp_path, capsys, flags, message):
@@ -742,6 +744,7 @@ OUT_OF_RANGE = [
     ("epochs", "-3", "epochs must be >= 0"),
     ("batch_size", "0", "batch_size must be >= 1"),
     ("lr_peak", "0", "need 0 < lr_final < lr_peak"),
+    ("lr_peak", "inf", "need 0 < lr_final < lr_peak < inf"),
     ("lr_final", "0", "need 0 < lr_final < lr_peak"),
     ("warmup_epochs", "-1", "warmup_epochs must be >= 0"),
     ("positive_radius_frames", "-1", "positive_radius_frames must be >= 0"),
@@ -749,9 +752,7 @@ OUT_OF_RANGE = [
     ("overlap_seconds", "-1", "clip_seconds > overlap_seconds"),
     ("taus", "", "empty threshold list"),
     ("eval_average", "foo", "average must be 'micro' or 'macro'"),
-    # whether the boundaries fit depends on the drawn count: `synth` draws
-    # every video's boundaries before it makes its directory
-    ("min_gap_seconds", "nan", "cannot fit"),
+    ("min_gap_seconds", "nan", "min_gap_seconds must be finite and >= 0"),
 ]
 
 
@@ -775,8 +776,7 @@ def flag_commands(name: str) -> list[str]:
 
 def rejected_cases():
     for name, value, message in OUT_OF_RANGE:
-        commands = ["synth"] if name == "min_gap_seconds" else ["synth", "train", "infer", "eval"]
-        for command in commands:
+        for command in ["synth", "train", "infer", "eval"]:
             yield pytest.param(command, "file", name, value, message, id=f"{name}={value}-{command}-file")
         for command in flag_commands(name):
             yield pytest.param(command, "flag", name, value, message, id=f"{name}={value}-{command}-flag")
@@ -800,8 +800,7 @@ class TestSettingsCheckedOnce:
         err = capsys.readouterr().err
         assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1, err
         assert message in err
-        if name != "min_gap_seconds":  # the fit's message names the gap by its value
-            assert re.search(rf"\b{name}\b", err), err
+        assert re.search(rf"\b{name}\b", err), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -67,3 +67,9 @@ def test_from_gebd_import_train_is_the_function():
         "function gebd.train"]
     assert gebd.train is sys.modules["gebd.train"].train
     assert set(gebd.__all__) <= set(dir(gebd))
+
+
+def test_autodiff_loads_no_other_gebd_module_and_postprocess_no_data():
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('gebd.')))"
+    assert fresh_python(f"import sys, gebd.autodiff\n{loaded}") == ["['gebd.autodiff']"]
+    assert fresh_python("import sys, gebd.postprocess\nprint('gebd.data' in sys.modules)") == ["False"]

@@ -208,7 +208,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(layer_norm(x, a).data, np.zeros((3, 4)), atol=1e-9)
 
     def test_hand_computed_row(self):
-        a = LayerNormAffine(Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=1e-12)
+        a = LayerNormAffine(Tensor(np.ones(3)), Tensor(np.zeros(3)))
         out = layer_norm(seq_tensor([[1.0, 2.0, 3.0]]), a)
         np.testing.assert_allclose(out.data, [[-1.2247, 0.0, 1.2247]], atol=1e-3)
 
@@ -225,7 +225,7 @@ class TestLayerNorm:
         x = rng.uniform(-2, 2, size=(5, 6))
         gamma = rng.uniform(0.5, 1.5, size=6)
         beta = rng.uniform(-0.5, 0.5, size=6)
-        a = LayerNormAffine(Tensor(gamma), Tensor(beta), eps=1e-5)
+        a = LayerNormAffine(Tensor(gamma), Tensor(beta))
         want = naive_layer_norm(x, gamma, beta, 1e-5)
         np.testing.assert_allclose(layer_norm(seq_tensor(x), a).data, want, atol=1e-12)
 

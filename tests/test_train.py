@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, fold_sum, time_smooth
+from gebd.autodiff import Tensor, fold_sum
 from gebd.data import frame_labels, load_features, save_features, synth_video
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, save_checkpoint
 from gebd.train import (
@@ -17,6 +17,7 @@ from gebd.train import (
     bce_loss,
     lr_schedule,
     _minibatch_gradients,
+    time_smooth,
     train,
     write_loss_curve,
 )
@@ -128,7 +129,7 @@ class TestAdam:
         p = Tensor(np.array([2.0]), requires_grad=True)
         state = AdamState.init([p])
         for g, want in zip(grads, trace):
-            adam_step([p], [np.array([g])], state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step([p], [np.array([g])], state, lr=lr)
             assert p.data[0] == pytest.approx(want, rel=1e-12)
 
     def test_shape_mismatch(self):
