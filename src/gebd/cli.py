@@ -43,9 +43,9 @@ PROG = "gebd"
 ERROR_PREFIX = f"{PROG}: error: "
 # `infer` scores consecutive feature files of at most this many bytes in all
 # as one group: one `score_clips` call, which batches runs of equal length,
-# and one thread pool task. Ten 50-frame files of four 32-dim stages fit; a
-# longer or wider video is a group of its own.
-INFER_GROUP_BYTES = 256 * 1024
+# and one task of its worker processes. Twenty-five 50-frame files of four
+# 32-dim stages fit; a longer or wider video is a group of its own.
+INFER_GROUP_BYTES = 640 * 1024
 
 
 @dataclass(frozen=True)
@@ -324,12 +324,46 @@ def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
     return groups
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
+# The loaded model, the resolved settings and the output directory of the
+# `infer` run in progress. `cmd_infer` sets them before it forks its workers,
+# which inherit them: nothing large is pickled, and the mapped checkpoint
+# stays one shared read-only mapping.
+_infer_run: tuple[GebdModel, RunConfig, Path] | None = None
 
+
+def _infer_group(group: list[Path]) -> list[int]:
+    """Score one file group of the `infer` run in progress, write each
+    video's scores and detections, and return its detection counts."""
     from . import data as data_mod
     from . import postprocess as post_mod
-    from .model import check_features_compatible, load_checkpoint
+    from .model import check_features_compatible
+
+    model, cfg, out = _infer_run
+    videos = [data_mod.load_features(path, fps=cfg.fps) for path in group]
+    for video in videos:
+        check_features_compatible(model.config, video)
+    counts = []
+    for video, scores in zip(videos, _score_videos(videos, model, cfg)):
+        detections = post_mod.pick_peaks(scores)
+        post_mod.save_scores(out / "scores" / f"{video.video_id}.json", scores)
+        post_mod.save_detections(out / "detections" / f"{video.video_id}.json", detections)
+        counts.append(len(detections.timestamps))
+    return counts
+
+
+def cmd_infer(args: argparse.Namespace) -> int:
+    """Score every feature file, its groups spread over `worker_count()`
+    forked processes; with one worker nothing is forked. Forking, not
+    spawning, lets each worker use the model the parent loaded. The parent
+    runs no thread of its own when it forks (OpenBLAS stops its pool at a
+    fork), and the pool joins every worker before this returns, whether the
+    run succeeded or not. A worker's error is raised here with its message;
+    a worker that dies is a `BrokenProcessPool`, a RuntimeError."""
+    global _infer_run
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .model import load_checkpoint
 
     cfg = resolve_config(args)
     model = load_checkpoint(args.checkpoint)
@@ -340,21 +374,19 @@ def cmd_infer(args: argparse.Namespace) -> int:
     out = Path(args.out)
     (out / "scores").mkdir(parents=True, exist_ok=True)
     (out / "detections").mkdir(parents=True, exist_ok=True)
-
-    def run(group: list[Path]):
-        videos = [data_mod.load_features(path, fps=cfg.fps) for path in group]
-        for video in videos:
-            check_features_compatible(model.config, video)
-        counts = []
-        for video, scores in zip(videos, _score_videos(videos, model, cfg)):
-            detections = post_mod.pick_peaks(scores)
-            post_mod.save_scores(out / "scores" / f"{video.video_id}.json", scores)
-            post_mod.save_detections(out / "detections" / f"{video.video_id}.json", detections)
-            counts.append(len(detections.timestamps))
-        return counts
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = [n for counts in pool.map(run, _file_groups(files, INFER_GROUP_BYTES)) for n in counts]
+    groups = _file_groups(files, INFER_GROUP_BYTES)
+    workers = min(worker_count(), len(groups))
+    _infer_run = (model, cfg, out)
+    try:
+        if workers == 1:
+            counts = [_infer_group(group) for group in groups]
+        else:
+            # map cancels the groups not yet started once one fails
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                counts = list(pool.map(_infer_group, groups))
+    finally:
+        _infer_run = None
+    results = [n for group_counts in counts for n in group_counts]
     _echo_config(out, cfg)
     total = sum(results)
     print(f"scored {len(results)} videos, {total} boundaries detected")

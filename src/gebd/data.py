@@ -242,13 +242,14 @@ def synth_video(
 
 def random_boundary_times(rng: np.random.Generator, duration: float, count: int,
                           min_gap: float) -> list[float]:
-    """Boundary times separated by >= min_gap from each other and both video edges."""
+    """Boundary times separated by >= min_gap from each other and both video
+    edges. The duration and gap are checked even when there are no boundaries."""
+    if not (math.isfinite(duration) and math.isfinite(min_gap) and min_gap >= 0):
+        raise ValueError(f"duration and gap must be finite and the gap >= 0, got {duration}s and {min_gap}s")
     if count == 0:
         return []
     if not (count + 1) * min_gap <= duration:
         raise ValueError(f"cannot fit {count} boundaries with gap {min_gap} in {duration}s")
-    if not (math.isfinite(duration) and math.isfinite(min_gap) and min_gap >= 0):
-        raise ValueError(f"duration and gap must be finite and the gap >= 0, got {duration}s and {min_gap}s")
     for _ in range(1000):
         pts = np.sort(rng.uniform(min_gap, duration - min_gap, size=count))
         if count == 1 or np.all(np.diff(pts) >= min_gap):

@@ -95,20 +95,36 @@ class AdamState:
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS),
-    in place on the parameter tensors."""
+    in place on the parameter tensors.
+
+    `m` and `v` are updated in place, and each parameter's update needs two
+    parameter-sized temporaries; every element goes through the operations
+    of `p - lr * m_hat / (sqrt(v_hat) + eps)` in that order, so the bits are
+    those of the textbook expression."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state length mismatch")
     state.step += 1
     t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(f"grad shape {g.shape} does not match param {p.data.shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        p.update_data(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        tmp = np.multiply(1.0 - ADAM_BETA1, g)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = np.divide(m, 1.0 - ADAM_BETA1 ** t)  # m_hat
+        step *= lr
+        step /= tmp
+        np.subtract(p.data, step, out=step)
+        step.setflags(write=False)  # handed over: update_data keeps it without a copy
+        p.update_data(step)
 
 
 def train(

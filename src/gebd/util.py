@@ -78,7 +78,9 @@ def check_fits_in_memory(nbytes: int, what: str) -> None:
 
 
 def worker_count() -> int:
-    """Worker cap of `infer`'s pool over file groups; GEBD_THREADS overrides."""
+    """Cap on the worker processes `infer` forks to score its file groups
+    (it forks none when the cap or the group count is 1); GEBD_THREADS
+    overrides the default of the CPU count, at most 8."""
     env = os.environ.get("GEBD_THREADS")
     if env:
         try:

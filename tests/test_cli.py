@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import struct
@@ -278,10 +279,11 @@ class TestInfer:
                                       video.num_frames)
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("threads", ["1", "2"], ids=["threads1", "threads2"])
     @pytest.mark.parametrize("group_bytes", [cli.INFER_GROUP_BYTES, 12000], ids=["default", "small"])
     @pytest.mark.parametrize("clip_mode", [False, True], ids=["whole", "clips"])
     def test_batched_groups_write_the_bytes_of_one_file_at_a_time(self, tmp_path, monkeypatch,
-                                                                  clip_mode, group_bytes):
+                                                                  clip_mode, group_bytes, threads):
         data = tmp_path / "data"
         for i, t in enumerate((50, 50, 37, 50, 37, 120)):
             video, _ = synth_video(i, t, 5.0, (6, 6, 6, 6), [1.5, 4.5], video_id=f"v{i}")
@@ -290,10 +292,22 @@ class TestInfer:
         save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
                                                           neighbor_radius=5), seed=3))
         monkeypatch.setattr(cli, "INFER_GROUP_BYTES", group_bytes)
+        monkeypatch.setenv("GEBD_THREADS", threads)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         clip_flags = ["--clip-mode", "--clip-seconds", "8", "--overlap-seconds", "4"] if clip_mode else []
         out = tmp_path / "infer"
         assert run(["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(out),
                     "--fps", "5", *clip_flags]) == 0
+        workers = min(int(threads), len(cli._file_groups(sorted(data.glob("*.gebf")), group_bytes)))
+        assert len(forks) == (0 if workers == 1 else workers)
+        assert not multiprocessing.active_children()
 
         model = load_checkpoint(ckpt)
         want = tmp_path / "want"
@@ -313,6 +327,61 @@ class TestInfer:
             assert sorted(p.name for p in (out / kind).iterdir()) == names
             for name in names:
                 assert (out / kind / name).read_bytes() == (want / kind / name).read_bytes(), name
+
+    def _one_group_per_file(self, tmp_path, monkeypatch, dims_of_v3=(6, 6, 6, 6)):
+        """A checkpoint and a five-file corpus that `infer` scores as five
+        groups over two worker processes."""
+        data = tmp_path / "data"
+        for i in range(5):
+            dims = dims_of_v3 if i == 3 else (6, 6, 6, 6)
+            video, _ = synth_video(i, 30, 5.0, dims, [1.5, 4.5], video_id=f"v{i}")
+            save_features(data / f"v{i}.gebf", video)
+        ckpt = tmp_path / "model.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
+                                                          neighbor_radius=5), seed=3))
+        monkeypatch.setattr(cli, "INFER_GROUP_BYTES", 1)
+        monkeypatch.setenv("GEBD_THREADS", "2")
+        return ["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(tmp_path / "o"),
+                "--fps", "5"]
+
+    def test_worker_error_is_one_error_line_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        argv = self._one_group_per_file(tmp_path, monkeypatch, dims_of_v3=(6, 6, 6, 5))
+        code = run(argv)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 1
+        assert err == [f"{cli.ERROR_PREFIX}v3: stage_dims mismatch: features (6, 6, 6, 5), "
+                       f"model (6, 6, 6, 6)"], captured.err
+        assert not multiprocessing.active_children()
+        assert cli._infer_run is None
+
+    def test_dying_worker_ends_in_one_error_line(self, tmp_path, monkeypatch):
+        """A worker that exits while scoring ends `infer` with an error, not
+        a hang. Run in a fresh interpreter, so a hang is cut by its timeout."""
+        argv = self._one_group_per_file(tmp_path, monkeypatch)
+        script = f"""
+import multiprocessing, os
+from gebd import cli
+
+def die_on_v2(group):
+    if any(path.stem == "v2" for path in group):
+        os._exit(3)
+    return real(group)
+
+real = cli._infer_group
+cli._infer_group = die_on_v2
+cli.INFER_GROUP_BYTES = 1
+code = cli.main({argv!r})
+print(code, len(multiprocessing.active_children()))
+"""
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.stdout.split() == ["1", "0"], (done.stdout, done.stderr)
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), done.stderr
+        assert "terminated abruptly" in err[0]
 
     def test_file_groups_stay_within_the_byte_limit(self, tmp_path):
         files = []

@@ -300,3 +300,11 @@ class TestRandomBoundaryTimes:
     def test_non_finite_duration_or_gap_rejected(self, duration, gap):
         with pytest.raises(ValueError, match="must be finite"):
             random_boundary_times(np.random.default_rng(0), duration, 2, min_gap=gap)
+
+    @pytest.mark.parametrize("duration, gap", [(10.0, float("nan")), (float("nan"), 1.0)])
+    def test_no_boundaries_still_checks_duration_and_gap(self, duration, gap):
+        with pytest.raises(ValueError, match="must be finite"):
+            random_boundary_times(np.random.default_rng(0), duration, 0, gap)
+
+    def test_no_boundaries_need_no_room(self):
+        assert random_boundary_times(np.random.default_rng(0), 0.2, 0, min_gap=1.0) == []

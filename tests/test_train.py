@@ -132,6 +132,31 @@ class TestAdam:
             adam_step([p], [np.array([g])], state, lr=lr)
             assert p.data[0] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_in_place_update_has_the_bits_of_the_array_expression(self, dtype):
+        from gebd.train import ADAM_BETA1 as b1, ADAM_BETA2 as b2, ADAM_EPS as eps
+
+        rng = np.random.default_rng(7)
+        shapes = [(4, 3, 5), (6,), (1, 2)]
+        params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+        state = AdamState.init(params)
+        want = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t, lr in enumerate([1e-3, 0.3, 2e-2, 5e-4], start=1):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            given = [g.copy() for g in grads]
+            adam_step(params, grads, state, lr=lr)
+            for i, g in enumerate(given):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                want[i] = want[i] - lr * (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+                np.testing.assert_array_equal(grads[i], g)  # the caller's grad is not written
+                assert params[i].data.dtype == want[i].dtype and not params[i].data.flags.writeable
+                np.testing.assert_array_equal(params[i].data, want[i])
+                np.testing.assert_array_equal(state.m[i], m[i])
+                np.testing.assert_array_equal(state.v[i], v[i])
+
     def test_shape_mismatch(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         state = AdamState.init([p])
