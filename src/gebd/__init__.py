@@ -7,7 +7,8 @@ peak picking -> F1 at relative distance.
 The API below loads on first use (PEP 562): `import gebd` imports no
 submodule, so a command that needs none of numpy, as `gebd eval` does not,
 never loads it. Reading any name in `__all__` imports every public module
-and binds every name, `gebd.train` to the function, not the submodule.
+and binds every name. `gebd.train` is always the submodule; the training
+function is `gebd.train.train`.
 """
 
 import importlib
@@ -22,19 +23,18 @@ _API = {
     "evaluate": ("DEFAULT_TAUS", "EvalReport", "f1_at", "f1_sweep", "match_detections", "rel_dis_error"),
     "model": ("GebdModel", "ModelConfig", "load_checkpoint", "model_forward", "save_checkpoint"),
     "postprocess": ("BoundaryScores", "DetectionList", "gaussian_smooth", "merge_clip_scores", "pick_peaks"),
-    "train": ("AdamState", "TrainConfig", "adam_step", "bce_loss", "lr_schedule", "train"),
+    "train": ("AdamState", "TrainConfig", "adam_step", "bce_loss", "lr_schedule"),
 }
 
 __all__ = sorted(name for names in _API.values() for name in names)
 
 
 def _load_api() -> None:
-    """Import the public modules, then bind every name: binding last makes
-    `train` the function, whatever importing the `train` submodule bound."""
-    modules = {name: importlib.import_module(f".{name}", __name__) for name in _API}
+    """Import each public module and bind the names it exports."""
     for module, names in _API.items():
+        mod = importlib.import_module(f".{module}", __name__)
         for name in names:
-            globals()[name] = getattr(modules[module], name)
+            globals()[name] = getattr(mod, name)
 
 
 def __getattr__(name: str):

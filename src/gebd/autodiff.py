@@ -10,8 +10,9 @@ order (`_accumulate_videos`): that is the order in which the tapes of
 separate per-video forwards add into it, so batching keeps gradient bits.
 A fold adds in place only into a grad array that an earlier fold allocated
 (or that an op handed over as its own, `owned`); a grad that a caller set,
-or an adjoint that a backward also hands to another parent (`add`), is
-never written, so the first fold onto it makes a fresh sum.
+or an adjoint that a backward also hands to another parent (as
+`_normalized_sum` hands one to every term), is never written, so the
+first fold onto it makes a fresh sum.
 Values are float32 when the input is float32 and float64 otherwise; every
 op of the model forward keeps float32 inputs in float32.
 
@@ -36,7 +37,6 @@ built it.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -154,24 +154,14 @@ def _require_seq(x: Tensor, what: str) -> None:
 
 
 def _sum(terms: Sequence[Tensor], what: str) -> np.ndarray:
-    """The elementwise sum of equally shaped tensors: the value of `add`,
-    and what `l2_normalize_rows`' node rebuilds in its backward."""
+    """The elementwise sum of equally shaped tensors: what `_normalized_sum`
+    normalizes, and rebuilds in its backward."""
     if any(t.data.shape != terms[0].data.shape for t in terms):
         raise ValueError(f"{what}: shape mismatch {' vs '.join(str(t.data.shape) for t in terms)}")
     total = terms[0].data
     for t in terms[1:]:
         total = total + t.data
     return total
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two equally shaped tensors."""
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return Tensor(_sum((a, b), "add"), parents=(a, b), backward=backward, validate=False)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -184,38 +174,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data * c, parents=(x,), backward=backward, validate=False)
 
 
-def _channel_slices(parts: Sequence[Tensor], what: str) -> list[slice]:
-    """The channel columns of each part in the concatenation of `parts`:
-    sequence tensors that share their frames, concatenated in order."""
-    if not parts:
-        raise ValueError(f"{what}: empty part list")
-    for p in parts:
-        _require_seq(p, what)
-    rows = parts[0].data.shape[:-1]
-    if any(p.data.shape[:-1] != rows for p in parts):
-        raise ValueError(f"{what}: all parts must share the frame count")
-    ends = list(accumulate(p.data.shape[-1] for p in parts))
-    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-
-
-def _concat(parts: Sequence[Tensor]) -> np.ndarray:
-    """The concatenated value of `parts` (a lone part's own array)."""
-    return parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=-1)
-
-
-def _split(parts: Sequence[Tensor], slices: Sequence[slice], g: np.ndarray) -> None:
-    """Hand each part its channel columns of the concatenation's adjoint."""
-    for p, cols in zip(parts, slices):
-        _accumulate(p, g[..., cols])
-
-
-def concat_channels(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate sequence tensors along the channel axis, order preserved."""
-    parts = list(parts)
-    slices = _channel_slices(parts, "concat_channels")
-    return Tensor(_concat(parts), parents=tuple(parts), backward=lambda g: _split(parts, slices, g), validate=False)
-
-
 def l2_normalize_rows(x: Tensor) -> Tensor:
     """Divide each row by sqrt(|row|^2 + NORMALIZE_EPS^2); zero rows map to zero."""
     return _normalized_sum([x], "l2_normalize_rows")
@@ -225,7 +183,7 @@ def _normalized_sum(terms: Sequence[Tensor], what: str) -> Tensor:
     """l2_normalize_rows of the sum of `terms` (`_sum`) as one node. It keeps
     the terms and the row norms, not the sum: its backward rebuilds the sum
     with the forward's own adds, so it gets the forward's bits, and hands
-    the sum's adjoint to every term, as `add` does."""
+    the sum's adjoint array itself to every term."""
     _require_seq(terms[0], what)
     total = _sum(terms, what)
     norms = np.sqrt((total ** 2).sum(axis=-1) + NORMALIZE_EPS * NORMALIZE_EPS)[..., None]
@@ -244,7 +202,7 @@ def fold_sum(parts: Iterable[Tensor]) -> Tensor:
     """Every entry of every part, added left to right into a 1x1 scalar carrier.
 
     A left fold, not `np.sum` (pairwise from 8 entries on): per-video losses
-    add in the order a chain of `add` calls over the videos would.
+    add in the order a chain of two-term sums over the videos would.
     """
     parts = list(parts)
     if not parts:

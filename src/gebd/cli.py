@@ -363,18 +363,19 @@ def cmd_infer(args: argparse.Namespace) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    from .model import load_checkpoint
+    from .model import check_fps_compatible, load_checkpoint
 
     cfg = resolve_config(args)
     model = load_checkpoint(args.checkpoint)
+    check_fps_compatible(model.config, cfg.fps)
     features_path = Path(args.features)
     files = sorted(features_path.glob("*.gebf")) if features_path.is_dir() else [features_path]
     if not files:
         raise ValueError(f"no .gebf feature files in {features_path}")
+    groups = _file_groups(files, INFER_GROUP_BYTES)  # stats every file: a missing one fails before any mkdir
     out = Path(args.out)
     (out / "scores").mkdir(parents=True, exist_ok=True)
     (out / "detections").mkdir(parents=True, exist_ok=True)
-    groups = _file_groups(files, INFER_GROUP_BYTES)
     workers = min(worker_count(), len(groups))
     _infer_run = (model, cfg, out)
     try:

@@ -52,14 +52,15 @@ CHECKPOINT_VERSION = 1
 # flags word that follows them is `_FLAG_FIELDS[i]`
 _SIZE_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius")
 _FLAG_FIELDS = ("fuse_distances", "use_residual", "use_depthwise")
-# `score_clips` computes a clip as windows that keep at most WINDOW_FRAMES of
-# its frames each, or WINDOW_HALOS halos if that is more, so the halos cost
-# at most 2/WINDOW_HALOS more frames. A halo is the receptive field rounded up
-# to a multiple of WINDOW_ALIGN rows, so every window starts on such a row and
-# every window but a clip's last spans a multiple of it: OpenBLAS runs a
-# GEMM's last M mod 16 rows through a different kernel, whose last bits
-# differ, and aligned windows leave those rows where the whole clip has them.
-WINDOW_FRAMES = 2048
+# `score_clips` computes a clip as windows that keep WINDOW_HALOS halos of its
+# frames each, so the halos cost at most 2/WINDOW_HALOS more frames. A halo is
+# the receptive field rounded up to a multiple of WINDOW_ALIGN rows, at least
+# one multiple (the head's width-3 conv reads a frame on each side), so a
+# window keeps at least 2048 frames, exactly 2048 for the default model. Every
+# window starts on such a row and every window but a clip's last spans a
+# multiple of it: OpenBLAS runs a GEMM's last M mod 16 rows through a
+# different kernel, whose last bits differ, and aligned windows leave those
+# rows where the whole clip has them.
 WINDOW_HALOS = 32
 WINDOW_ALIGN = 64
 
@@ -176,10 +177,6 @@ class GebdModel:
         "tps/stages/0/branches/1/conv/weights"), in checkpoint order."""
         return list(_leaves(self, ""))
 
-    def zero_grads(self) -> None:
-        for _, p in self.parameters():
-            p.grad = None
-
 
 def stack_videos(stage_lists: list[list[np.ndarray]]) -> list[np.ndarray]:
     """`GebdModel.forward` input for equal-length videos, given each video's
@@ -213,7 +210,7 @@ def score_clips(model: GebdModel, clips: list[list[np.ndarray]]) -> list[np.ndar
     length take one batched forward, but no batch spans more frames than
     the widest window."""
     halo = -(-model.receptive_field() // WINDOW_ALIGN) * WINDOW_ALIGN
-    return _score_windows(model, clips, max(WINDOW_FRAMES, WINDOW_HALOS * halo), halo)
+    return _score_windows(model, clips, WINDOW_HALOS * halo, halo)
 
 
 def _score_windows(model: GebdModel, clips: list[list[np.ndarray]], keep: int, halo: int) -> list[np.ndarray]:
@@ -247,10 +244,17 @@ def check_features_compatible(config: ModelConfig, video: VideoFeatures) -> None
             f"{video.video_id}: stage_dims mismatch: features {video.stage_dims}, "
             f"model {config.stage_dims}"
         )
-    radius = neighbor_radius_for(video.fps)
+    check_fps_compatible(config, video.fps, video.video_id)
+
+
+def check_fps_compatible(config: ModelConfig, fps: float, video_id: str | None = None) -> None:
+    """Raise naming both radii when features at `fps` need another neighbor
+    radius than the model's."""
+    radius = neighbor_radius_for(fps)
     if radius != config.neighbor_radius:
+        where = "" if video_id is None else f"{video_id}: "
         raise ValueError(
-            f"{video.video_id}: neighbor_radius mismatch: features at {video.fps} fps need "
+            f"{where}neighbor_radius mismatch: features at {fps} fps need "
             f"radius {radius}, the model has radius {config.neighbor_radius}"
         )
 

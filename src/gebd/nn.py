@@ -1,5 +1,6 @@
-"""Neural building blocks: dilated 1D convolutions, layer norm, GELU, sigmoid,
-and the one block built from them, [depthwise ->] conv -> layer norm -> GELU.
+"""Neural building blocks: dilated 1D convolutions, GELU, sigmoid, and the
+one block built from them, [depthwise ->] conv -> layer norm -> GELU, whose
+layer norm runs only inside that block's norm+GELU node.
 
 All operate on T x d sequence tensors or B x T x d batches of equal-length
 videos (frames on axis -2, channels on axis -1, one code path for both),
@@ -38,20 +39,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from itertools import accumulate
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _accumulate,
-    _accumulate_videos,
-    _channel_slices,
-    _concat,
-    _require_seq,
-    _split,
-    _videos,
-)
+from .autodiff import Tensor, _accumulate, _accumulate_videos, _require_seq, _videos
 from .util import check_fits_in_memory
 
 ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
@@ -152,6 +145,31 @@ def _add_rows(out: np.ndarray, y: np.ndarray, offset: int) -> None:
     out[..., lo:hi, :] += y[..., lo + offset:hi + offset, :]
 
 
+def _channel_slices(parts: Sequence[Tensor], what: str) -> list[slice]:
+    """The channel columns of each part in the concatenation of `parts`:
+    sequence tensors that share their frames, concatenated in order."""
+    if not parts:
+        raise ValueError(f"{what}: empty part list")
+    for p in parts:
+        _require_seq(p, what)
+    rows = parts[0].data.shape[:-1]
+    if any(p.data.shape[:-1] != rows for p in parts):
+        raise ValueError(f"{what}: all parts must share the frame count")
+    ends = list(accumulate(p.data.shape[-1] for p in parts))
+    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def _concat(parts: Sequence[Tensor]) -> np.ndarray:
+    """The concatenated value of `parts` (a lone part's own array)."""
+    return parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=-1)
+
+
+def _split(parts: Sequence[Tensor], slices: Sequence[slice], g: np.ndarray) -> None:
+    """Hand each part its channel columns of the concatenation's adjoint."""
+    for p, cols in zip(parts, slices):
+        _accumulate(p, g[..., cols])
+
+
 def _tap_loop(name: str, parts: list[Tensor], k: _Kernel, forward, weight_grad, input_grad) -> Tensor:
     """Tap loop of both convolutions over the channel concatenation of
     `parts` (one part: its input): tap `tap` reads frame t + dilation*(tap - m)
@@ -236,9 +254,7 @@ def conv1d(x: Tensor, k: Conv1dKernel) -> Tensor:
 
 def _conv1d_parts(parts: list[Tensor], k: Conv1dKernel) -> Tensor:
     """conv1d of the channel concatenation of `parts`, keeping the parts on
-    the tape instead of the concatenation; a lone part is plain `conv1d`."""
-    if len(parts) == 1:
-        return conv1d(parts[0], k)
+    the tape instead of the concatenation."""
     return _tap_loop("conv1d", parts, k, **_DENSE)
 
 
@@ -252,24 +268,10 @@ def depthwise_conv1d(x: Tensor, k: DepthwiseKernel) -> Tensor:
     )
 
 
-def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
-    """Normalize each frame to zero mean / unit variance, then apply gamma/beta.
-
-    The tape keeps only each frame's mean and inverse deviation, (..., T, 1);
-    the backward recomputes the normalized input from them with the
-    forward's own ops, so it gets the forward's bits without holding a
-    (..., T, d) copy.
-    """
-    out, mu, inv = _norm_values(x, a)
-
-    def backward(g):
-        _norm_backward(g, x, a, (x.data - mu) * inv, inv)
-
-    return Tensor(out, parents=(x, a.gamma, a.beta), backward=backward, validate=False)
-
-
 def _norm_values(x: Tensor, a: LayerNormAffine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """layer_norm's output with each frame's mean and inverse deviation."""
+    """The layer norm of x with affine a: each frame normalized to zero mean
+    and unit variance, then scaled by gamma and shifted by beta, with each
+    frame's mean and inverse deviation."""
     _require_seq(x, "layer_norm")
     d = x.data.shape[-1]
     if a.gamma.data.shape[0] != d:
@@ -286,7 +288,7 @@ def _affine(xhat: np.ndarray, a: LayerNormAffine) -> np.ndarray:
 
 
 def _norm_backward(g: np.ndarray, x: Tensor, a: LayerNormAffine, xhat: np.ndarray, inv: np.ndarray) -> None:
-    """Push layer_norm's output adjoint `g` to gamma, beta and the input x,
+    """Push the layer norm's output adjoint `g` to gamma, beta and the input x,
     given the normalized input and the inverse deviations."""
     _accumulate_videos(a.beta, _videos(g).sum(axis=1))
     _accumulate_videos(a.gamma, _videos(g * xhat).sum(axis=1))
@@ -363,10 +365,11 @@ def _gelu_adjoint(g: np.ndarray, v: np.ndarray, phi_cdf: np.ndarray) -> np.ndarr
 
 
 def _norm_gelu(y: Tensor, a: LayerNormAffine) -> Tensor:
-    """gelu(layer_norm(y, a)) as one node. The tape keeps y, each frame's
-    mean and inverse deviation, and the normalized output's Gaussian CDF,
-    not the normalized output: the backward rebuilds it with the forward's
-    own ops (`_affine`), so both gradients get the bits of the two nodes."""
+    """gelu of the layer norm of y (`_norm_values`) as one node. The tape
+    keeps y, each frame's mean and inverse deviation, and the normalized
+    output's Gaussian CDF, not the normalized output: the backward rebuilds
+    it with the forward's own ops (`_affine`), so both gradients get the
+    bits of a layer norm node followed by a GELU node."""
     z, mu, inv = _norm_values(y, a)
     phi_cdf = _phi(z)
     out = z * phi_cdf

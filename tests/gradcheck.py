@@ -1,4 +1,5 @@
-"""Central finite-difference gradient checking helpers.
+"""Central finite-difference gradient checking helpers, and the unfused ops
+that the tests use as references for the model's fused nodes.
 
 Relative error uses a floored denominator so near-zero gradients are judged
 on an absolute scale a few orders above f64 finite-difference noise.
@@ -6,7 +7,8 @@ on an absolute scale a few orders above f64 finite-difference noise.
 
 import numpy as np
 
-from gebd.autodiff import Tensor, _accumulate, backward
+from gebd.autodiff import Tensor, _accumulate, _sum, backward
+from gebd.nn import LayerNormAffine, _channel_slices, _concat, _norm_backward, _norm_values, _split
 
 FD_EPS = 1e-6
 REL_ERR_FLOOR = 1e-3
@@ -32,6 +34,42 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g * a.data)
 
     return Tensor(a.data * b.data, parents=(a, b), backward=backward, validate=False)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two equally shaped tensors, handing one adjoint
+    array to both parents: the unfused reference of `_normalized_sum`."""
+
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+
+    return Tensor(_sum((a, b), "add"), parents=(a, b), backward=backward, validate=False)
+
+
+def concat_channels(parts) -> Tensor:
+    """Concatenate sequence tensors along the channel axis, order preserved:
+    the unfused reference of `nn._conv1d_parts`' input."""
+    parts = list(parts)
+    slices = _channel_slices(parts, "concat_channels")
+    return Tensor(_concat(parts), parents=tuple(parts), backward=lambda g: _split(parts, slices, g), validate=False)
+
+
+def layer_norm(x: Tensor, a: LayerNormAffine) -> Tensor:
+    """Normalize each frame to zero mean / unit variance, then apply gamma/beta:
+    the unfused reference of the norm half of `nn._norm_gelu`.
+
+    The tape keeps only each frame's mean and inverse deviation, (..., T, 1);
+    the backward recomputes the normalized input from them with the
+    forward's own ops, so it gets the forward's bits without holding a
+    (..., T, d) copy.
+    """
+    out, mu, inv = _norm_values(x, a)
+
+    def backward(g):
+        _norm_backward(g, x, a, (x.data - mu) * inv, inv)
+
+    return Tensor(out, parents=(x, a.gamma, a.beta), backward=backward, validate=False)
 
 
 def rel_err(a, b, floor=REL_ERR_FLOOR):

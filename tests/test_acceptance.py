@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, concat_channels, l2_normalize_rows, scale, seq_tensor
+from gebd.autodiff import Tensor, l2_normalize_rows, scale, seq_tensor
 from gebd.data import frame_labels, random_boundary_times, split_clips, synth_video, VideoFeatures
 from gebd.evaluate import f1_sweep, match_detections, rel_dis_error
 from gebd.model import (
@@ -22,11 +22,12 @@ from gebd.model import (
     save_checkpoint,
     sd_forward,
 )
-from gebd.nn import conv1d, conv_block, depthwise_conv1d, gelu, init_layer_norm, layer_norm, random_params, sigmoid
+from gebd.nn import conv1d, conv_block, depthwise_conv1d, gelu, init_layer_norm, random_params, sigmoid
 from gebd.postprocess import BoundaryScores, gaussian_smooth, merge_clip_scores, pick_peaks
 from gebd.tps import similarity_vector, stage_forward, tps_forward
 from gebd.train import TrainConfig, bce_loss, time_smooth, train
-from gradcheck import check_op_gradients, directional_check, mul, spot_check_model_gradients, sum_all
+from gradcheck import (check_op_gradients, concat_channels, directional_check, layer_norm, mul,
+                       spot_check_model_gradients, sum_all)
 from oracles import accumulate_clip_scores, brute_force_max_matching, naive_conv1d, naive_depthwise_conv1d
 
 from test_nn_ops import make_conv, make_depthwise

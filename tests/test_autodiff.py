@@ -6,16 +6,14 @@ import pytest
 from gebd.autodiff import (
     Tensor,
     _accumulate,
-    add,
     backward,
-    concat_channels,
     l2_normalize_rows,
     scale,
     seq_tensor,
 )
 from gebd.postprocess import smoothing_matrix
 from gebd.train import time_smooth
-from gradcheck import check_op_gradients, mul, rel_err, sum_all
+from gradcheck import add, check_op_gradients, concat_channels, mul, rel_err, sum_all
 
 
 def rnd(rng, rows, cols):

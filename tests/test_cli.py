@@ -415,6 +415,36 @@ print(code, len(multiprocessing.active_children()))
         assert code == 1
         assert "neighbor_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, words", [
+        (["--fps", "3"], ["neighbor_radius mismatch", "radius 3", "radius 5"]),
+        (["--fps", "5", "--features", "nope"], ["nope"]),
+    ], ids=["fps", "missing_features"])
+    def test_inputs_that_do_not_fit_fail_before_out_is_made(self, tmp_path, monkeypatch, capsys, problem, words):
+        # were the inputs scored, the three files would be three groups over two forked workers
+        data = synth_small(tmp_path, n=3)
+        ckpt = tmp_path / "model.gebw"
+        save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
+                                                          neighbor_radius=5), seed=3))
+        monkeypatch.setattr(cli, "INFER_GROUP_BYTES", 1)
+        monkeypatch.setenv("GEBD_THREADS", "2")
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o"
+        code = run(["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(out), *problem])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), err
+        assert all(w in err[0] for w in words), err
+        assert not out.exists()
+        assert forks == []
+
     def test_non_finite_fps_clean_error(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=1)
         run_dir = train_small(tmp_path, data, epochs=0)

@@ -1,12 +1,16 @@
-"""Which modules each entry point loads. `gebd eval` and the setting checks
-of every command run on the standard library alone, and the package API
-loads on first use; each test runs a fresh interpreter, since this one has
-loaded everything."""
+"""Which modules each entry point loads, and which names the package keeps.
+`gebd eval` and the setting checks of every command run on the standard
+library alone, and the package API loads on first use; each import test
+runs a fresh interpreter, since this one has loaded everything. Every public
+function and class of `src/gebd/` has a user there or is exported."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gebd
 from gebd import cli
@@ -62,11 +66,40 @@ def test_any_api_name_loads_every_traced_module():
     assert fresh_python(code) == [f"{name} [] True" for name in gebd.__all__]
 
 
-def test_from_gebd_import_train_is_the_function():
-    assert fresh_python("from gebd import train\nprint(type(train).__name__, train.__module__)") == [
-        "function gebd.train"]
-    assert gebd.train is sys.modules["gebd.train"].train
+@pytest.mark.parametrize("first", ["", "gebd.Tensor\n"], ids=["before_api", "after_api"])
+@pytest.mark.parametrize("get", ["import gebd.train as m", "from gebd import train as m"], ids=["import", "from"])
+def test_gebd_train_is_the_module_in_every_import_order(first, get):
+    # before and after an API name is read, both spellings give the submodule
+    code = f"import gebd\n{first}{get}\nprint(type(m).__name__, m.__name__, gebd.train is m)"
+    assert fresh_python(code) == ["module gebd.train True"]
+    assert gebd.train is sys.modules["gebd.train"]
     assert set(gebd.__all__) <= set(dir(gebd))
+
+
+# Public names that nothing in src/ calls, each kept for a reader outside it.
+UNREFERENCED = {
+    "postprocess.smoothing_matrix": "perfbench/layertrace.py reads its cache statistics",
+    "postprocess.load_scores": "the reader of the score files `gebd infer` writes",
+}
+
+
+def test_every_public_function_and_class_is_used_or_exported():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in (REPO / "src" / "gebd").glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = {
+        f"{module}.{node.name}": node.name
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    unused = {qual for qual, name in defined.items() if name not in used and name not in gebd.__all__}
+    assert unused == set(UNREFERENCED), sorted(unused ^ set(UNREFERENCED))
 
 
 def test_autodiff_loads_no_other_gebd_module_and_postprocess_no_data():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, add, backward, concat_channels, fold_sum, seq_tensor
+from gebd.autodiff import Tensor, backward, fold_sum, seq_tensor
 from gebd.nn import (
     _conv1d_parts,
     _conv_block,
@@ -24,11 +24,10 @@ from gebd.nn import (
     init_conv_block,
     init_depthwise,
     init_layer_norm,
-    layer_norm,
     random_params,
     sigmoid,
 )
-from gradcheck import check_op_gradients, mul, sum_all
+from gradcheck import add, check_op_gradients, concat_channels, layer_norm, mul, sum_all
 from oracles import naive_conv1d, naive_depthwise_conv1d, naive_layer_norm, traced_peak
 
 

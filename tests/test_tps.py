@@ -4,7 +4,7 @@ full forwards against an independent straight-line oracle."""
 import numpy as np
 import pytest
 
-from gebd.autodiff import Tensor, add, backward, l2_normalize_rows, seq_tensor
+from gebd.autodiff import Tensor, backward, l2_normalize_rows, seq_tensor
 from gebd.model import ModelConfig, _leaves
 from gebd.nn import Conv1dKernel, conv_block, random_params
 from gebd.tps import (
@@ -17,7 +17,7 @@ from gebd.tps import (
     stage_forward,
     tps_forward,
 )
-from gradcheck import check_op_gradients, mul, sum_all
+from gradcheck import add, check_op_gradients, mul, sum_all
 from oracles import naive_neighbor_distances, naive_neighbor_distances_backward, naive_stage_forward, traced_peak
 
 

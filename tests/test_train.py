@@ -216,7 +216,7 @@ class TestTrainLoop:
             train(dataset, model, cfg)
 
     def test_non_finite_gradient_aborts_before_adam(self, monkeypatch):
-        train_mod = sys.modules["gebd.train"]  # the package attribute `gebd.train` is the function
+        train_mod = sys.modules["gebd.train"]
         dataset = tiny_dataset(7, 4)
         model = GebdModel.build(TINY, seed=4)
         target = model.decoder.blocks[0].conv.bias

@@ -9,7 +9,7 @@ from gebd import cli
 from gebd.data import VideoFeatures, split_clips, synth_video
 from gebd.model import (
     WINDOW_ALIGN,
-    WINDOW_FRAMES,
+    WINDOW_HALOS,
     GebdModel,
     ModelConfig,
     _score_windows,
@@ -24,7 +24,8 @@ from oracles import traced_peak
 BENCH = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
 SMALL = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=5)
 HALO = 64  # the default structure's receptive field, 30, rounded up to WINDOW_ALIGN
-ONE_WINDOW = WINDOW_FRAMES + 2 * HALO  # the longest clip that is a single window
+KEEP = WINDOW_HALOS * HALO  # 2048: the frames each window of the default structure keeps
+ONE_WINDOW = KEEP + 2 * HALO  # the longest clip that is a single window
 
 
 def stages(seed, t, dims, dtype=np.float64):
@@ -59,10 +60,10 @@ def test_receptive_field_is_the_exact_halo(config, r):
     assert np.abs(short - whole).max() > 1e-8
 
 
-@pytest.mark.parametrize("t", [1, 300, ONE_WINDOW, ONE_WINDOW + 1, 2 * WINDOW_FRAMES + 1, 5000])
+@pytest.mark.parametrize("t", [1, 300, ONE_WINDOW, ONE_WINDOW + 1, 2 * KEEP + 1, 5000])
 def test_windows_partition_the_clip_on_aligned_rows(t):
-    spans = window_spans(t, WINDOW_FRAMES, HALO)
-    assert len(spans) == (1 if t <= ONE_WINDOW else -(-t // WINDOW_FRAMES))
+    spans = window_spans(t, KEEP, HALO)
+    assert len(spans) == (1 if t <= ONE_WINDOW else -(-t // KEEP))
     assert [s[2] for s in spans] == [0] + [s[3] for s in spans[:-1]] and spans[-1][3] == t
     for lo, hi, start, end in spans:
         assert 0 <= lo <= start < end <= hi <= t and hi - lo <= ONE_WINDOW
@@ -116,7 +117,7 @@ def test_scoring_memory_does_not_grow_with_t(loaded):
     # frames peak within 1.3x (about 1.1x here); a whole-video forward
     # peaked about 8x higher at 8W than at W.
     peaks = []
-    for t in (WINDOW_FRAMES, 8 * WINDOW_FRAMES):
+    for t in (KEEP, 8 * KEEP):
         video = VideoFeatures("v", 5.0, stages(35, t, BENCH.stage_dims, np.float32))
         model_forward(video, loaded)  # warm: first-call imports stay out of the peak
         scores, peak = traced_peak(model_forward, video, loaded)
