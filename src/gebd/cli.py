@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -98,7 +99,6 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_fps(self.fps)  # before the model's radius is derived from it
-        worker_count()  # the environment's GEBD_THREADS, so `infer` rejects it before reading a file
         self.model_config()
         check_video_size(self.frames, self.stage_dims)
         check_snr(self.snr)
@@ -166,8 +166,8 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse `key = value` lines; unknown keys are rejected."""
-    overrides = {}
+    """Parse `key = value` lines; an unknown or repeated key is rejected."""
+    overrides, key_lines = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -178,6 +178,9 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in _FIELD_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in key_lines:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = lineno
         try:
             overrides[key] = _FIELD_PARSERS[key](value.strip())
         except ValueError as e:
@@ -208,8 +211,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")
-    # every video's boundaries first, so a gap that does not fit fails before the directory is made
     video_ids = [f"video{i:05d}" for i in range(cfg.num_videos)]
+    # a feature file left from a larger corpus would be read as one of this corpus's videos
+    written = {f"{video_id}.gebf" for video_id in video_ids}
+    stale = sorted(f.name for f in out.glob("*.gebf") if f.name not in written)
+    if stale:
+        raise ValueError(f"--force overwrites, never deletes: {out} holds feature files this run "
+                         f"does not write: {', '.join(stale)}")
+    # every video's boundaries first, so a gap that does not fit fails before the directory is made
     all_times = []
     for i, video_id in enumerate(video_ids):
         bound_rng = np.random.default_rng((cfg.seed + i, 1))
@@ -351,14 +360,31 @@ def _infer_group(group: list[Path]) -> list[int]:
     return counts
 
 
+def _end_with_parent(parent: int) -> None:
+    """Initializer of each `infer` worker: the worker ends when the process
+    that forked it (`parent`) ends, even by SIGKILL, so no worker outlives
+    `infer`. On Linux the kernel sends it SIGKILL then; a parent that ended
+    before this ran is seen by the worker's parent pid."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+        import signal
+
+        PR_SET_PDEATHSIG = 1
+        ctypes.CDLL(None).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
     """Score every feature file, its groups spread over `worker_count()`
-    forked processes; with one worker nothing is forked. Forking, not
+    forked processes, one per CPU this process may run on, at most 8 and at
+    most one per group; with one worker nothing is forked. Forking, not
     spawning, lets each worker use the model the parent loaded. The parent
     runs no thread of its own when it forks (OpenBLAS stops its pool at a
     fork), and the pool joins every worker before this returns, whether the
-    run succeeded or not. A worker's error is raised here with its message;
-    a worker that dies is a `BrokenProcessPool`, a RuntimeError."""
+    run succeeded or not; a worker whose parent is killed ends with it. A
+    worker's error is raised here with its message; a worker that dies is a
+    `BrokenProcessPool`, a RuntimeError."""
     global _infer_run
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -383,7 +409,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
             counts = [_infer_group(group) for group in groups]
         else:
             # map cancels the groups not yet started once one fails
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_end_with_parent, initargs=(os.getpid(),)) as pool:
                 counts = list(pool.map(_infer_group, groups))
     finally:
         _infer_run = None

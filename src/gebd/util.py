@@ -1,4 +1,4 @@
-"""Shared filesystem, JSON and environment helpers, in the standard library only."""
+"""Shared filesystem, JSON, memory and CPU helpers, in the standard library only."""
 
 from __future__ import annotations
 
@@ -78,16 +78,7 @@ def check_fits_in_memory(nbytes: int, what: str) -> None:
 
 
 def worker_count() -> int:
-    """Cap on the worker processes `infer` forks to score its file groups
-    (it forks none when the cap or the group count is 1); GEBD_THREADS
-    overrides the default of the CPU count, at most 8."""
-    env = os.environ.get("GEBD_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0  # not an integer: the same error as a count below 1
-        if n < 1:
-            raise ValueError(f"GEBD_THREADS must be an integer >= 1, got {env!r}")
-        return n
-    return min(8, os.cpu_count() or 1)
+    """Cap on the worker processes `infer` forks to score its file groups (it
+    forks none when the cap or the group count is 1): the CPUs this process
+    may run on, at most 8. `taskset` or a cpuset lowers it."""
+    return min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)

@@ -6,9 +6,11 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 
 from gebd import cli
 from gebd import model as model_mod
+from gebd import util
 from gebd.data import VideoFeatures, load_annotations, load_features, save_features, split_clips, synth_video
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
 from gebd.postprocess import (
@@ -100,6 +103,18 @@ class TestSynth:
         assert code == 1
         assert cli.ERROR_PREFIX in capsys.readouterr().err
         assert run(["synth", "--out", str(out), "--num-videos", "2", "--force", *SMALL]) == 0
+        assert run(["synth", "--out", str(out), "--num-videos", "3", "--force", *SMALL]) == 0
+        assert len(load_annotations(out / "annotations.json")) == len(list(out.glob("*.gebf"))) == 3
+
+    def test_force_refuses_feature_files_it_would_not_write(self, tmp_path, capsys):
+        out = synth_small(tmp_path, n=4)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert run(["synth", "--out", str(out), "--num-videos", "2", "--force", *SMALL]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), err
+        assert err[0].endswith(": video00002.gebf, video00003.gebf"), err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_invalid_stage_dims(self, tmp_path, capsys):
         code = run(["synth", "--out", str(tmp_path / "x"), "--num-videos", "1",
@@ -292,7 +307,7 @@ class TestInfer:
         save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
                                                           neighbor_radius=5), seed=3))
         monkeypatch.setattr(cli, "INFER_GROUP_BYTES", group_bytes)
-        monkeypatch.setenv("GEBD_THREADS", threads)
+        monkeypatch.setattr(cli, "worker_count", lambda: int(threads))
         forks = []
         real_fork = os.fork
 
@@ -340,7 +355,7 @@ class TestInfer:
         save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
                                                           neighbor_radius=5), seed=3))
         monkeypatch.setattr(cli, "INFER_GROUP_BYTES", 1)
-        monkeypatch.setenv("GEBD_THREADS", "2")
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
         return ["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(tmp_path / "o"),
                 "--fps", "5"]
 
@@ -370,6 +385,7 @@ def die_on_v2(group):
 
 real = cli._infer_group
 cli._infer_group = die_on_v2
+cli.worker_count = lambda: 2
 cli.INFER_GROUP_BYTES = 1
 code = cli.main({argv!r})
 print(code, len(multiprocessing.active_children()))
@@ -382,6 +398,83 @@ print(code, len(multiprocessing.active_children()))
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), done.stderr
         assert "terminated abruptly" in err[0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+    def test_no_worker_outlives_a_killed_infer(self, tmp_path, monkeypatch):
+        """SIGKILL an `infer` while its two workers score: both end with it.
+        Run in a fresh interpreter, which the test kills."""
+        argv = self._one_group_per_file(tmp_path, monkeypatch)
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        script = f"""
+import os, time
+from pathlib import Path
+from gebd import cli
+
+def record_and_sleep(group):
+    (Path({str(pid_dir)!r}) / str(os.getpid())).touch()
+    time.sleep(120)
+
+cli._infer_group = record_and_sleep
+cli.worker_count = lambda: 2
+cli.INFER_GROUP_BYTES = 1
+cli.main({argv!r})
+"""
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rpartition(")")[2].split()[0] != "Z"  # a zombie has ended
+
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        pids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = [int(f.name) for f in pid_dir.iterdir()]
+            assert len(pids) == 2, f"workers started: {pids}, infer exit code: {proc.poll()}"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if running(pid)]
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in pids:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_one_cpu_forks_no_worker(self, tmp_path, monkeypatch):
+        argv = self._one_group_per_file(tmp_path, monkeypatch)
+        monkeypatch.setattr(cli, "worker_count", util.worker_count)  # five groups, one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert run(argv) == 0
+        assert len(list((tmp_path / "o" / "detections").iterdir())) == 5
+        assert forks == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_worker_count_is_the_cpus_the_process_may_run_on(self):
+        code = ("import os\n"
+                "from gebd.util import worker_count\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "print(worker_count())")
+        assert fresh_python(code) == ["1"]
 
     def test_file_groups_stay_within_the_byte_limit(self, tmp_path):
         files = []
@@ -426,7 +519,7 @@ print(code, len(multiprocessing.active_children()))
         save_checkpoint(ckpt, GebdModel.build(ModelConfig(stage_dims=(6, 6, 6, 6), d_out=8, d_head=4,
                                                           neighbor_radius=5), seed=3))
         monkeypatch.setattr(cli, "INFER_GROUP_BYTES", 1)
-        monkeypatch.setenv("GEBD_THREADS", "2")
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
         forks = []
         real_fork = os.fork
 
@@ -793,6 +886,15 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("num_videos = 3\nframes = 20\nnum_videos = 2\n")
+        out = tmp_path / "o"
+        assert run(["synth", "--out", str(out), "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{cli.ERROR_PREFIX}{cfg_file}:3: config key 'num_videos' repeats line 1"], err
+        assert not out.exists()
+
     def test_echo_round_trips(self, tmp_path):
         out = synth_small(tmp_path, n=1)
         echo = out / "run_config.txt"
@@ -968,35 +1070,6 @@ class TestSettingsCheckedOnce:
             echo = first / "run_config.txt"
             assert run([*argv, "--config", str(echo)]) == 0, argv[0]
             assert (Path(argv[-1]) / "run_config.txt").read_text() == echo.read_text()
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        from gebd.util import worker_count
-
-        monkeypatch.setenv("GEBD_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("GEBD_THREADS", "0")
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.delenv("GEBD_THREADS")
-        assert worker_count() >= 1
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_value_fails_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, value):
-        def fail(*args, **kwargs):
-            raise AssertionError("infer loaded the checkpoint before checking GEBD_THREADS")
-
-        monkeypatch.setattr(model_mod, "load_checkpoint", fail)
-        monkeypatch.setenv("GEBD_THREADS", value)
-        out = tmp_path / "out"
-        code = run(["infer", "--checkpoint", str(tmp_path / "m.gebw"), "--features", str(tmp_path / "f"),
-                    "--out", str(out)])
-        err = capsys.readouterr().err.splitlines()
-        assert code == 1
-        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX) and "GEBD_THREADS" in err[0], err
-        assert not out.exists()
 
 
 class TestTrainSmokeTiming:

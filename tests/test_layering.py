@@ -106,3 +106,21 @@ def test_autodiff_loads_no_other_gebd_module_and_postprocess_no_data():
     loaded = "print(sorted(m for m in sys.modules if m.startswith('gebd.')))"
     assert fresh_python(f"import sys, gebd.autodiff\n{loaded}") == ["['gebd.autodiff']"]
     assert fresh_python("import sys, gebd.postprocess\nprint('gebd.data' in sys.modules)") == ["False"]
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+def test_no_module_reads_the_environment():
+    # settings come from flags and config files, which the run echoes; an
+    # environment variable would change a run without showing in its echo
+    readers = []
+    for path in sorted((REPO / "src" / "gebd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                readers.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                            for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    assert readers == []
