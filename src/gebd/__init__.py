@@ -18,12 +18,14 @@ __version__ = "0.1.0"
 # the public names, by the module that exports them
 _API = {
     "autodiff": ("Tensor", "backward", "seq_tensor"),
-    "data": ("Annotation", "Clip", "VideoFeatures", "frame_labels", "load_annotations", "load_features",
-             "save_annotations", "save_features", "split_clips", "synth_video"),
+    "boundaries": ("Annotation", "DetectionList", "load_annotations", "save_annotations"),
+    "config": ("ModelConfig", "TrainConfig"),
+    "data": ("Clip", "VideoFeatures", "frame_labels", "load_features", "save_features", "split_clips",
+             "synth_video"),
     "evaluate": ("DEFAULT_TAUS", "EvalReport", "f1_at", "f1_sweep", "match_detections", "rel_dis_error"),
-    "model": ("GebdModel", "ModelConfig", "load_checkpoint", "model_forward", "save_checkpoint"),
-    "postprocess": ("BoundaryScores", "DetectionList", "gaussian_smooth", "merge_clip_scores", "pick_peaks"),
-    "train": ("AdamState", "TrainConfig", "adam_step", "bce_loss", "lr_schedule"),
+    "model": ("GebdModel", "load_checkpoint", "model_forward", "save_checkpoint"),
+    "postprocess": ("BoundaryScores", "gaussian_smooth", "merge_clip_scores", "pick_peaks"),
+    "train": ("AdamState", "adam_step", "bce_loss", "lr_schedule"),
 }
 
 __all__ = sorted(name for names in _API.values() for name in names)

@@ -1,6 +1,7 @@
 """Boundary timestamps and their JSON files, in the standard library only:
-a video's ground-truth annotation and its detections. `data` re-exports the
-annotation side and `postprocess` the detection side.
+a video's ground-truth annotation and its detections. The package API
+takes them from here; only `save_annotations` is importable from `data`
+too, for `perfbench/corpus.py`.
 
 Annotation files are UTF-8 JSON arrays of
     {"video_id": str, "duration": seconds, "fps": number, "boundaries": [seconds]};

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import evaluate as eval_mod
-from .boundaries import load_annotations, load_detections
+from .boundaries import load_annotations, load_detections, save_detections
 from .config import (
     ModelConfig,
     TrainConfig,
@@ -34,7 +34,7 @@ from .config import (
     check_video_size,
     neighbor_radius_for,
 )
-from .util import atomic_write_text, worker_count
+from .util import atomic_write_text, check_fits_in_memory, worker_count
 
 if TYPE_CHECKING:
     from .model import GebdModel
@@ -202,6 +202,18 @@ def _echo_config(out_dir: Path, cfg: RunConfig) -> None:
     atomic_write_text(out_dir / "run_config.txt", format_config(cfg))
 
 
+def _refuse_stale_files(out: Path, patterns: list[str], written: set[str]) -> None:
+    """A command that writes into a used directory overwrites its own files
+    and deletes none, so it refuses `out` while it holds a file of a kind the
+    command writes (a `patterns` match) that this run will not write: that
+    file would be read as one of this run's. Names are relative to `out`."""
+    stale = sorted(name for pattern in patterns for f in out.glob(pattern)
+                   if (name := f.relative_to(out).as_posix()) not in written)
+    if stale:
+        raise ValueError(f"{out} holds files this run does not write and would leave in place: "
+                         f"{', '.join(stale)}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -213,11 +225,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"output directory {out} is not empty (use --force to overwrite)")
     video_ids = [f"video{i:05d}" for i in range(cfg.num_videos)]
     # a feature file left from a larger corpus would be read as one of this corpus's videos
-    written = {f"{video_id}.gebf" for video_id in video_ids}
-    stale = sorted(f.name for f in out.glob("*.gebf") if f.name not in written)
-    if stale:
-        raise ValueError(f"--force overwrites, never deletes: {out} holds feature files this run "
-                         f"does not write: {', '.join(stale)}")
+    _refuse_stale_files(out, ["*.gebf"], {f"{video_id}.gebf" for video_id in video_ids})
     # every video's boundaries first, so a gap that does not fit fails before the directory is made
     all_times = []
     for i, video_id in enumerate(video_ids):
@@ -269,7 +277,7 @@ def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .model import GebdModel, save_checkpoint
+    from .model import GebdModel, parameter_count, save_checkpoint
     from .train import train, write_loss_curve
 
     cfg = resolve_config(args)
@@ -281,7 +289,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if len(dims) != 1:
         raise ValueError(f"training videos must share stage dims, got {sorted(dims)}")
     cfg = replace(cfg, fps=fps_values.pop(), stage_dims=dims.pop())
-    model = GebdModel.build(cfg.model_config(), seed=cfg.seed)
+    model_config = cfg.model_config()
+    # float64 parameters, their grads and Adam's two moments
+    check_fits_in_memory(32 * parameter_count(model_config), f"training {model_config}")
+    model = GebdModel.build(model_config, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model, curve = train(dataset, model, cfg.train_config())
@@ -355,7 +366,7 @@ def _infer_group(group: list[Path]) -> list[int]:
     for video, scores in zip(videos, _score_videos(videos, model, cfg)):
         detections = post_mod.pick_peaks(scores)
         post_mod.save_scores(out / "scores" / f"{video.video_id}.json", scores)
-        post_mod.save_detections(out / "detections" / f"{video.video_id}.json", detections)
+        save_detections(out / "detections" / f"{video.video_id}.json", detections)
         counts.append(len(detections.timestamps))
     return counts
 
@@ -400,6 +411,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
         raise ValueError(f"no .gebf feature files in {features_path}")
     groups = _file_groups(files, INFER_GROUP_BYTES)  # stats every file: a missing one fails before any mkdir
     out = Path(args.out)
+    # another run's outputs for other videos would be evaluated as this run's
+    _refuse_stale_files(out, ["scores/*.json", "detections/*.json"],
+                        {f"{kind}/{f.stem}.json" for f in files for kind in ("scores", "detections")})
     (out / "scores").mkdir(parents=True, exist_ok=True)
     (out / "detections").mkdir(parents=True, exist_ok=True)
     workers = min(worker_count(), len(groups))

@@ -1,8 +1,7 @@
 """Settings and their checks, in the standard library only: the model and
 training configs, the fps -> neighbor radius rule, and the rule of every
-setting a video, file or command carries. `data`, `model` and `train`
-re-export what they own, so a command that only checks its settings, as
-`gebd eval` does, loads no numpy.
+setting a video, file or command carries. A command that only checks its
+settings, as `gebd eval` does, loads no numpy.
 """
 
 from __future__ import annotations

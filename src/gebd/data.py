@@ -9,7 +9,7 @@ a float32 model reads without a copy.
 The checkpoint (`model`) is the same container under its own magic.
 
 Annotations and their files (`boundaries`) and the setting checks
-(`config`) need no numpy and live there; this module re-exports them.
+(`config`) need no numpy and live there.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundaries import Annotation, load_annotations, save_annotations  # noqa: F401  (re-exported)
+# save_annotations is only re-exported: perfbench/corpus.py, its one reader, imports it from here
+from .boundaries import Annotation, save_annotations  # noqa: F401
 from .config import check_clip_settings, check_fps, check_positive_radius, check_snr, check_video_size
 from .util import atomic_writer
 

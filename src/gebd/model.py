@@ -37,6 +37,7 @@ from .nn import (
     ParamSource,
     conv1d,
     conv_block,
+    doubling_dilation,
     gelu,
     init_conv1d,
     init_conv_block,
@@ -45,6 +46,7 @@ from .nn import (
 )
 from .postprocess import BoundaryScores
 from .tps import TpsParams, init_tps, tps_forward
+from .util import check_fits_in_memory
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
@@ -94,7 +96,7 @@ def head_forward(x: Tensor, params: HeadParams) -> Tensor:
 
 def init_decoder(new: ParamSource, config: ModelConfig) -> SdParams:
     return SdParams([
-        init_conv_block(new, config.d_out, config.d_out, width=3, dilation=2 ** (i + 1))
+        init_conv_block(new, config.d_out, config.d_out, width=3, dilation=doubling_dilation(i + 1))
         for i in range(config.decoder_blocks)
     ])
 
@@ -108,6 +110,25 @@ def init_head(new: ParamSource, config: ModelConfig) -> HeadParams:
 
 def init_model(new: ParamSource, config: ModelConfig) -> "GebdModel":
     return GebdModel(config, init_tps(new, config), init_decoder(new, config), init_head(new, config))
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """The number of parameters `init_model` requests for `config`, from the
+    sizes alone, so a model too large to hold is rejected before any of it
+    is built, however many blocks it has."""
+
+    def block(c_in: int, c_out: int, width: int) -> int:  # conv weights and bias, norm gamma and beta
+        return c_out * (c_in * width + 3)
+
+    n, d = config.branch_count, config.d_out
+    fronts = n - 1 if config.use_depthwise else 0  # the dilated branches' width-3 depthwise fronts
+
+    def stage(c: int) -> int:  # branches, their fronts, compress and fuse
+        fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else c)
+        return n * block(c, c, 3) + fronts * 4 * c + c * (n * c + 1) + d * (fuse_in + 1)
+
+    return (sum(stage(c) for c in config.stage_dims) + block(len(config.stage_dims) * d, d, 3)
+            + config.decoder_blocks * block(d, d, 3) + config.d_head * (3 * d + 1) + config.d_head + 1)
 
 
 def _leaves(obj, prefix: str):
@@ -133,6 +154,9 @@ class GebdModel:
 
     @classmethod
     def build(cls, config: ModelConfig, seed: int = 0) -> "GebdModel":
+        """A seeded random model; one whose float64 parameters exceed physical
+        memory is rejected before the first draw."""
+        check_fits_in_memory(8 * parameter_count(config), f"the float64 parameters of {config}")
         return init_model(random_params(np.random.default_rng(seed)), config)
 
     def forward(self, stages: list[np.ndarray]) -> Tensor:

@@ -448,7 +448,17 @@ def init_layer_norm(new: ParamSource, channels: int) -> LayerNormAffine:
 
 
 def init_conv_block(new: ParamSource, in_channels: int, out_channels: int,
-                    width: int, dilation: int = 1) -> ConvBlock:
-    """A block without a depthwise front (`tps.init_branch` builds the one with it)."""
-    return ConvBlock(None, init_conv1d(new, in_channels, out_channels, width, dilation),
+                    width: int, dilation: int = 1, depthwise: bool = False) -> ConvBlock:
+    """Every `ConvBlock`: with `depthwise`, a width-3 depthwise front over the
+    input, then the conv, then the layer norm, requested in that order."""
+    front = init_depthwise(new, in_channels, width=3) if depthwise else None
+    return ConvBlock(front, init_conv1d(new, in_channels, out_channels, width, dilation),
                      init_layer_norm(new, out_channels))
+
+
+def doubling_dilation(i: int) -> int:
+    """2 ** i, the dilation of the i-th block of a doubling stack, stopping
+    at 2 ** 63: no array has that many frames, so every tap but the center
+    of such a block already reads only padding, and a deep stack holds no
+    integer of more than 64 bits."""
+    return 2 ** min(i, 63)

@@ -1,8 +1,7 @@
 """Score post-processing: Gaussian smoothing, peak picking, clip-score merging.
 
 Frame f carries the timestamp (f + 0.5) / fps everywhere. Detections and
-their files (`boundaries`) need no numpy and live there; this module
-re-exports them.
+their files (`boundaries`) need no numpy and live there.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boundaries import DetectionList, load_detections, save_detections  # noqa: F401  (re-exported)
+from .boundaries import DetectionList
 from .config import check_fps
 from .util import atomic_write_text, json_number, json_numbers, json_str, read_json
 

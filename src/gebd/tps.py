@@ -5,10 +5,11 @@ them into one T x d_out sequence per stage and overall.
 
 Every constructor and forward reads the structure (sizes, neighbor radius
 and switches) from the `ModelConfig` it takes; none restates any of it.
-A branch is an `nn.ConvBlock`, run by `nn.conv_block` like the merge and
-the decoder; `init_branch` alone decides which branches get a depthwise
-front. A branch dilated past a video's length keeps only its center tap
-there, in the forward and in both gradients (`nn._tap_loop`).
+A branch is an `nn.ConvBlock`, built by `nn.init_conv_block` and run by
+`nn.conv_block` like the merge and the decoder; `init_stage` alone decides
+which branches get a depthwise front. A branch dilated past a video's
+length keeps only its center tap there, in the forward and in both
+gradients (`nn._tap_loop`).
 
 No sum or concatenation stays on the training tape: a residual view is one
 node that keeps the branch output and the stage input and rebuilds their
@@ -39,10 +40,9 @@ from .nn import (
     _conv1d_parts,
     _conv_block,
     conv_block,
+    doubling_dilation,
     init_conv1d,
     init_conv_block,
-    init_depthwise,
-    init_layer_norm,
 )
 
 
@@ -171,19 +171,12 @@ def tps_forward(stage_inputs: list[Tensor], params: TpsParams, config: ModelConf
     return _conv_block([stage_forward(x, p, config) for x, p in zip(stage_inputs, params.stages)], params.merge)
 
 
-def init_branch(new: ParamSource, channels: int, dilation: int, use_depthwise: bool) -> ConvBlock:
-    """One dilation-rate view: a width-3 dilated conv block, after a width-3
-    depthwise front only when dilated and `use_depthwise`."""
-    depthwise = init_depthwise(new, channels, width=3) if dilation > 1 and use_depthwise else None
-    return ConvBlock(depthwise, init_conv1d(new, channels, channels, width=3, dilation=dilation),
-                     init_layer_norm(new, channels))
-
-
 def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStageParams:
     n = config.branch_count
     fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else channels)
     return TpsStageParams(
-        branches=[init_branch(new, channels, 2 ** i, config.use_depthwise) for i in range(n)],
+        branches=[init_conv_block(new, channels, channels, width=3, dilation=doubling_dilation(i),
+                                  depthwise=i > 0 and config.use_depthwise) for i in range(n)],
         compress=init_conv1d(new, n * channels, channels, width=1),
         fuse=init_conv1d(new, fuse_in, config.d_out, width=1),
     )

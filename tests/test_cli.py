@@ -20,15 +20,14 @@ import pytest
 from gebd import cli
 from gebd import model as model_mod
 from gebd import util
-from gebd.data import VideoFeatures, load_annotations, load_features, save_features, split_clips, synth_video
+from gebd.boundaries import load_annotations, load_detections, save_detections
+from gebd.data import VideoFeatures, load_features, save_features, split_clips, synth_video
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
 from gebd.postprocess import (
     gaussian_smooth,
-    load_detections,
     load_scores,
     merge_clip_scores,
     pick_peaks,
-    save_detections,
     save_scores,
     smoothing_matrix,
 )
@@ -204,6 +203,30 @@ class TestTrain:
         assert len(out.stderr.splitlines()) == 1
         assert "at step" in out.stderr
 
+    @pytest.mark.parametrize("flag", ["--decoder-blocks", "--branch-count"])
+    def test_model_past_physical_memory_is_one_error_before_any_build(self, tmp_path, flag):
+        # a billion blocks: 32 bytes a parameter (its grad and Adam's two moments
+        # with it) exceed physical memory before a block is built. The child's
+        # address space is capped, so a model that is built anyway fails fast.
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        data = synth_small(tmp_path, n=2)
+        out = tmp_path / "r"
+        argv = ["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                "--out", str(out), "--d-out", "8", "--d-head", "4", flag, "1000000000"]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "gebd.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
+        assert re.search(r"needs \d+ bytes, more than the \d+ bytes of physical memory$", err[0]), err
+        assert not out.exists()
+
     def test_missing_annotations_error(self, tmp_path, capsys):
         data = synth_small(tmp_path, n=2)
         (data / "annotations.json").unlink()
@@ -215,6 +238,29 @@ class TestTrain:
 
 
 class TestInfer:
+    def test_out_holding_other_videos_outputs_is_refused_untouched(self, tmp_path, capsys):
+        data = synth_small(tmp_path, n=3)
+        ckpt_a = train_small(tmp_path, data, epochs=1) / "model.gebw"
+        ckpt_b = tmp_path / "b.gebw"
+        save_checkpoint(ckpt_b, GebdModel.build(load_checkpoint(ckpt_a).config, seed=5))
+        out = tmp_path / "o"
+
+        def infer(ckpt, features):
+            return run(["infer", "--checkpoint", str(ckpt), "--features", str(features), "--out", str(out),
+                        "--fps", "5"])
+
+        assert infer(ckpt_a, data) == 0
+        before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        capsys.readouterr()
+        # video00001's and video00002's files are A's: eval would score them as B's
+        assert infer(ckpt_b, data / "video00000.gebf") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), err
+        assert err[0].endswith(": detections/video00001.json, detections/video00002.json, "
+                               "scores/video00001.json, scores/video00002.json"), err
+        assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
+        assert infer(ckpt_b, data) == 0  # a run over the same inputs overwrites its own outputs
+
     def test_scores_and_detections_written(self, tmp_path):
         data = synth_small(tmp_path, n=3)
         run_dir = train_small(tmp_path, data, epochs=1)

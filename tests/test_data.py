@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from gebd.boundaries import load_annotations
 from gebd.data import (
     Annotation,
     VideoFeatures,
     frame_labels,
-    load_annotations,
     load_features,
     nearest_frame,
     random_boundary_times,

@@ -25,9 +25,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gebd import cli
-from gebd.data import VideoFeatures, load_annotations, load_features, save_features
+from gebd.boundaries import load_annotations, load_detections
+from gebd.data import VideoFeatures, load_features, save_features
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, save_checkpoint
-from gebd.postprocess import load_detections, load_scores
+from gebd.postprocess import load_scores
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])

@@ -102,6 +102,28 @@ def test_every_public_function_and_class_is_used_or_exported():
     assert unused == set(UNREFERENCED), sorted(unused ^ set(UNREFERENCED))
 
 
+# Names a module of src/gebd/ imports without using them, each kept for a reader outside src/.
+REEXPORTED = {
+    "data.save_annotations": "perfbench/corpus.py imports it from gebd.data until ROADMAP item 1",
+}
+
+
+def test_every_imported_name_is_used_where_it_is_imported():
+    # one home per name: a module imports a name to use it, not to offer it a second time
+    unused = set()
+    for path in (REPO / "src" / "gebd").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused |= {f"{path.stem}.{name}" for name in imported - used}
+    assert unused == set(REEXPORTED), sorted(unused ^ set(REEXPORTED))
+
+
 def test_autodiff_loads_no_other_gebd_module_and_postprocess_no_data():
     loaded = "print(sorted(m for m in sys.modules if m.startswith('gebd.')))"
     assert fresh_python(f"import sys, gebd.autodiff\n{loaded}") == ["['gebd.autodiff']"]

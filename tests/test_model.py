@@ -24,6 +24,7 @@ from gebd.model import (
     init_head,
     load_checkpoint,
     model_forward,
+    parameter_count,
     save_checkpoint,
     sd_forward,
     stack_videos,
@@ -232,6 +233,21 @@ class TestParameters:
                           neighbor_radius=2, use_depthwise=False)
         model = GebdModel.build(cfg, seed=6)
         assert not any("depthwise" in n for n, _ in model.parameters())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfg=OFF_DEFAULT_CONFIGS)
+    @example(cfg=TINY)
+    @example(cfg=NO_DEPTHWISE)
+    @example(cfg=BENCH)
+    def test_parameter_count_is_the_built_models(self, cfg):
+        model = GebdModel.build(cfg, seed=0)
+        assert parameter_count(cfg) == sum(p.data.size for _, p in model.parameters())
+
+    def test_build_rejects_parameters_past_physical_memory_before_any_block(self):
+        cfg = ModelConfig(stage_dims=(4,), decoder_blocks=10 ** 9, d_out=4, d_head=4, neighbor_radius=1)
+        with pytest.raises(ValueError, match=r"^the float64 parameters of ModelConfig\(.*decoder_blocks=1000000000, "
+                                             r".*\) needs \d+ bytes, more than the \d+ bytes of physical memory$"):
+            GebdModel.build(cfg)
 
 
 class TestModelConfig:

@@ -19,6 +19,7 @@ from gebd.nn import (
     conv1d,
     conv_block,
     depthwise_conv1d,
+    doubling_dilation,
     gelu,
     init_conv1d,
     init_conv_block,
@@ -539,6 +540,26 @@ class TestInit:
         rng = np.random.default_rng(30)
         k = init_depthwise(random_params(rng), 4, 3)
         assert np.all(np.abs(k.weights.data) <= (1.0 / 3) ** 0.5)
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    def test_conv_block_requests_front_conv_norm_in_order(self, depthwise):
+        requests = []
+        rng = np.random.default_rng(32)
+
+        def new(shape, kind):
+            requests.append((shape, kind))
+            return random_params(rng)(shape, kind)
+
+        block = init_conv_block(new, 4, 6, width=3, dilation=2, depthwise=depthwise)
+        front = [((4, 3), "weights"), ((4,), "bias")] if depthwise else []
+        assert requests == front + [((6, 4, 3), "weights"), ((6,), "bias"), ((6,), "gamma"), ((6,), "beta")]
+        assert (block.depthwise is not None) == depthwise and block.dilation == 2
+        if depthwise:
+            assert block.depthwise.width == 3 and block.depthwise.dilation == 1
+
+    def test_doubling_dilation_stops_at_2_to_the_63(self):
+        assert [doubling_dilation(i) for i in range(64)] == [2 ** i for i in range(64)]
+        assert {doubling_dilation(i) for i in (64, 65, 3_000_000, 10 ** 9)} == {2 ** 63}
 
     def test_layer_norm_identity_affine(self):
         a = init_layer_norm(random_params(np.random.default_rng(0)), 5)

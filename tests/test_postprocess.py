@@ -5,16 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from gebd.boundaries import DetectionList, load_detections, save_detections
 from gebd.data import Clip, VideoFeatures, split_clips
 from gebd.postprocess import (
     BoundaryScores,
-    DetectionList,
     gaussian_smooth,
-    load_detections,
     load_scores,
     merge_clip_scores,
     pick_peaks,
-    save_detections,
     save_scores,
     smooth_frames,
     smoothing_matrix,

@@ -9,7 +9,6 @@ from gebd.model import ModelConfig, _leaves
 from gebd.nn import Conv1dKernel, conv_block, random_params
 from gebd.tps import (
     comprehensive_rep,
-    init_branch,
     init_stage,
     init_tps,
     residual_normalize,
@@ -29,25 +28,24 @@ def make_stage(seed=0, channels=6, n=4, d_out=8, radius=2, **switches):
 
 class TestBranchStructure:
     def test_depthwise_present_iff_dilated(self):
-        rng = np.random.default_rng(0)
-        dilations = [2 ** i for i in range(4)]
-        branches = [init_branch(random_params(rng), 6, r, True) for r in dilations]
+        branches = make_stage(seed=0, channels=6, n=4)[0].branches
         assert branches[0].depthwise is None  # r=1
         for br in branches[1:]:  # r in {2, 4, 8}
             assert br.depthwise is not None
             assert br.depthwise.width == 3 and br.depthwise.dilation == 1
         assert [br.dilation for br in branches] == [1, 2, 4, 8]
+        assert all(br.depthwise is None for br in make_stage(n=4, use_depthwise=False)[0].branches)
 
     def test_shape_preserved_for_every_branch(self):
         rng = np.random.default_rng(1)
         x = seq_tensor(rng.standard_normal((11, 6)))
-        for r in (1, 2, 4, 8):
-            out = conv_block(x, init_branch(random_params(rng), 6, r, True))
+        for br in make_stage(seed=1, channels=6, n=4)[0].branches:  # r in {1, 2, 4, 8}
+            out = conv_block(x, br)
             assert out.data.shape == (11, 6)
 
     def test_zero_input_zero_params_gives_zero(self):
         # with zero biases and beta=0: norm(0)=0, gelu(0)=0
-        br = init_branch(random_params(np.random.default_rng(2)), 4, 2, True)
+        br = make_stage(seed=2, channels=4, n=2)[0].branches[1]  # r=2, with its depthwise front
         out = conv_block(seq_tensor(np.zeros((6, 4))), br)
         np.testing.assert_allclose(out.data, np.zeros((6, 4)), atol=1e-15)
 
