@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -198,10 +199,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _echo_config(out_dir: Path, cfg: RunConfig) -> None:
-    atomic_write_text(out_dir / "run_config.txt", format_config(cfg))
-
-
 def _refuse_stale_files(out: Path, patterns: list[str], written: set[str]) -> None:
     """A command that writes into a used directory overwrites its own files
     and deletes none, so it refuses `out` while it holds a file of a kind the
@@ -226,7 +223,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     video_ids = [f"video{i:05d}" for i in range(cfg.num_videos)]
     # a feature file left from a larger corpus would be read as one of this corpus's videos
     _refuse_stale_files(out, ["*.gebf"], {f"{video_id}.gebf" for video_id in video_ids})
-    # every video's boundaries first, so a gap that does not fit fails before the directory is made
+    # every video's boundaries first, so a gap that does not fit fails before a file is written
     all_times = []
     for i, video_id in enumerate(video_ids):
         bound_rng = np.random.default_rng((cfg.seed + i, 1))
@@ -236,7 +233,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                                             cfg.min_gap_seconds))
         except ValueError as e:
             raise ValueError(f"{video_id}: min_gap_seconds: {e}") from None
-    out.mkdir(parents=True, exist_ok=True)
     annotations, entries = [], []
     for i, (video_id, times) in enumerate(zip(video_ids, all_times)):
         video_seed = cfg.seed + i
@@ -252,7 +248,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     data_mod.save_annotations(out / "annotations.json", annotations)
     manifest = {"seed": cfg.seed, "videos": entries}
     atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-    _echo_config(out, cfg)
+    atomic_write_text(out / "run_config.txt", format_config(cfg))
     print(f"wrote {cfg.num_videos} feature files to {out}")
     return 0
 
@@ -293,12 +289,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     # float64 parameters, their grads and Adam's two moments
     check_fits_in_memory(32 * parameter_count(model_config), f"training {model_config}")
     model = GebdModel.build(model_config, seed=cfg.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by its first file: a run that fails or is interrupted leaves none
     model, curve = train(dataset, model, cfg.train_config())
     save_checkpoint(out / "model.gebw", model)
     write_loss_curve(out / "loss.csv", curve)
-    _echo_config(out, cfg)
+    atomic_write_text(out / "run_config.txt", format_config(cfg))
     final = f", final loss {curve[-1][2]:.6f}" if curve else " (no training steps)"
     print(f"saved checkpoint to {out / 'model.gebw'}{final}")
     return 0
@@ -375,10 +370,12 @@ def _end_with_parent(parent: int) -> None:
     """Initializer of each `infer` worker: the worker ends when the process
     that forked it (`parent`) ends, even by SIGKILL, so no worker outlives
     `infer`. On Linux the kernel sends it SIGKILL then; a parent that ended
-    before this ran is seen by the worker's parent pid."""
+    before this ran is seen by the worker's parent pid. Ctrl-C ends it at
+    once, with no traceback and no further group; the parent reports it."""
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
     if sys.platform.startswith("linux"):
         import ctypes
-        import signal
 
         PR_SET_PDEATHSIG = 1
         ctypes.CDLL(None).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
@@ -409,29 +406,28 @@ def cmd_infer(args: argparse.Namespace) -> int:
     files = sorted(features_path.glob("*.gebf")) if features_path.is_dir() else [features_path]
     if not files:
         raise ValueError(f"no .gebf feature files in {features_path}")
-    groups = _file_groups(files, INFER_GROUP_BYTES)  # stats every file: a missing one fails before any mkdir
+    groups = _file_groups(files, INFER_GROUP_BYTES)  # stats every file: a missing one fails before any write
     out = Path(args.out)
     # another run's outputs for other videos would be evaluated as this run's
     _refuse_stale_files(out, ["scores/*.json", "detections/*.json"],
                         {f"{kind}/{f.stem}.json" for f in files for kind in ("scores", "detections")})
-    (out / "scores").mkdir(parents=True, exist_ok=True)
-    (out / "detections").mkdir(parents=True, exist_ok=True)
     workers = min(worker_count(), len(groups))
     _infer_run = (model, cfg, out)
     try:
         if workers == 1:
             counts = [_infer_group(group) for group in groups]
         else:
-            # map cancels the groups not yet started once one fails
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_end_with_parent, initargs=(os.getpid(),)) as pool:
-                counts = list(pool.map(_infer_group, groups))
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_end_with_parent, initargs=(os.getpid(),))
+            try:
+                counts = [future.result() for future in [pool.submit(_infer_group, group) for group in groups]]
+            finally:  # the pool's thread cancels what has not started: a cancel from here, as map's, races
+                pool.shutdown(cancel_futures=True)  # its own clean-up of workers that Ctrl-C ended
     finally:
         _infer_run = None
     results = [n for group_counts in counts for n in group_counts]
-    _echo_config(out, cfg)
-    total = sum(results)
-    print(f"scored {len(results)} videos, {total} boundaries detected")
+    atomic_write_text(out / "run_config.txt", format_config(cfg))
+    print(f"scored {len(results)} videos, {sum(results)} boundaries detected")
     return 0
 
 
@@ -534,6 +530,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as e:
         print(f"{ERROR_PREFIX}{e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: one line and a shell's exit status for SIGINT
+        print(f"{PROG}: interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -127,7 +127,8 @@ def pick_peaks(s: BoundaryScores) -> DetectionList:
     PEAK_NEIGHBOR_SECONDS; on a plateau of equal window-maxima only the
     earliest frame fires."""
     x = s.scores
-    w = int(math.floor(PEAK_NEIGHBOR_SECONDS * s.fps + 1e-9))
+    # a neighbor past either end is padding, so no window needs more than T - 1 of them
+    w = min(int(math.floor(PEAK_NEIGHBOR_SECONDS * s.fps + 1e-9)), len(x) - 1)
     window_max = sliding_window_view(np.pad(x, w, constant_values=-np.inf), 2 * w + 1).max(axis=1)
     candidate = (x > PEAK_THRESHOLD) & (x >= window_max)
     fires = candidate.copy()

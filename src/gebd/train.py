@@ -81,34 +81,35 @@ def lr_schedule(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    params: list[Tensor]  # m[i] and v[i] are the moments of params[i]
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def init(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros(p.data.shape) for p in params],
-            v=[np.zeros(p.data.shape) for p in params],
-        )
+        return cls(list(params), [np.zeros(p.data.shape) for p in params], [np.zeros(p.data.shape) for p in params])
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS),
-    in place on the parameter tensors.
+def adam_step(state: AdamState, lr: float) -> None:
+    """Standard bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) of
+    each parameter of `state` from its `.grad`, in place; it then drops each
+    `.grad`. A missing grad or one of another shape is a ValueError first.
 
     `m` and `v` are updated in place, and each parameter's update needs two
     parameter-sized temporaries; every element goes through the operations
     of `p - lr * m_hat / (sqrt(v_hat) + eps)` in that order, so the bits are
-    those of the textbook expression."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
+    those of the textbook expression. A grad array is only read."""
+    for i, p in enumerate(state.params):  # before any parameter moves
+        if p.grad is None:
+            raise ValueError(f"adam_step: parameter {i} ({p!r}) has no grad")
+        if np.shape(p.grad) != p.data.shape:
+            raise ValueError(f"grad shape {np.shape(p.grad)} does not match param {p.data.shape}")
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ValueError(f"grad shape {g.shape} does not match param {p.data.shape}")
+    for p, m, v in zip(state.params, state.m, state.v):
+        g = np.asarray(p.grad, dtype=np.float64)
+        p.grad = None
         tmp = np.multiply(1.0 - ADAM_BETA1, g)
         m *= ADAM_BETA1
         m += tmp
@@ -171,11 +172,10 @@ def train(
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_training, global_step)
-                    grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in params]
-                    for (name, _), g in zip(named, grads):
-                        if not np.all(np.isfinite(g)):
+                    for name, p in named:
+                        if p.grad is not None and not np.all(np.isfinite(p.grad)):
                             raise TrainingDiverged(f"non-finite gradient of {name} at step {global_step}")
-                    adam_step(params, grads, state, lr)
+                    adam_step(state, lr)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"{e} at step {global_step}") from e
             curve.append((global_step, lr, loss_value))

@@ -77,6 +77,41 @@ def train_small(tmp_path, data_dir, epochs=1, extra=()):
     return out
 
 
+def running(pid):
+    """Whether process `pid` exists and has not ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def interrupt_group(script, started, count):
+    """Run `script` in a fresh interpreter in a session of its own, with
+    SIGINT at its default as a terminal leaves it; once the directory
+    `started` holds `count` files, send SIGINT to the session's process group
+    as a terminal's Ctrl-C does. Returns (exit status, stderr, the sorted
+    names in `started`)."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(started.iterdir())) < count and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(list(started.iterdir())) == count, f"exit code {proc.poll()}"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    return proc.returncode, err, sorted(f.name for f in started.iterdir())
+
+
 class TestSynth:
     def test_writes_features_annotations_manifest(self, tmp_path):
         out = synth_small(tmp_path, n=10)
@@ -202,6 +237,7 @@ class TestTrain:
         assert "RuntimeWarning" not in out.stderr
         assert len(out.stderr.splitlines()) == 1
         assert "at step" in out.stderr
+        assert not (tmp_path / "r").exists()  # `--out` is made only by the files of a finished run
 
     @pytest.mark.parametrize("flag", ["--decoder-blocks", "--branch-count"])
     def test_model_past_physical_memory_is_one_error_before_any_build(self, tmp_path, flag):
@@ -225,6 +261,34 @@ class TestTrain:
         err = proc.stderr.splitlines()
         assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
         assert re.search(r"needs \d+ bytes, more than the \d+ bytes of physical memory$", err[0]), err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sends SIGINT to a process group")
+    def test_ctrl_c_is_one_line_and_makes_no_out(self, tmp_path):
+        data = synth_small(tmp_path, n=2)
+        started = tmp_path / "started"
+        started.mkdir()
+        out = tmp_path / "r"
+        argv = ["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                "--out", str(out), "--epochs", "100000", "--d-out", "8", "--d-head", "4"]
+        script = f"""
+import sys
+from pathlib import Path
+import gebd.train
+from gebd import cli
+
+train_mod = sys.modules["gebd.train"]
+real = train_mod._minibatch_gradients
+
+def record_step(*args):
+    (Path({str(started)!r}) / "step").touch()
+    return real(*args)
+
+train_mod._minibatch_gradients = record_step
+raise SystemExit(cli.main({argv!r}))
+"""
+        code, err, _ = interrupt_group(script, started, 1)
+        assert (code, err) == (130, "gebd: interrupted\n")
         assert not out.exists()
 
     def test_missing_annotations_error(self, tmp_path, capsys):
@@ -497,6 +561,36 @@ cli.main({argv!r})
             for pid in pids:
                 if running(pid):
                     os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+    def test_ctrl_c_is_one_line_and_leaves_no_worker(self, tmp_path, monkeypatch):
+        """Ctrl-C while two workers score the first two of five groups: no
+        traceback, no worker left, and no queued group run."""
+        argv = self._one_group_per_file(tmp_path, monkeypatch)
+        started = tmp_path / "started"
+        started.mkdir()
+        script = f"""
+import os, time
+from pathlib import Path
+from gebd import cli
+
+def record_and_sleep(group):
+    (Path({str(started)!r}) / f"{{os.getpid()}}-{{group[0].stem}}").touch()
+    time.sleep(120)
+
+cli._infer_group = record_and_sleep
+cli.worker_count = lambda: 2
+cli.INFER_GROUP_BYTES = 1
+raise SystemExit(cli.main({argv!r}))
+"""
+        code, err, names = interrupt_group(script, started, 2)
+        assert (code, err) == (130, "gebd: interrupted\n")
+        assert sorted(name.partition("-")[2] for name in names) == ["v0", "v1"]  # no queued group ran
+        pids = [int(name.partition("-")[0]) for name in names]
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if running(pid)]
 
     def test_one_cpu_forks_no_worker(self, tmp_path, monkeypatch):
         argv = self._one_group_per_file(tmp_path, monkeypatch)
@@ -1126,3 +1220,4 @@ class TestTrainSmokeTiming:
         start = time.perf_counter()
         train_small(tmp_path, data, epochs=2)
         assert time.perf_counter() - start < 60.0
+

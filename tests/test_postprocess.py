@@ -148,6 +148,16 @@ class TestPickPeaks:
         for x in cases:
             assert pick_peaks(scores_of(x, fps=fps)).timestamps == loop_pick_peaks(x, fps)
 
+    def test_window_past_the_video_is_clamped_to_it(self):
+        # at 1e9 fps the half window is 5e8 frames; padding by it would ask for 7.45 GiB
+        rng = np.random.default_rng(9)
+        cases = [rng.uniform(0, 1, size=t) for t in (1, 2, 30)] + [np.full(30, 0.5), np.zeros(30)]
+        cases.append(np.repeat(rng.integers(0, 4, size=30) / 3.0, 3)[:30])
+        for x in cases:
+            out, peak = traced_peak(pick_peaks, scores_of(x, fps=1e9))
+            assert out.timestamps == loop_pick_peaks(x, 1e9)
+            assert peak < 64 * 1024
+
     def test_smoothing_reduces_detections_on_noisy_corpus(self):
         # medians over 100 seeded noisy signals: smoothed <= raw
         rng = np.random.default_rng(3)

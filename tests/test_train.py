@@ -2,9 +2,12 @@
 
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gebd.autodiff import Tensor, fold_sum
 from gebd.data import frame_labels, load_features, save_features, synth_video
@@ -23,6 +26,7 @@ from gebd.train import (
 )
 from gradcheck import check_op_gradients
 from oracles import traced_peak
+from test_model import OFF_DEFAULT_CONFIGS
 
 
 TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2)
@@ -105,13 +109,15 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         state = AdamState.init([p])
-        adam_step([p], [np.zeros(3)], state, lr=0.1)
+        p.grad = np.zeros(3)
+        adam_step(state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude_is_lr(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         state = AdamState.init([p])
-        adam_step([p], [np.ones(1)], state, lr=0.01)
+        p.grad = np.ones(1)
+        adam_step(state, lr=0.01)
         # bias-corrected m_hat / sqrt(v_hat) = 1 on the first step
         assert p.data[0] == pytest.approx(-0.01, rel=1e-6)
 
@@ -129,7 +135,8 @@ class TestAdam:
         p = Tensor(np.array([2.0]), requires_grad=True)
         state = AdamState.init([p])
         for g, want in zip(grads, trace):
-            adam_step([p], [np.array([g])], state, lr=lr)
+            p.grad = np.array([g])
+            adam_step(state, lr=lr)
             assert p.data[0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -146,22 +153,45 @@ class TestAdam:
         for t, lr in enumerate([1e-3, 0.3, 2e-2, 5e-4], start=1):
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
             given = [g.copy() for g in grads]
-            adam_step(params, grads, state, lr=lr)
+            for p, g in zip(params, grads):
+                p.grad = g
+            adam_step(state, lr=lr)
             for i, g in enumerate(given):
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * g * g
                 want[i] = want[i] - lr * (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
                 np.testing.assert_array_equal(grads[i], g)  # the caller's grad is not written
+                assert params[i].grad is None  # and the parameter lets it go
                 assert params[i].data.dtype == want[i].dtype and not params[i].data.flags.writeable
                 np.testing.assert_array_equal(params[i].data, want[i])
                 np.testing.assert_array_equal(state.m[i], m[i])
                 np.testing.assert_array_equal(state.v[i], v[i])
 
     def test_shape_mismatch(self):
+        # a (1,) grad would broadcast into the (3,) parameter without a word
+        first = Tensor(np.ones(2), requires_grad=True)
         p = Tensor(np.zeros(3), requires_grad=True)
-        state = AdamState.init([p])
+        state = AdamState.init([first, p])
+        first.grad, p.grad = np.ones(2), np.ones(1)
         with pytest.raises(ValueError, match="shape"):
-            adam_step([p], [np.zeros(4)], state, lr=0.1)
+            adam_step(state, lr=0.1)
+        np.testing.assert_array_equal(first.data, np.ones(2))
+        assert state.step == 0
+
+    def test_missing_grad_names_the_parameter_and_moves_none(self):
+        params = [Tensor(np.ones(2), requires_grad=True), Tensor(np.zeros((3, 4)), requires_grad=True)]
+        state = AdamState.init(params)
+        params[0].grad = np.ones(2)
+        with pytest.raises(ValueError, match=r"parameter 1 \(Tensor\(shape=\(3, 4\).*has no grad"):
+            adam_step(state, lr=0.1)
+        np.testing.assert_array_equal(params[0].data, np.ones(2))
+        assert params[0].grad is not None and state.step == 0
+
+    def test_state_keeps_the_parameters_in_order(self):
+        params = [Tensor(np.zeros(s), requires_grad=True) for s in [(2,), (3, 1)]]
+        state = AdamState.init(params)
+        assert state.params == params and state.params is not params
+        assert [m.shape for m in state.m] == [v.shape for v in state.v] == [(2,), (3, 1)]
 
 
 class TestTrainLoop:
@@ -239,6 +269,23 @@ class TestTrainLoop:
         for before, (_, p) in zip(snapshot, model.parameters()):
             np.testing.assert_array_equal(before, p.data)
 
+    def test_no_grad_of_a_step_is_alive_during_the_next_backward(self, monkeypatch):
+        train_mod = sys.modules["gebd.train"]
+        real = train_mod.backward
+        model = GebdModel.build(TINY, seed=4)
+        last_step, alive = [], []
+
+        def watched(loss):
+            alive.append(sum(ref() is not None for ref in last_step))
+            last_step[:] = []
+            real(loss)
+            last_step.extend(weakref.ref(p.grad) for _, p in model.parameters())
+
+        monkeypatch.setattr(train_mod, "backward", watched)
+        train(tiny_dataset(7, 4), model, TrainConfig(epochs=2, batch_size=2, warmup_epochs=1, seed=0))
+        assert len(last_step) == len(model.parameters())
+        assert alive == [0, 0, 0, 0]
+
     def test_epochs_zero_returns_untouched_model(self):
         dataset = tiny_dataset(8, 1)
         model = GebdModel.build(TINY, seed=5)
@@ -270,6 +317,19 @@ class TestTrainLoop:
         first_epoch = np.mean([loss for _, _, loss in curve[:2]])
         last_epoch = np.mean([loss for _, _, loss in curve[-2:]])
         assert last_epoch < first_epoch
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cfg=OFF_DEFAULT_CONFIGS, smooth=st.booleans())
+def test_one_minibatch_gives_every_parameter_a_grad(cfg, smooth):
+    # what lets `train` hand Adam every `.grad` without a zeros fallback
+    dataset = []
+    for i, t in enumerate([6, 9, 6]):
+        video, ann = synth_video(i, t, 2.0, cfg.stage_dims, [1.1], snr=4.0)
+        dataset.append((video, frame_labels(ann, t, 2.0, 1)))
+    model = GebdModel.build(cfg, seed=0)
+    _minibatch_gradients(dataset, [2, 0, 1], model, [p for _, p in model.parameters()], smooth, 0)
+    assert [name for name, p in model.parameters() if p.grad is None or p.grad.shape != p.data.shape] == []
 
 
 class TestGradientOfLossThroughModel:
