@@ -20,8 +20,7 @@ _API = {
     "autodiff": ("Tensor", "backward", "seq_tensor"),
     "boundaries": ("Annotation", "DetectionList", "load_annotations", "save_annotations"),
     "config": ("ModelConfig", "TrainConfig"),
-    "data": ("Clip", "VideoFeatures", "frame_labels", "load_features", "save_features", "split_clips",
-             "synth_video"),
+    "data": ("VideoFeatures", "frame_labels", "load_features", "save_features", "split_clips", "synth_video"),
     "evaluate": ("DEFAULT_TAUS", "EvalReport", "f1_at", "f1_sweep", "match_detections", "rel_dis_error"),
     "model": ("GebdModel", "load_checkpoint", "model_forward", "save_checkpoint"),
     "postprocess": ("BoundaryScores", "gaussian_smooth", "merge_clip_scores", "pick_peaks"),

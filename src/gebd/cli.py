@@ -19,6 +19,7 @@ import math
 import os
 import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -300,27 +301,26 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[BoundaryScores]:
-    """Scores of consecutive videos. Each video is scored as clips: one
-    clip spanning it, or in clip mode `split_clips`'s windows (a short
-    video's one window spans it too). `score_clips` computes every clip,
-    each with the bits it would get alone, and `merge_clip_scores`
-    assembles each video's scores from its clips."""
+    """Scores of consecutive videos. Each video is scored as clips, frame
+    spans of it: the span (0, T), or in clip mode `split_clips`'s spans (a
+    short video's one span is (0, T) too). A clip's stages are row slices of
+    its video's, views and not copies. `score_clips` computes every clip,
+    each with the bits it would get alone, and `merge_clip_scores` sums each
+    video's scores from its clips'."""
     from . import data as data_mod
     from . import postprocess as post_mod
     from .model import score_clips
 
-    pieces = []  # (video index, clip)
-    for i, video in enumerate(videos):
-        clips = (data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds) if cfg.clip_mode
-                 else [data_mod.Clip(video.video_id, 0, video.num_frames, video.stages, video.fps)])
-        pieces += [(i, clip) for clip in clips]
-    raw = score_clips(model, [clip.stages for _, clip in pieces])
+    clips = [(i, start, end) for i, video in enumerate(videos)
+             for start, end in (data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds)
+                                if cfg.clip_mode else [(0, video.num_frames)])]
+    raw = score_clips(model, [[stage[start:end] for stage in videos[i].stages] for i, start, end in clips])
     scored = [[] for _ in videos]
-    for (i, clip), x in zip(pieces, raw):
-        sc = post_mod.BoundaryScores(clip.video_id, clip.fps, x)
+    for (i, start, _), x in zip(clips, raw):
+        sc = post_mod.BoundaryScores(videos[i].video_id, videos[i].fps, x)
         if cfg.smooth_inference:
             sc = post_mod.gaussian_smooth(sc)
-        scored[i].append((clip, sc))
+        scored[i].append((start, sc))
     return [post_mod.merge_clip_scores(parts) for parts in scored]
 
 
@@ -366,14 +366,38 @@ def _infer_group(group: list[Path]) -> list[int]:
     return counts
 
 
+@contextmanager
+def _sigint_held():
+    """Hold Ctrl-C until the block ends, then raise its KeyboardInterrupt:
+    CPython loses one raised in its at-fork hooks, so `infer` forks here.
+    SIGINT is blocked in this thread, which a forked process inherits, and a
+    BLAS thread that takes it instead runs a handler that only records it."""
+    previous = signal.getsignal(signal.SIGINT)
+    if previous is not signal.default_int_handler:
+        yield
+        return
+    held = []
+    signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        signal.signal(signal.SIGINT, previous)
+    if held:
+        raise KeyboardInterrupt
+
+
 def _end_with_parent(parent: int) -> None:
     """Initializer of each `infer` worker: the worker ends when the process
     that forked it (`parent`) ends, even by SIGKILL, so no worker outlives
     `infer`. On Linux the kernel sends it SIGKILL then; a parent that ended
     before this ran is seen by the worker's parent pid. Ctrl-C ends it at
-    once, with no traceback and no further group; the parent reports it."""
-    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+    once, with no traceback and no further group; the parent reports it,
+    and a SIGINT held since the fork (`_sigint_held`) is delivered here."""
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     if sys.platform.startswith("linux"):
         import ctypes
 
@@ -420,7 +444,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_end_with_parent, initargs=(os.getpid(),))
             try:
-                counts = [future.result() for future in [pool.submit(_infer_group, group) for group in groups]]
+                with _sigint_held():  # the first submit forks every worker
+                    futures = [pool.submit(_infer_group, group) for group in groups]
+                counts = [future.result() for future in futures]
             finally:  # the pool's thread cancels what has not started: a cancel from here, as map's, races
                 pool.shutdown(cancel_futures=True)  # its own clean-up of workers that Ctrl-C ended
     finally:

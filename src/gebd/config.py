@@ -49,7 +49,8 @@ def check_positive_radius(positive_radius_frames: int) -> None:
 
 
 def check_clip_settings(clip_seconds: float, overlap_seconds: float) -> None:
-    """The clip settings `split_clips` takes: finite clip_seconds > overlap_seconds >= 0."""
+    """The clip settings from which `split_clips` spans a video: finite
+    clip_seconds > overlap_seconds >= 0."""
     if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
         raise ValueError(f"clip settings must be finite with clip_seconds > overlap_seconds >= 0, "
                          f"got {clip_seconds}/{overlap_seconds}")

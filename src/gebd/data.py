@@ -1,5 +1,5 @@
 """Feature streams: the f32 block container, binary IO, synthetic generation,
-labels, clips.
+labels, clip spans.
 
 Feature file layout (little endian, bit-exact):
     magic "GEBF" | u32 version=1 | u32 T | u32 num_stages |
@@ -61,21 +61,6 @@ class VideoFeatures:
     @property
     def stage_dims(self) -> tuple[int, ...]:
         return tuple(s.shape[1] for s in self.stages)
-
-
-@dataclass
-class Clip:
-    """A contiguous frame window sliced out of a parent video."""
-
-    video_id: str
-    start_frame: int
-    end_frame: int
-    stages: list[np.ndarray]
-    fps: float
-
-    @property
-    def num_frames(self) -> int:
-        return self.end_frame - self.start_frame
 
 
 def write_blocks(path: str | Path, magic: bytes, header: Sequence[int],
@@ -279,12 +264,12 @@ def frame_labels(annotation: Annotation, num_frames: int, fps: float,
     return labels
 
 
-def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: float) -> list[Clip]:
-    """Cover the video with fixed-length windows at stride clip-overlap.
+def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: float) -> list[tuple[int, int]]:
+    """The `(start, end)` frame spans of fixed-length clips that cover the
+    video at stride clip-overlap; a video no longer than a clip is one span.
 
-    The final window ends exactly at the last frame, overlapping more than
-    the nominal stride when the length is not a multiple of it. A clip's
-    stages are row slices of the video's stage arrays, not copies.
+    The final span ends exactly at the last frame, overlapping more than
+    the nominal stride when the length is not a multiple of it.
     """
     check_clip_settings(clip_seconds, overlap_seconds)
     t = video.num_frames
@@ -296,19 +281,8 @@ def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: floa
     if clip_len < 1 or stride < 1:
         raise ValueError("clip and stride must each span at least one frame")
     if t <= clip_len:
-        starts = [0]
-        clip_len = t
-    else:
-        starts = list(range(0, t - clip_len + 1, stride))
-        if starts[-1] + clip_len < t:
-            starts.append(t - clip_len)
-    return [
-        Clip(
-            video.video_id,
-            s,
-            s + clip_len,
-            [stage[s:s + clip_len] for stage in video.stages],
-            video.fps,
-        )
-        for s in starts
-    ]
+        return [(0, t)]
+    starts = list(range(0, t - clip_len + 1, stride))
+    if starts[-1] + clip_len < t:
+        starts.append(t - clip_len)
+    return [(s, s + clip_len) for s in starts]

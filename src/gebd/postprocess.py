@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,9 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .boundaries import DetectionList
 from .config import check_fps
 from .util import atomic_write_text, json_number, json_numbers, json_str, read_json
-
-if TYPE_CHECKING:
-    from .data import Clip
 
 PEAK_THRESHOLD = 0.1
 PEAK_NEIGHBOR_SECONDS = 0.5
@@ -55,9 +51,11 @@ def smoothing_window(fps: float) -> int:
     return 2 * int(math.floor(fps / 2)) + 1
 
 
-def smoothing_taps(fps: float) -> np.ndarray:
-    """Normalized Gaussian taps (sigma = 1 frame) over the one-second window."""
-    half = smoothing_window(fps) // 2
+def smoothing_taps(fps: float, num_frames: int) -> np.ndarray:
+    """Gaussian taps (sigma = 1 frame) over the one-second window, cut to the
+    num_frames - 1 frames on each side that a frame of the video can reach,
+    and normalized by the sum of the taps kept."""
+    half = min(smoothing_window(fps) // 2, num_frames - 1)
     j = np.arange(-half, half + 1)
     taps = np.exp(-0.5 * j * j)
     return taps / taps.sum()
@@ -69,7 +67,7 @@ def smoothing_matrix(num_frames: int, fps: float) -> np.ndarray:
     against; edge rows renormalize over the in-range taps. The package itself
     never builds it: at T = 6000 one matrix is 288 MB.
     """
-    taps = smoothing_taps(fps)
+    taps = smoothing_taps(fps, num_frames)
     half = len(taps) // 2
     m = np.zeros((num_frames, num_frames))
     for t in range(num_frames):
@@ -101,13 +99,13 @@ def smooth_frames(x: np.ndarray, fps: float, adjoint: bool = False) -> np.ndarra
     otherwise, so (T,), (T, d) and a (B, T, d) batch all work; every column
     is smoothed on its own.
 
-    The zero-padded correlation with `smoothing_taps(fps)` is divided by the
+    The zero-padded correlation with `smoothing_taps` is divided by the
     same correlation of a vector of ones, so edge frames renormalize over
     their in-range taps. adjoint=True applies the transpose instead, which is
     the same correlation of x / norm because the taps are symmetric.
     """
-    taps = smoothing_taps(fps)
     frames = np.moveaxis(x, -2, 0) if x.ndim > 1 else x
+    taps = smoothing_taps(fps, len(frames))
     norm = _correlate_frames(np.ones(len(frames)), taps).reshape((-1,) + (1,) * (x.ndim - 1))
     if adjoint:
         out = _correlate_frames(frames / norm, taps)
@@ -136,38 +134,30 @@ def pick_peaks(s: BoundaryScores) -> DetectionList:
     return DetectionList(s.video_id, ((np.flatnonzero(fires) + 0.5) / s.fps).tolist())
 
 
-def merge_clip_scores(scored_clips: list[tuple[Clip, BoundaryScores]]) -> BoundaryScores:
-    """Sum overlapping clip scores onto the parent frame range.
+def merge_clip_scores(scored_clips: list[tuple[int, BoundaryScores]]) -> BoundaryScores:
+    """Sum the scores of one video's clips onto its frames. Each clip is its
+    first frame and its scores, which cover as many frames from there; the
+    video ends where its last clip does.
 
-    Sums are kept as-is (no renormalization); any uncovered parent frame is
-    a coverage gap and an error.
+    Sums are kept as-is (no renormalization); a clip that starts before
+    frame 0 and any uncovered frame (a coverage gap) are errors.
     """
     if not scored_clips:
         raise ValueError("merge_clip_scores: no clips")
-    vid = scored_clips[0][0].video_id
-    fps = scored_clips[0][0].fps
-    smoothed = scored_clips[0][1].smoothed
-    parent_len = max(clip.end_frame for clip, _ in scored_clips)
-    total = np.zeros(parent_len)
-    covered = np.zeros(parent_len, dtype=int)
-    for clip, sc in scored_clips:
-        if clip.video_id != vid:
-            raise ValueError(f"merge_clip_scores: mixed videos {vid!r} and {clip.video_id!r}")
-        if clip.fps != fps or sc.fps != fps:
-            raise ValueError("merge_clip_scores: clips must share fps")
-        if sc.smoothed != smoothed:
-            raise ValueError("merge_clip_scores: mixed smoothed and raw clip scores")
-        if len(sc.scores) != clip.num_frames:
-            raise ValueError(
-                f"merge_clip_scores: clip [{clip.start_frame}, {clip.end_frame}) has "
-                f"{len(sc.scores)} scores"
-            )
-        total[clip.start_frame:clip.end_frame] += sc.scores
-        covered[clip.start_frame:clip.end_frame] += 1
-    gaps = np.flatnonzero(covered == 0)
+    first = scored_clips[0][1]
+    total = np.zeros(max(start + len(sc.scores) for start, sc in scored_clips))
+    covered = np.zeros(len(total), dtype=bool)
+    for start, sc in scored_clips:
+        if start < 0:
+            raise ValueError(f"merge_clip_scores: a clip starts at frame {start}, before frame 0")
+        if (sc.video_id, sc.fps, sc.smoothed) != (first.video_id, first.fps, first.smoothed):
+            raise ValueError("merge_clip_scores: clips must share one video id, fps and smoothed flag")
+        total[start:start + len(sc.scores)] += sc.scores
+        covered[start:start + len(sc.scores)] = True
+    gaps = np.flatnonzero(~covered)
     if gaps.size:
         raise ValueError(f"merge_clip_scores: coverage gap at frames {gaps[:8].tolist()}")
-    return BoundaryScores(vid, fps, total, smoothed=smoothed)
+    return BoundaryScores(first.video_id, first.fps, total, smoothed=first.smoothed)
 
 
 def save_scores(path: str | Path, s: BoundaryScores) -> None:

@@ -369,7 +369,7 @@ class TestInfer:
         original = post_mod.merge_clip_scores
 
         def spy(scored):
-            seen.append([clip.start_frame for clip, _ in scored])
+            seen.append([start for start, _ in scored])
             return original(scored)
 
         monkeypatch.setattr(post_mod, "merge_clip_scores", spy)
@@ -397,11 +397,10 @@ class TestInfer:
 
         model = load_checkpoint(run_dir / "model.gebw")
         video = load_features(next(data.glob("*.gebf")), fps=5.0)
-        clips = split_clips(video, 10.0, 5.0)
-        smoothed = [smoothing_matrix(c.num_frames, 5.0) @ model.forward(c.stages).data[:, 0]
-                    for c in clips]
-        want = accumulate_clip_scores([(c.start_frame, c.end_frame) for c in clips], smoothed,
-                                      video.num_frames)
+        spans = split_clips(video, 10.0, 5.0)
+        smoothed = [smoothing_matrix(e - s, 5.0) @ model.forward([stage[s:e] for stage in video.stages]).data[:, 0]
+                    for s, e in spans]
+        want = accumulate_clip_scores(spans, smoothed, video.num_frames)
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("threads", ["1", "2"], ids=["threads1", "threads2"])
@@ -440,8 +439,9 @@ class TestInfer:
             video = load_features(path, fps=5.0)
             if clip_mode and video.num_frames > 40:
                 scores = merge_clip_scores([
-                    (clip, gaussian_smooth(model_forward(VideoFeatures(video.video_id, 5.0, clip.stages), model)))
-                    for clip in split_clips(video, 8.0, 4.0)
+                    (s, gaussian_smooth(model_forward(
+                        VideoFeatures(video.video_id, 5.0, [stage[s:e] for stage in video.stages]), model)))
+                    for s, e in split_clips(video, 8.0, 4.0)
                 ])
             else:
                 scores = gaussian_smooth(model_forward(video, model))
@@ -591,6 +591,42 @@ raise SystemExit(cli.main({argv!r}))
         while any(map(running, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not [pid for pid in pids if running(pid)]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_ctrl_c_while_a_worker_forks_is_one_line_and_leaves_no_worker(self, tmp_path, monkeypatch,
+                                                                          blas_threads):
+        """A SIGINT that lands while `infer` forks its two workers, sent from
+        CPython's at-fork hook: it is not lost in the hooks, the run ends in
+        one line with exit 130, and no worker is left. With a BLAS thread
+        running, that thread takes the signal."""
+        argv = self._one_group_per_file(tmp_path, monkeypatch)
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        script = f"""
+import multiprocessing, os, signal
+from pathlib import Path
+from gebd import cli
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.register_at_fork(before=lambda: os.kill(os.getpid(), signal.SIGINT),
+                    after_in_child=lambda: (Path({str(pid_dir)!r}) / str(os.getpid())).touch())
+cli.worker_count = lambda: 2
+cli.INFER_GROUP_BYTES = 1
+code = cli.main({argv!r})
+print(code, len(multiprocessing.active_children()))
+"""
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": blas_threads}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120)
+        pids = [int(f.name) for f in pid_dir.iterdir()]
+        left = [pid for pid in pids if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert (done.stdout.split(), done.stderr) == (["130", "0"], "gebd: interrupted\n")
+        assert len(pids) == 2 and not left
 
     def test_one_cpu_forks_no_worker(self, tmp_path, monkeypatch):
         argv = self._one_group_per_file(tmp_path, monkeypatch)

@@ -194,35 +194,43 @@ class TestSplitClips:
         return VideoFeatures("v", fps, [rng.standard_normal((t, 3))])
 
     def test_short_video_single_clip(self):
-        clips = split_clips(self.make_video(30), 10.0, 5.0)
-        assert len(clips) == 1
-        assert (clips[0].start_frame, clips[0].end_frame) == (0, 30)
+        assert split_clips(self.make_video(30), 10.0, 5.0) == [(0, 30)]
 
     def test_hundred_frames_starts(self):
-        clips = split_clips(self.make_video(100), 10.0, 5.0)
-        assert [c.start_frame for c in clips] == [0, 25, 50]
-        assert all(c.num_frames == 50 for c in clips)
+        assert split_clips(self.make_video(100), 10.0, 5.0) == [(0, 50), (25, 75), (50, 100)]
 
     def test_tail_rule(self):
-        clips = split_clips(self.make_video(110), 10.0, 5.0)
-        assert [c.start_frame for c in clips] == [0, 25, 50, 60]
-        assert clips[-1].end_frame == 110
+        spans = split_clips(self.make_video(110), 10.0, 5.0)
+        assert [s for s, _ in spans] == [0, 25, 50, 60]
+        assert spans[-1][1] == 110
 
     def test_coverage_invariant(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             t = int(rng.integers(1, 400))
-            clips = split_clips(self.make_video(t), 10.0, 5.0)
+            spans = split_clips(self.make_video(t), 10.0, 5.0)
             covered = np.zeros(t, dtype=bool)
-            for c in clips:
-                covered[c.start_frame:c.end_frame] = True
-                assert c.num_frames <= 50
+            for s, e in spans:
+                covered[s:e] = True
+                assert 0 <= s < e <= t and e - s <= 50
             assert covered.all()
 
-    def test_sliced_data_matches_parent(self):
+    def test_sliced_data_matches_parent(self, monkeypatch):
+        from gebd import cli
+        from gebd import model as model_mod
+
         v = self.make_video(100)
-        clip = split_clips(v, 10.0, 5.0)[1]
-        np.testing.assert_array_equal(clip.stages[0], v.stages[0][25:75])
+        seen = []
+
+        def spy(model, clips):
+            seen.extend(clips)
+            return [np.zeros(len(stages[0])) for stages in clips]
+
+        monkeypatch.setattr(model_mod, "score_clips", spy)
+        cli._score_videos([v], None, cli.RunConfig(clip_mode=True, clip_seconds=10.0, overlap_seconds=5.0))
+        assert len(seen) == 3
+        np.testing.assert_array_equal(seen[1][0], v.stages[0][25:75])
+        assert np.shares_memory(seen[1][0], v.stages[0])
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="overlap"):

@@ -330,15 +330,27 @@ def test_stacked_and_cast_forward_inputs_are_held_once(tmp_path, monkeypatch):
 
 
 def test_clip_of_a_loaded_file_reaches_the_forward_without_a_copy(tmp_path, monkeypatch):
+    import gebd.model as model_mod
+    from gebd import cli
+
     save_checkpoint(tmp_path / "m.gebw", GebdModel.build(TINY, seed=20))
     loaded = load_checkpoint(tmp_path / "m.gebw")
     save_features(tmp_path / "v.gebf", VideoFeatures("v", 2.0, tiny_stages(20, t=30)))
     video = load_features(tmp_path / "v.gebf", fps=2.0)
-    clip = split_clips(video, 10.0, 5.0)[1]
-    for stage, whole in zip(clip.stages, video.stages):
-        np.testing.assert_array_equal(stage, whole[clip.start_frame:clip.end_frame])
+    clips = []
+    score_clips = model_mod.score_clips
+
+    def spy(model, stages):
+        clips.extend(stages)
+        return score_clips(model, stages)
+
+    monkeypatch.setattr(model_mod, "score_clips", spy)
+    cli._score_videos([video], loaded, cli.RunConfig(clip_mode=True, clip_seconds=10.0, overlap_seconds=5.0))
+    start, end = split_clips(video, 10.0, 5.0)[1]
+    for stage, whole in zip(clips[1], video.stages):
+        np.testing.assert_array_equal(stage, whole[start:end])
         assert np.shares_memory(stage, whole)
-    for stage, (arr, t) in zip(clip.stages, _forward_inputs(loaded, stack_videos([clip.stages]), monkeypatch)):
+    for stage, (arr, t) in zip(clips[1], _forward_inputs(loaded, stack_videos([clips[1]]), monkeypatch)):
         assert np.shares_memory(t.data, stage)
 
 

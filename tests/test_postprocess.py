@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gebd.boundaries import DetectionList, load_detections, save_detections
-from gebd.data import Clip, VideoFeatures, split_clips
+from gebd.data import VideoFeatures, split_clips
 from gebd.postprocess import (
     BoundaryScores,
     gaussian_smooth,
@@ -85,10 +85,23 @@ class TestSmoothing:
                                    rtol=0, atol=1e-12)
 
     def test_taps_symmetric_and_normalized(self):
-        taps = smoothing_taps(5.0)
+        taps = smoothing_taps(5.0, 50)
         assert len(taps) == 5
         np.testing.assert_allclose(taps, taps[::-1])
         assert taps.sum() == pytest.approx(1.0)
+
+    def test_taps_reach_no_further_than_the_video(self):
+        taps = smoothing_taps(30.0, 4)
+        assert len(taps) == 7
+        np.testing.assert_allclose(taps, taps[::-1])
+        assert taps.sum() == pytest.approx(1.0)
+        np.testing.assert_array_equal(smoothing_taps(30.0, 16), smoothing_taps(30.0, 100))
+
+    def test_smoothing_memory_does_not_grow_with_fps(self):
+        # a one-second window at 1e9 fps is 1e9 taps; a 30-frame video reaches 59 of them
+        out, peak = traced_peak(smooth_frames, np.linspace(0, 1, 30), 1e9)
+        np.testing.assert_allclose(out, smoothing_matrix(30, 1e9) @ np.linspace(0, 1, 30), rtol=0, atol=1e-12)
+        assert peak < 2**20
 
 
 class TestPickPeaks:
@@ -180,22 +193,15 @@ def test_whole_video_postprocess_memory_linear_in_frames():
 
 
 class TestMergeClipScores:
-    def make_clip(self, start, end, video_id="v", fps=5.0):
-        frames = end - start
-        return Clip(video_id, start, end, [np.zeros((frames, 2))], fps)
-
     def test_single_clip_unchanged(self):
-        clip = self.make_clip(0, 30)
         sc = scores_of(np.linspace(0, 1, 30))
-        merged = merge_clip_scores([(clip, sc)])
+        merged = merge_clip_scores([(0, sc)])
         np.testing.assert_array_equal(merged.scores, sc.scores)
 
     def test_overlap_sums(self):
-        a = self.make_clip(0, 50)
-        b = self.make_clip(25, 75)
         merged = merge_clip_scores([
-            (a, scores_of(np.full(50, 0.5))),
-            (b, scores_of(np.full(50, 0.5))),
+            (0, scores_of(np.full(50, 0.5))),
+            (25, scores_of(np.full(50, 0.5))),
         ])
         np.testing.assert_allclose(merged.scores[:25], 0.5)
         np.testing.assert_allclose(merged.scores[25:50], 1.0)
@@ -205,35 +211,44 @@ class TestMergeClipScores:
         rng = np.random.default_rng(4)
         ranges = [(0, 50), (25, 75), (50, 100)]
         values = [rng.uniform(0, 1, size=50) for _ in ranges]
-        scored = [(self.make_clip(s, e), scores_of(v)) for (s, e), v in zip(ranges, values)]
+        scored = [(s, scores_of(v)) for (s, _), v in zip(ranges, values)]
         merged = merge_clip_scores(scored)
         want = accumulate_clip_scores(ranges, values, 100)
         np.testing.assert_array_equal(merged.scores, want)
 
     def test_coverage_gap_errors(self):
         scored = [
-            (self.make_clip(0, 20), scores_of(np.ones(20))),
-            (self.make_clip(30, 50), scores_of(np.ones(20))),
+            (0, scores_of(np.ones(20))),
+            (30, scores_of(np.ones(20))),
         ]
         with pytest.raises(ValueError, match="coverage gap"):
             merge_clip_scores(scored)
 
+    def test_clip_before_frame_zero_errors(self):
+        with pytest.raises(ValueError, match="before frame 0"):
+            merge_clip_scores([(0, scores_of(np.ones(20))), (-5, scores_of(np.ones(20)))])
+
     def test_split_then_merge_covers_parent(self):
         rng = np.random.default_rng(5)
         video = VideoFeatures("p", 5.0, [rng.standard_normal((110, 3))])
-        clips = split_clips(video, 10.0, 5.0)
-        scored = [(c, scores_of(np.ones(c.num_frames), video_id="p")) for c in clips]
+        spans = split_clips(video, 10.0, 5.0)
+        scored = [(s, scores_of(np.ones(e - s), video_id="p")) for s, e in spans]
         merged = merge_clip_scores(scored)
         assert len(merged.scores) == 110
         assert np.all(merged.scores >= 1.0)
 
     def test_mixed_fps_rejected(self):
         scored = [
-            (self.make_clip(0, 20), scores_of(np.ones(20))),
-            (self.make_clip(10, 30, fps=2.0), scores_of(np.ones(20), fps=2.0)),
+            (0, scores_of(np.ones(20))),
+            (10, scores_of(np.ones(20), fps=2.0)),
         ]
         with pytest.raises(ValueError, match="fps"):
             merge_clip_scores(scored)
+
+    def test_mixed_videos_and_smoothing_rejected(self):
+        for other in (scores_of(np.ones(20), video_id="w"), scores_of(np.ones(20), smoothed=True)):
+            with pytest.raises(ValueError, match="video id, fps and smoothed"):
+                merge_clip_scores([(0, scores_of(np.ones(20))), (10, other)])
 
 
 class TestScoreAndDetectionFiles:

@@ -89,8 +89,9 @@ def test_windowed_scores_are_the_whole_video_bits(loaded, t):
 ])
 def test_clip_mode_gets_the_bits_of_each_clip_alone(loaded, monkeypatch, clip_seconds, overlap_seconds, t):
     video = VideoFeatures("v", 5.0, stages(34, t, BENCH.stage_dims, np.float32))
-    clips = split_clips(video, clip_seconds, overlap_seconds)
-    want = [loaded.forward(c.stages).data[:, 0] for c in clips]
+    spans = split_clips(video, clip_seconds, overlap_seconds)
+    clips = [[stage[s:e] for stage in video.stages] for s, e in spans]
+    want = [loaded.forward(c).data[:, 0] for c in clips]
     batch_frames = []
     forward = loaded.forward
 
@@ -99,7 +100,7 @@ def test_clip_mode_gets_the_bits_of_each_clip_alone(loaded, monkeypatch, clip_se
         return forward(x)
 
     monkeypatch.setattr(loaded, "forward", spy)
-    got = score_clips(loaded, [c.stages for c in clips])
+    got = score_clips(loaded, clips)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     assert max(batch_frames) <= ONE_WINDOW and len(batch_frames) >= 3, batch_frames
@@ -107,8 +108,8 @@ def test_clip_mode_gets_the_bits_of_each_clip_alone(loaded, monkeypatch, clip_se
                         overlap_seconds=overlap_seconds, smooth_inference=False)
     (merged,) = cli._score_videos([video], loaded, cfg)
     total = np.zeros(t)
-    for c, w in zip(clips, want):
-        total[c.start_frame:c.end_frame] += w
+    for (s, e), w in zip(spans, want):
+        total[s:e] += w
     np.testing.assert_array_equal(merged.scores, total)
 
 
