@@ -14,7 +14,6 @@ setting checks of every command, need only the standard library, so
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import signal
@@ -31,7 +30,6 @@ from .config import (
     TrainConfig,
     check_clip_settings,
     check_fps,
-    check_positive_radius,
     check_snr,
     check_video_size,
     neighbor_radius_for,
@@ -49,6 +47,8 @@ ERROR_PREFIX = f"{PROG}: error: "
 # and one task of its worker processes. Twenty-five 50-frame files of four
 # 32-dim stages fit; a longer or wider video is a group of its own.
 INFER_GROUP_BYTES = 640 * 1024
+# a training label marks each boundary's nearest frame and this many frames on each side
+POSITIVE_RADIUS_FRAMES = 1
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class RunConfig:
     lr_final: float = TrainConfig.lr_final
     warmup_epochs: int = TrainConfig.warmup_epochs
     smooth_training: bool = TrainConfig.smooth_training
-    positive_radius_frames: int = 1
     # inference
     smooth_inference: bool = True
     clip_mode: bool = False
@@ -105,7 +104,6 @@ class RunConfig:
         check_video_size(self.frames, self.stage_dims)
         check_snr(self.snr)
         self.train_config()
-        check_positive_radius(self.positive_radius_frames)
         check_clip_settings(self.clip_seconds, self.overlap_seconds)
         try:
             eval_mod.check_sweep_settings(self.taus, self.eval_average)
@@ -234,27 +232,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                                             cfg.min_gap_seconds))
         except ValueError as e:
             raise ValueError(f"{video_id}: min_gap_seconds: {e}") from None
-    annotations, entries = [], []
+    annotations = []
     for i, (video_id, times) in enumerate(zip(video_ids, all_times)):
-        video_seed = cfg.seed + i
         video, ann = data_mod.synth_video(
-            video_seed, cfg.frames, cfg.fps, cfg.stage_dims, times,
+            cfg.seed + i, cfg.frames, cfg.fps, cfg.stage_dims, times,
             snr=cfg.snr, video_id=video_id,
         )
-        filename = f"{video.video_id}.gebf"
-        data_mod.save_features(out / filename, video)
+        data_mod.save_features(out / f"{video_id}.gebf", video)
         annotations.append(ann)
-        entries.append({"video_id": video.video_id, "file": filename,
-                        "seed": video_seed, "num_frames": cfg.frames, "fps": cfg.fps})
     data_mod.save_annotations(out / "annotations.json", annotations)
-    manifest = {"seed": cfg.seed, "videos": entries}
-    atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     atomic_write_text(out / "run_config.txt", format_config(cfg))
     print(f"wrote {cfg.num_videos} feature files to {out}")
     return 0
 
 
-def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
+def _load_dataset(features_dir: Path, annotations_path: Path):
     from . import data as data_mod
 
     annotations = load_annotations(annotations_path)
@@ -268,7 +260,7 @@ def _load_dataset(features_dir: Path, annotations_path: Path, cfg: RunConfig):
     for f in files:
         ann = annotations[f.stem]
         video = data_mod.load_features(f, fps=ann.fps)
-        labels = data_mod.frame_labels(ann, video.num_frames, ann.fps, cfg.positive_radius_frames)
+        labels = data_mod.frame_labels(ann, video.num_frames, ann.fps, POSITIVE_RADIUS_FRAMES)
         dataset.append((video, labels))
     return dataset
 
@@ -278,7 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .train import train, write_loss_curve
 
     cfg = resolve_config(args)
-    dataset = _load_dataset(Path(args.features), Path(args.annotations), cfg)
+    dataset = _load_dataset(Path(args.features), Path(args.annotations))
     fps_values = {video.fps for video, _ in dataset}
     if len(fps_values) != 1:
         raise ValueError(f"training videos must share one fps, got {sorted(fps_values)}")
@@ -523,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         "d_out", "d_head", "branch_count", "decoder_blocks",
         "fuse_distances", "use_residual", "use_depthwise",
         "epochs", "batch_size", "lr_peak", "lr_final", "warmup_epochs",
-        "smooth_training", "positive_radius_frames", "seed",
+        "smooth_training", "seed",
     ])
     p.set_defaults(func=cmd_train)
 

@@ -43,11 +43,6 @@ def check_snr(snr: float | None) -> None:
         raise ValueError(f"snr must be positive (at least {MIN_SNR:g}, or None for noiseless), got {snr}")
 
 
-def check_positive_radius(positive_radius_frames: int) -> None:
-    if positive_radius_frames < 0:
-        raise ValueError(f"positive_radius_frames must be >= 0, got {positive_radius_frames}")
-
-
 def check_clip_settings(clip_seconds: float, overlap_seconds: float) -> None:
     """The clip settings from which `split_clips` spans a video: finite
     clip_seconds > overlap_seconds >= 0."""

@@ -26,7 +26,7 @@ import numpy as np
 
 # save_annotations is only re-exported: perfbench/corpus.py, its one reader, imports it from here
 from .boundaries import Annotation, save_annotations  # noqa: F401
-from .config import check_clip_settings, check_fps, check_positive_radius, check_snr, check_video_size
+from .config import check_clip_settings, check_fps, check_snr, check_video_size
 from .util import atomic_writer
 
 FEATURE_MAGIC = b"GEBF"
@@ -254,7 +254,8 @@ def nearest_frame(timestamp: float, fps: float, num_frames: int) -> int:
 def frame_labels(annotation: Annotation, num_frames: int, fps: float,
                  positive_radius_frames: int) -> np.ndarray:
     """0/1 target per frame: nearest frame to each boundary, widened by the radius."""
-    check_positive_radius(positive_radius_frames)
+    if positive_radius_frames < 0:
+        raise ValueError(f"positive_radius_frames must be >= 0, got {positive_radius_frames}")
     labels = np.zeros(num_frames)
     for b in annotation.boundaries:
         f = nearest_frame(b, fps, num_frames)

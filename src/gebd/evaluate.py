@@ -34,10 +34,32 @@ def rel_dis_error(detected: float, ground_truth: float, video_len: float) -> flo
     return abs(detected - ground_truth) / video_len
 
 
-def _stable_order(values: list[float]) -> list[int]:
-    """The indices that sort `values` ascending, NaN last and ties in index
-    order: `np.argsort(values, kind="stable")`."""
-    return sorted(range(len(values)), key=lambda i: (math.isnan(values[i]), values[i]))
+def _sorted_video(dets: Sequence[float], gts: Sequence[float], video_len: float) -> tuple:
+    """A video's detections and truths, each as (the indices that sort its
+    times as floats, those times in that order), and its checked length."""
+    if video_len <= 0:
+        raise ValueError(f"video length must be positive, got {video_len}")
+    sides = []
+    for times in (dets, gts):
+        x = [float(t) for t in times]
+        order = sorted(range(len(x)), key=lambda i: (math.isnan(x[i]), x[i]))  # NaN last, ties in order
+        sides.append((order, [x[k] for k in order]))
+    return (*sides, video_len)
+
+
+def _walk(dets, gts, video_len: float, tau: float) -> list[tuple[int, int]]:
+    """The two-pointer greedy over a `_sorted_video`: matched (det_index,
+    gt_index) pairs in sorted detection order."""
+    (d_order, d_sorted), (g_order, truths) = dets, gts
+    pairs, j = [], 0
+    for i, det in zip(d_order, d_sorted):
+        # a truth below this detection's window is below every later one's
+        while j < len(truths) and truths[j] < det and rel_dis_error(det, truths[j], video_len) > tau:
+            j += 1
+        if j < len(truths) and rel_dis_error(det, truths[j], video_len) <= tau:
+            pairs.append((i, g_order[j]))
+            j += 1
+    return pairs
 
 
 def match_detections(
@@ -51,23 +73,7 @@ def match_detections(
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if video_len <= 0:
-        raise ValueError(f"video length must be positive, got {video_len}")
-    d = [float(x) for x in dets]
-    g = [float(x) for x in gts]
-    g_order = _stable_order(g)
-    truths = [g[k] for k in g_order]
-    pairs = []
-    j = 0
-    for i in _stable_order(d):
-        det = d[i]
-        # a truth below this detection's window is below every later one's
-        while j < len(truths) and truths[j] < det and rel_dis_error(det, truths[j], video_len) > tau:
-            j += 1
-        if j < len(truths) and rel_dis_error(det, truths[j], video_len) <= tau:
-            pairs.append((i, g_order[j]))
-            j += 1
-    return sorted(pairs)
+    return sorted(_walk(*_sorted_video(dets, gts, video_len), tau))
 
 
 def _mean(values) -> float:
@@ -165,16 +171,15 @@ def f1_sweep(
     if not len(corpus):
         raise ValueError("f1_sweep: empty corpus")
     check_sweep_settings(taus, average)
-    nd = sum(len(dets) for dets, _, _ in corpus)
-    ng = sum(len(gts) for _, gts, _ in corpus)
+    videos = [_sorted_video(*video) for video in corpus]  # sorted once, walked at every threshold
     rows = []
     for tau in taus:
+        counts = [(len(_walk(*video, tau)), len(dets), len(gts))  # (tp, nd, ng) of each video
+                  for video, (dets, gts, _) in zip(videos, corpus)]
         if average == "micro":
-            tp = sum(len(match_detections(dets, gts, tau, video_len)) for dets, gts, video_len in corpus)
-            p, r, f1 = _prf(tp, nd, ng)
+            p, r, f1 = _prf(*map(sum, zip(*counts)))
         else:
-            per_video = [f1_at(dets, gts, tau, video_len) for dets, gts, video_len in corpus]
-            p, r, f1 = (_mean([v[i] for v in per_video]) for i in range(3))
+            p, r, f1 = map(_mean, zip(*(_prf(*c) for c in counts)))
         rows.append(TauMetrics(float(tau), p, r, f1))
     return EvalReport(rows)
 

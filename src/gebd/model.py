@@ -32,6 +32,7 @@ from .autodiff import Tensor, seq_tensor
 from .config import ModelConfig, neighbor_radius_for
 from .data import BlockReader, VideoFeatures, map_read_only, write_blocks
 from .nn import (
+    BLOCK_WIDTH,
     Conv1dKernel,
     ConvBlock,
     ParamSource,
@@ -96,7 +97,7 @@ def head_forward(x: Tensor, params: HeadParams) -> Tensor:
 
 def init_decoder(new: ParamSource, config: ModelConfig) -> SdParams:
     return SdParams([
-        init_conv_block(new, config.d_out, config.d_out, width=3, dilation=doubling_dilation(i + 1))
+        init_conv_block(new, config.d_out, config.d_out, dilation=doubling_dilation(i + 1))
         for i in range(config.decoder_blocks)
     ])
 
@@ -115,20 +116,20 @@ def init_model(new: ParamSource, config: ModelConfig) -> "GebdModel":
 def parameter_count(config: ModelConfig) -> int:
     """The number of parameters `init_model` requests for `config`, from the
     sizes alone, so a model too large to hold is rejected before any of it
-    is built, however many blocks it has."""
+    is built, however many blocks it has; blocks are `nn.BLOCK_WIDTH` wide."""
 
-    def block(c_in: int, c_out: int, width: int) -> int:  # conv weights and bias, norm gamma and beta
-        return c_out * (c_in * width + 3)
+    def block(c_in: int, c_out: int) -> int:  # conv weights and bias, norm gamma and beta
+        return c_out * (c_in * BLOCK_WIDTH + 3)
 
     n, d = config.branch_count, config.d_out
-    fronts = n - 1 if config.use_depthwise else 0  # the dilated branches' width-3 depthwise fronts
+    fronts = n - 1 if config.use_depthwise else 0  # the dilated branches' depthwise fronts
 
     def stage(c: int) -> int:  # branches, their fronts, compress and fuse
         fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else c)
-        return n * block(c, c, 3) + fronts * 4 * c + c * (n * c + 1) + d * (fuse_in + 1)
+        return n * block(c, c) + fronts * (BLOCK_WIDTH + 1) * c + c * (n * c + 1) + d * (fuse_in + 1)
 
-    return (sum(stage(c) for c in config.stage_dims) + block(len(config.stage_dims) * d, d, 3)
-            + config.decoder_blocks * block(d, d, 3) + config.d_head * (3 * d + 1) + config.d_head + 1)
+    return (sum(stage(c) for c in config.stage_dims) + block(len(config.stage_dims) * d, d)
+            + config.decoder_blocks * block(d, d) + config.d_head * (3 * d + 1) + config.d_head + 1)
 
 
 def _leaves(obj, prefix: str):

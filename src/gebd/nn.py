@@ -53,6 +53,7 @@ ParamSource = Callable[[tuple[int, ...], str], np.ndarray]
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5
+BLOCK_WIDTH = 3  # the taps of every conv block's conv and of its depthwise front
 
 _ERF_MODULE = "scipy.special._special_ufuncs"
 _ERF_LOCK = threading.Lock()
@@ -121,8 +122,8 @@ class LayerNormAffine:
 
 @dataclass
 class ConvBlock:
-    """[depthwise ->] conv -> layer norm -> GELU: the TPS branches, the merge
-    and the decoder. Only a dilated TPS branch has the depthwise front."""
+    """[depthwise ->] conv -> layer norm -> GELU, `BLOCK_WIDTH` taps wide: the TPS
+    branches, the merge and the decoder. Only a dilated branch has the front."""
 
     depthwise: DepthwiseKernel | None
     conv: Conv1dKernel
@@ -439,8 +440,8 @@ def init_conv1d(new: ParamSource, in_channels: int, out_channels: int,
     )
 
 
-def init_depthwise(new: ParamSource, channels: int, width: int) -> DepthwiseKernel:
-    return DepthwiseKernel(_param(new, (channels, width), "weights"), _param(new, (channels,), "bias"))
+def init_depthwise(new: ParamSource, channels: int) -> DepthwiseKernel:
+    return DepthwiseKernel(_param(new, (channels, BLOCK_WIDTH), "weights"), _param(new, (channels,), "bias"))
 
 
 def init_layer_norm(new: ParamSource, channels: int) -> LayerNormAffine:
@@ -448,11 +449,11 @@ def init_layer_norm(new: ParamSource, channels: int) -> LayerNormAffine:
 
 
 def init_conv_block(new: ParamSource, in_channels: int, out_channels: int,
-                    width: int, dilation: int = 1, depthwise: bool = False) -> ConvBlock:
-    """Every `ConvBlock`: with `depthwise`, a width-3 depthwise front over the
-    input, then the conv, then the layer norm, requested in that order."""
-    front = init_depthwise(new, in_channels, width=3) if depthwise else None
-    return ConvBlock(front, init_conv1d(new, in_channels, out_channels, width, dilation),
+                    dilation: int = 1, depthwise: bool = False) -> ConvBlock:
+    """Every `ConvBlock`: with `depthwise`, a depthwise front over the input,
+    then the conv (both `BLOCK_WIDTH` wide), then the layer norm, in that order."""
+    front = init_depthwise(new, in_channels) if depthwise else None
+    return ConvBlock(front, init_conv1d(new, in_channels, out_channels, BLOCK_WIDTH, dilation),
                      init_layer_norm(new, out_channels))
 
 

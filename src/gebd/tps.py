@@ -175,7 +175,7 @@ def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStage
     n = config.branch_count
     fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else channels)
     return TpsStageParams(
-        branches=[init_conv_block(new, channels, channels, width=3, dilation=doubling_dilation(i),
+        branches=[init_conv_block(new, channels, channels, dilation=doubling_dilation(i),
                                   depthwise=i > 0 and config.use_depthwise) for i in range(n)],
         compress=init_conv1d(new, n * channels, channels, width=1),
         fuse=init_conv1d(new, fuse_in, config.d_out, width=1),
@@ -185,5 +185,5 @@ def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStage
 def init_tps(new: ParamSource, config: ModelConfig) -> TpsParams:
     return TpsParams(
         stages=[init_stage(new, d, config) for d in config.stage_dims],
-        merge=init_conv_block(new, len(config.stage_dims) * config.d_out, config.d_out, width=3),
+        merge=init_conv_block(new, len(config.stage_dims) * config.d_out, config.d_out),
     )

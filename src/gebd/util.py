@@ -70,11 +70,15 @@ def json_str(value, what: str) -> str:
 
 
 def check_fits_in_memory(nbytes: int, what: str) -> None:
-    """Reject an array larger than physical memory (as `os.sysconf` reports
-    it) before it is allocated, naming what it is."""
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > total:
-        raise ValueError(f"{what} needs {nbytes} bytes, more than the {total} bytes of physical memory")
+    """Reject an array larger than physical memory (as `os.sysconf` reports it)
+    or than a finite soft address-space limit (`RLIMIT_AS`, as `ulimit -v` sets
+    it) before it is allocated, naming what it is and the first it exceeds."""
+    import resource
+
+    for total, kind in ((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"),
+                        (resource.getrlimit(resource.RLIMIT_AS)[0], "address space RLIMIT_AS allows")):
+        if total != resource.RLIM_INFINITY and nbytes > total:
+            raise ValueError(f"{what} needs {nbytes} bytes, more than the {total} bytes of {kind}")
 
 
 def worker_count() -> int:

@@ -41,7 +41,7 @@ SMALL = [
 ]
 
 
-DEFAULT_ECHO_SHA256 = "51b964b124a748621cf4e84a568c57bfdbf31bc9c3aeb4ad946f41f0edb756f8"
+DEFAULT_ECHO_SHA256 = "28cde43bab5f3c41919ee682ab89a91c16fd0aa301d9d29689d57d2e55111098"
 
 
 def run(argv):
@@ -113,16 +113,12 @@ def interrupt_group(script, started, count):
 
 
 class TestSynth:
-    def test_writes_features_annotations_manifest(self, tmp_path):
+    def test_writes_features_annotations_and_config_only(self, tmp_path):
         out = synth_small(tmp_path, n=10)
-        gebf = sorted(out.glob("*.gebf"))
-        assert len(gebf) == 10
+        gebf = [f"video{i:05d}.gebf" for i in range(10)]
+        assert sorted(f.name for f in out.iterdir()) == sorted([*gebf, "annotations.json", "run_config.txt"])
         anns = load_annotations(out / "annotations.json")
-        assert len(anns) == 10
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert len(manifest["videos"]) == 10
-        assert all("seed" in v for v in manifest["videos"])
-        assert (out / "run_config.txt").exists()
+        assert sorted(anns) == [name.removesuffix(".gebf") for name in gebf]
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         a = synth_small(tmp_path / "a", n=3, seed=5)
@@ -261,6 +257,31 @@ class TestTrain:
         err = proc.stderr.splitlines()
         assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
         assert re.search(r"needs \d+ bytes, more than the \d+ bytes of physical memory$", err[0]), err
+        assert not out.exists()
+
+    def test_model_past_the_address_space_limit_is_one_error_before_any_build(self, tmp_path):
+        # 6.45 GB of training state fit in physical memory but not in a 1.5 GB
+        # address-space limit set in the child, as `ulimit -v 1500000` sets
+        # it; built anyway, the model's first (4096, 4096, 3) block fails to
+        # allocate in a traceback
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000, resource.RLIM_INFINITY))
+
+        data = synth_small(tmp_path, n=2, extra=["--stage-dims", "8"])
+        out = tmp_path / "r"
+        argv = ["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                "--out", str(out), "--d-out", "4096", "--d-head", "8", "--epochs", "1", "--warmup-epochs", "0"]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "gebd.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
+        assert err[0].endswith("needs 6453893920 bytes, more than the 1536000000 bytes of address space "
+                               "RLIMIT_AS allows"), err
         assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sends SIGINT to a process group")
@@ -1124,7 +1145,6 @@ OUT_OF_RANGE = [
     ("lr_peak", "inf", "need 0 < lr_final < lr_peak < inf"),
     ("lr_final", "0", "need 0 < lr_final < lr_peak"),
     ("warmup_epochs", "-1", "warmup_epochs must be >= 0"),
-    ("positive_radius_frames", "-1", "positive_radius_frames must be >= 0"),
     ("clip_seconds", "inf", "clip_seconds > overlap_seconds"),
     ("overlap_seconds", "-1", "clip_seconds > overlap_seconds"),
     ("taus", "", "empty threshold list"),

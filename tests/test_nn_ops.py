@@ -418,7 +418,7 @@ class TestRecomputedNodes:
     def test_conv_block_over_parts_bits_equal_conv_block_of_concatenation(self):
         rng = np.random.default_rng(46)
         parts = self._parts(rng, batch=3)
-        block = init_conv_block(random_params(rng), 5, 4, width=3, dilation=2)
+        block = init_conv_block(random_params(rng), 5, 4, dilation=2)
         w = _weighted(rng, (3, 7, 4))
         leaves = [*parts, block.conv.weights, block.conv.bias, block.norm.gamma, block.norm.beta]
         over_parts = _conv_block(parts, block)
@@ -538,7 +538,7 @@ class TestInit:
 
     def test_depthwise_fan_in(self):
         rng = np.random.default_rng(30)
-        k = init_depthwise(random_params(rng), 4, 3)
+        k = init_depthwise(random_params(rng), 4)
         assert np.all(np.abs(k.weights.data) <= (1.0 / 3) ** 0.5)
 
     @pytest.mark.parametrize("depthwise", [False, True])
@@ -550,7 +550,7 @@ class TestInit:
             requests.append((shape, kind))
             return random_params(rng)(shape, kind)
 
-        block = init_conv_block(new, 4, 6, width=3, dilation=2, depthwise=depthwise)
+        block = init_conv_block(new, 4, 6, dilation=2, depthwise=depthwise)
         front = [((4, 3), "weights"), ((4,), "bias")] if depthwise else []
         assert requests == front + [((6, 4, 3), "weights"), ((6,), "bias"), ((6,), "gamma"), ((6,), "beta")]
         assert (block.depthwise is not None) == depthwise and block.dilation == 2
