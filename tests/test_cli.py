@@ -113,7 +113,7 @@ def interrupt_group(script, started, count):
 
 
 class TestSynth:
-    def test_writes_features_annotations_and_config_only(self, tmp_path):
+    def test_writes_features_annotations_manifest(self, tmp_path):
         out = synth_small(tmp_path, n=10)
         gebf = [f"video{i:05d}.gebf" for i in range(10)]
         assert sorted(f.name for f in out.iterdir()) == sorted([*gebf, "annotations.json", "run_config.txt"])
@@ -1198,6 +1198,27 @@ class TestSettingsCheckedOnce:
         assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1, err
         assert message in err
         assert re.search(rf"\b{name}\b", err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, via", [
+        *[(command, "file") for command in ["synth", "train", "infer", "eval"]], ("train", "flag"),
+    ], ids=lambda v: v)
+    def test_retired_label_radius_rejected_before_any_file_or_directory(self, tmp_path, capsys, command, via):
+        # the label radius is a constant now: its old key and flag are unknown
+        argv = command_argv(command, tmp_path)
+        if via == "file":
+            (tmp_path / "cfg.txt").write_text("positive_radius_frames = 1\n")
+            argv += ["--config", str(tmp_path / "cfg.txt")]
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.strip() == f"{cli.ERROR_PREFIX}{tmp_path / 'cfg.txt'}:1: unknown config key " \
+                                  "'positive_radius_frames'", err
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                run(argv + ["--positive-radius-frames=1"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --positive-radius-frames=1" in capsys.readouterr().err
+        assert "positive_radius_frames" not in {f.name for f in fields(cli.RunConfig)}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
