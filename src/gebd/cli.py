@@ -68,7 +68,6 @@ class RunConfig:
     d_head: int = ModelConfig.d_head
     branch_count: int = ModelConfig.branch_count
     decoder_blocks: int = ModelConfig.decoder_blocks
-    fuse_distances: bool = ModelConfig.fuse_distances
     use_residual: bool = ModelConfig.use_residual
     use_depthwise: bool = ModelConfig.use_depthwise
     # training
@@ -133,12 +132,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# a comma-separated list: an empty text is (), and an empty item is an error
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return tuple(int(p) for p in text.split(",")) if text.strip() else ()
 
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(float(p) for p in text.split(",")) if text.strip() else ()
 
 
 _TYPE_PARSERS = {
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     _add_config_flags(p, [
         "d_out", "d_head", "branch_count", "decoder_blocks",
-        "fuse_distances", "use_residual", "use_depthwise",
+        "use_residual", "use_depthwise",
         "epochs", "batch_size", "lr_peak", "lr_final", "warmup_epochs",
         "smooth_training", "seed",
     ])

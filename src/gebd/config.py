@@ -62,7 +62,6 @@ class ModelConfig:
     d_out: int = 256
     d_head: int = 128
     neighbor_radius: int = 5
-    fuse_distances: bool = True
     use_residual: bool = True
     use_depthwise: bool = True
 

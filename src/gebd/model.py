@@ -14,8 +14,9 @@ walks the dataclass fields in declaration order, which is the same order.
 Checkpoint layout (little endian):
     magic "GEBW" | u32 version=1 | u32 num_stages | num_stages x u32 stage dims |
     one u32 per `_SIZE_FIELDS` entry (branch_count, decoder_blocks, d_out,
-    d_head, neighbor_radius) | u32 flags (bit i is `_FLAG_FIELDS[i]`:
-    fuse_distances, use_residual, use_depthwise; any other bit is rejected) |
+    d_head, neighbor_radius) | u32 flags (bit 0, the distance fusion, always
+    set; bit i + 1 is `_FLAG_FIELDS[i]`: use_residual, use_depthwise; a clear
+    bit 0 or any other bit is rejected) |
     flat f32 blocks for every parameter in `GebdModel.parameters()` order
     (shapes follow from the config).
 """
@@ -51,10 +52,10 @@ from .util import check_fits_in_memory
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
-# `ModelConfig` fields in header order after the stage dims; bit i of the
-# flags word that follows them is `_FLAG_FIELDS[i]`
+# `ModelConfig` fields in header order after the stage dims; bit i + 1 of the
+# flags word that follows them is `_FLAG_FIELDS[i]`, and bit 0 is always set
 _SIZE_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius")
-_FLAG_FIELDS = ("fuse_distances", "use_residual", "use_depthwise")
+_FLAG_FIELDS = ("use_residual", "use_depthwise")
 # `score_clips` computes a clip as windows that keep WINDOW_HALOS halos of its
 # frames each, so the halos cost at most 2/WINDOW_HALOS more frames. A halo is
 # the receptive field rounded up to a multiple of WINDOW_ALIGN rows, at least
@@ -123,9 +124,9 @@ def parameter_count(config: ModelConfig) -> int:
 
     n, d = config.branch_count, config.d_out
     fronts = n - 1 if config.use_depthwise else 0  # the dilated branches' depthwise fronts
+    fuse_in = (n + 1) * 2 * config.neighbor_radius  # the similarity vector's width
 
     def stage(c: int) -> int:  # branches, their fronts, compress and fuse
-        fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else c)
         return n * block(c, c) + fronts * (BLOCK_WIDTH + 1) * c + c * (n * c + 1) + d * (fuse_in + 1)
 
     return (sum(stage(c) for c in config.stage_dims) + block(len(config.stage_dims) * d, d)
@@ -191,11 +192,9 @@ class GebdModel:
         2 + 4 + 8, head 1). Every layer is local in time, so a window with
         this many more frames on each side, or that ends where the video
         does, scores its own frames as the whole video would."""
-        radius = self.config.neighbor_radius if self.config.fuse_distances else 0
-        stage = max(max(b.reach for b in s.branches) + s.compress.reach + radius + s.fuse.reach
-                    for s in self.tps.stages)
-        return (stage + self.tps.merge.reach + sum(b.reach for b in self.decoder.blocks)
-                + self.head.conv1.reach + self.head.conv2.reach)
+        stage = max(max(b.reach for b in s.branches) + s.compress.reach + s.fuse.reach for s in self.tps.stages)
+        return (stage + self.config.neighbor_radius + self.tps.merge.reach
+                + sum(b.reach for b in self.decoder.blocks) + self.head.conv1.reach + self.head.conv2.reach)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every learnable leaf with its field path (e.g.
@@ -286,7 +285,7 @@ def check_fps_compatible(config: ModelConfig, fps: float, video_id: str | None =
 
 def save_checkpoint(path: str | Path, model: GebdModel) -> None:
     cfg = model.config
-    flags = sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS))
+    flags = 1 + sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS, 1))
     sizes = [getattr(cfg, name) for name in _SIZE_FIELDS]
     header = (CHECKPOINT_VERSION, len(cfg.stage_dims), *cfg.stage_dims, *sizes, flags)
     write_blocks(path, CHECKPOINT_MAGIC, header, [p.data for _, p in model.parameters()])
@@ -304,10 +303,13 @@ def load_checkpoint(path: str | Path) -> GebdModel:
     dims = tuple(reader.u32(f"stage {k} dim") for k in range(num_stages))
     sizes = {name: reader.u32(name) for name in _SIZE_FIELDS}
     flags = reader.u32("flags")
-    if flags >> len(_FLAG_FIELDS):
-        # a bit that no config sets could never be saved back: reject it
+    # a bit that no config sets, or a clear bit 0, could never be saved back: reject it
+    if flags >> len(_FLAG_FIELDS) + 1:
         raise ValueError(f"{reader.path}: unknown bits {flags:#x} in flags at offset {reader.offset - 4}")
-    switches = {name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS)}
+    if not flags & 1:
+        raise ValueError(f"{reader.path}: bit 0 (distance fusion) clear in flags {flags:#x} "
+                         f"at offset {reader.offset - 4}")
+    switches = {name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS, 1)}
     config = ModelConfig(stage_dims=dims, **sizes, **switches)
     model = init_model(lambda shape, kind: reader.f32(shape, f"{kind} block"), config)
     reader.finish()

@@ -14,8 +14,8 @@ gradients (`nn._tap_loop`).
 No sum or concatenation stays on the training tape: a residual view is one
 node that keeps the branch output and the stage input and rebuilds their
 sum in its backward, and the convs that read several tensors side by side
-(`compress`, `merge`, and `fuse` with `fuse_distances` off) keep those
-tensors, not their concatenation (`nn._conv1d_parts`).
+(`compress` and `merge`) keep those tensors, not their concatenation
+(`nn._conv1d_parts`).
 
 Every function takes a (T, d) video or a (B, T, d) batch of equal-length
 videos (frames on axis -2, channels on axis -1) and returns the same
@@ -39,6 +39,7 @@ from .nn import (
     ParamSource,
     _conv1d_parts,
     _conv_block,
+    conv1d,
     conv_block,
     doubling_dilation,
     init_conv1d,
@@ -50,8 +51,8 @@ from .nn import (
 class TpsStageParams:
     """Branches plus the two width-1 projections of one feature stage:
     `compress` maps concatenated branch outputs back to the stage width
-    (the comprehensive view), `fuse` maps the concatenated per-view
-    features to d_out."""
+    (the comprehensive view), `fuse` maps the similarity vector of the
+    views to d_out."""
 
     branches: list[ConvBlock]
     compress: Conv1dKernel
@@ -142,11 +143,9 @@ def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tens
 
     Branch outputs become n+1 row-normalized views (n residual views plus
     the comprehensive one; with `use_residual` off the branch outputs are
-    normalized alone). With `fuse_distances` on, `fuse` projects their
-    similarity vector (`similarity_vector`: every view's neighbor distances
-    at `neighbor_radius`, built by one op for the whole batch); with it off
-    the views themselves are concatenated instead (the alternative reading
-    of the fusion input).
+    normalized alone). `fuse` projects their similarity vector
+    (`similarity_vector`: every view's neighbor distances at
+    `neighbor_radius`, built by one op for the whole batch).
 
     The comprehensive view is made first; then each branch output is let go
     as its own view is made, so an inference forward (no tape) holds one
@@ -160,8 +159,7 @@ def stage_forward(x: Tensor, stage: TpsStageParams, config: ModelConfig) -> Tens
         views.append(residual_normalize(f, x) if config.use_residual else l2_normalize_rows(f))
         del f
     views.append(comprehensive)
-    feats = [similarity_vector(views, config.neighbor_radius)] if config.fuse_distances else views
-    return _conv1d_parts(feats, stage.fuse)
+    return conv1d(similarity_vector(views, config.neighbor_radius), stage.fuse)
 
 
 def tps_forward(stage_inputs: list[Tensor], params: TpsParams, config: ModelConfig) -> Tensor:
@@ -173,12 +171,11 @@ def tps_forward(stage_inputs: list[Tensor], params: TpsParams, config: ModelConf
 
 def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStageParams:
     n = config.branch_count
-    fuse_in = (n + 1) * (2 * config.neighbor_radius if config.fuse_distances else channels)
     return TpsStageParams(
         branches=[init_conv_block(new, channels, channels, dilation=doubling_dilation(i),
                                   depthwise=i > 0 and config.use_depthwise) for i in range(n)],
         compress=init_conv1d(new, n * channels, channels, width=1),
-        fuse=init_conv1d(new, fuse_in, config.d_out, width=1),
+        fuse=init_conv1d(new, (n + 1) * 2 * config.neighbor_radius, config.d_out, width=1),
     )
 
 

@@ -118,7 +118,7 @@ def loop_pick_peaks(x, fps, threshold=0.1, neighbor_seconds=0.5):
     return stamps
 
 
-def naive_stage_forward(x, stage, radius, fuse_distances=True, use_residual=True):
+def naive_stage_forward(x, stage, radius, use_residual=True):
     """Straight-line reimplementation of one similarity stage (numpy only)."""
     branch_outputs = []
     for br in stage.branches:
@@ -136,10 +136,7 @@ def naive_stage_forward(x, stage, radius, fuse_distances=True, use_residual=True
     compressed = naive_conv1d(stacked, stage.compress.weights.data, stage.compress.bias.data,
                               stage.compress.dilation)
     views.append(naive_normalize_rows(compressed))
-    if fuse_distances:
-        feats = [naive_neighbor_distances(v, radius) for v in views]
-    else:
-        feats = views
+    feats = [naive_neighbor_distances(v, radius) for v in views]
     return naive_conv1d(np.concatenate(feats, axis=1), stage.fuse.weights.data,
                         stage.fuse.bias.data, stage.fuse.dilation)
 

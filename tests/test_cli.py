@@ -41,7 +41,7 @@ SMALL = [
 ]
 
 
-DEFAULT_ECHO_SHA256 = "28cde43bab5f3c41919ee682ab89a91c16fd0aa301d9d29689d57d2e55111098"
+DEFAULT_ECHO_SHA256 = "a3335acb6ba323f6109435f53a9d3da15ee1ea8329b6a0e186b66736d76589d1"
 
 
 def run(argv):
@@ -903,7 +903,11 @@ print(code, len(multiprocessing.active_children()))
          "truncated weights block at offset 52: need 432 bytes, have 0"),
         ("directory", None, "Is a directory"),
         ("missing", None, "No such file or directory"),
-    ], ids=["empty", "short", "header-only", "directory", "missing"])
+        ("flag-bit0-clear", b"GEBW" + struct.pack("<12I", 1, 4, 6, 6, 6, 6, 4, 3, 8, 4, 5, 6),
+         "bit 0 (distance fusion) clear in flags 0x6 at offset 48"),
+        ("flag-bit3", b"GEBW" + struct.pack("<12I", 1, 4, 6, 6, 6, 6, 4, 3, 8, 4, 5, 15),
+         "unknown bits 0xf in flags at offset 48"),
+    ], ids=["empty", "short", "header-only", "directory", "missing", "flag-bit0-clear", "flag-bit3"])
     def test_empty_short_or_unreadable_checkpoint_clean_error(self, tmp_path, capsys, name, raw, message):
         # an empty file cannot be mapped, so the loader checks its size
         # first and these keep the reader's own messages
@@ -919,6 +923,7 @@ print(code, len(multiprocessing.active_children()))
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(cli.ERROR_PREFIX), lines
         assert message in lines[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestEval:
@@ -1118,7 +1123,7 @@ class TestConfigFile:
                 if f.name in names:
                     assert getattr(run_defaults, f.name) == f.default, (cls.__name__, f.name)
                     shared += 1
-        assert shared == 8 + 7  # ModelConfig's fields but neighbor_radius; all of TrainConfig's
+        assert shared == 7 + 7  # ModelConfig's fields but neighbor_radius; all of TrainConfig's
         assert run_defaults.fps == ModelConfig.neighbor_radius
 
 
@@ -1179,6 +1184,35 @@ def rejected_cases():
             yield pytest.param(command, "flag", name, value, message, id=f"{name}={value}-{command}-flag")
 
 
+# Settings that went, with a value and the train flags that set each.
+RETIRED = [
+    ("positive_radius_frames", "1", ["--positive-radius-frames=1"]),
+    ("fuse_distances", "true", ["--fuse-distances", "--no-fuse-distances"]),
+]
+# A list value with an empty item, of each list field.
+EMPTY_ITEMS = [("stage_dims", "4,,8,"), ("taus", "0.05,,0.1,")]
+
+
+def unparsed_cases():
+    """(command, config line or flag, fragment of its error) of settings
+    that never reach a RunConfig: a retired setting's key and flags, and a
+    list with an empty item."""
+    for name, value, flags in RETIRED:
+        for command in ["synth", "train", "infer", "eval"]:
+            yield pytest.param(command, f"{name} = {value}", f"unknown config key {name!r}",
+                               id=f"{name}-{command}-file")
+        for flag in flags:
+            yield pytest.param("train", flag, f"unrecognized arguments: {flag}", id=f"{name}-train{flag}")
+    for name, value in EMPTY_ITEMS:
+        flag = "--" + name.replace("_", "-")
+        for command in ["synth", "train", "infer", "eval"]:
+            yield pytest.param(command, f"{name} = {value}", f"bad value for {name!r}",
+                               id=f"{name}={value}-{command}-file")
+        for command in flag_commands(name):
+            yield pytest.param(command, f"{flag}={value}", f"argument {flag}: invalid",
+                               id=f"{name}={value}-{command}-flag")
+
+
 class TestSettingsCheckedOnce:
     def test_table_covers_every_field_with_a_range(self):
         ranged = {f.name for f in fields(cli.RunConfig) if f.type != "bool"}
@@ -1200,25 +1234,22 @@ class TestSettingsCheckedOnce:
         assert re.search(rf"\b{name}\b", err), err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, via", [
-        *[(command, "file") for command in ["synth", "train", "infer", "eval"]], ("train", "flag"),
-    ], ids=lambda v: v)
-    def test_retired_label_radius_rejected_before_any_file_or_directory(self, tmp_path, capsys, command, via):
-        # the label radius is a constant now: its old key and flag are unknown
+    @pytest.mark.parametrize("command, setting, message", list(unparsed_cases()))
+    def test_retired_or_malformed_setting_rejected_before_any_file_or_directory(self, tmp_path, capsys,
+                                                                               command, setting, message):
+        # a config line is one error line (exit 1), a flag argparse's usage error (exit 2)
         argv = command_argv(command, tmp_path)
-        if via == "file":
-            (tmp_path / "cfg.txt").write_text("positive_radius_frames = 1\n")
-            argv += ["--config", str(tmp_path / "cfg.txt")]
-            assert run(argv) == 1
-            err = capsys.readouterr().err
-            assert err.strip() == f"{cli.ERROR_PREFIX}{tmp_path / 'cfg.txt'}:1: unknown config key " \
-                                  "'positive_radius_frames'", err
-        else:
+        if setting.startswith("--"):
             with pytest.raises(SystemExit) as exit_info:
-                run(argv + ["--positive-radius-frames=1"])
+                run(argv + [setting])
             assert exit_info.value.code == 2
-            assert "unrecognized arguments: --positive-radius-frames=1" in capsys.readouterr().err
-        assert "positive_radius_frames" not in {f.name for f in fields(cli.RunConfig)}
+            assert message in capsys.readouterr().err
+        else:
+            (tmp_path / "cfg.txt").write_text(setting + "\n")
+            assert run(argv + ["--config", str(tmp_path / "cfg.txt")]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(f"{cli.ERROR_PREFIX}{tmp_path / 'cfg.txt'}:1: {message}"), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -38,11 +38,11 @@ gelu(seq_tensor(np.zeros((1, 1))))  # loads GELU's erf here, so the memory tests
 
 TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2)
 NO_DEPTHWISE = ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12,
-                           d_head=6, neighbor_radius=3, fuse_distances=False, use_depthwise=False)
+                           d_head=6, neighbor_radius=3, use_depthwise=False)
 BENCH = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
 # a 3.9 MB checkpoint whose largest block is 0.8 MB
 FEW_MB = ModelConfig(stage_dims=(96, 96, 96, 96), d_out=128, d_head=64, neighbor_radius=2)
-# every size field drawn off its default; the flags take all eight settings
+# every size field drawn off its default; the flags take all four settings
 OFF_DEFAULT_CONFIGS = st.builds(
     ModelConfig,
     stage_dims=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
@@ -51,7 +51,6 @@ OFF_DEFAULT_CONFIGS = st.builds(
     d_out=st.integers(1, 6),
     d_head=st.integers(1, 6),
     neighbor_radius=st.integers(1, 4),
-    fuse_distances=st.booleans(),
     use_residual=st.booleans(),
     use_depthwise=st.booleans(),
 )
@@ -62,8 +61,8 @@ OFF_DEFAULT_CONFIGS = st.builds(
 GOLDEN_CHECKPOINTS = [
     (TINY, 0, "b5ceb6e994f2fe933ecda92a9865225f46a4400b637b5c3402cbd0f22f861196"),
     (TINY, 7, "2958a03d588497ee9f656add8557a2110e36a192bdfccb03f01a5e640aa7d375"),
-    (NO_DEPTHWISE, 0, "a4bf9d02fe72e5fff40d14de45a01fc6627c90ba9f920acd6cb9277150989664"),
-    (NO_DEPTHWISE, 7, "b749266f9b79b33938028044ac86d9fa0101f1316efc6f01619af7652b3f1aef"),
+    (NO_DEPTHWISE, 0, "2f5cd49dae97ebb2ab0b070ccff5879fed7679e988809d0b8c04af8b0c06ea1e"),
+    (NO_DEPTHWISE, 7, "fe99fd72dce2549ca797dd5996b33449c79816c6f3e3491eb941702b924df729"),
     (BENCH, 0, "e00d1c4c5e2244193ebf1ba4fe92491565978ad909d6dda6298a9dd7a525ce08"),
     (BENCH, 7, "9d3089410bd34802ded025c154e6aa23205196b90b7b856a673ac538c6a702a9"),
 ]
@@ -413,7 +412,7 @@ class TestCheckpoint:
     def test_config_survives(self, tmp_path):
         cfg = ModelConfig(stage_dims=(4, 8, 16, 32), branch_count=3, decoder_blocks=2,
                           d_out=12, d_head=6, neighbor_radius=3,
-                          fuse_distances=False, use_residual=False, use_depthwise=False)
+                          use_residual=False, use_depthwise=False)
         model = GebdModel.build(cfg, seed=10)
         path = tmp_path / "cfg.gebw"
         save_checkpoint(path, model)
@@ -423,8 +422,7 @@ class TestCheckpoint:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cfg=OFF_DEFAULT_CONFIGS)
     @example(cfg=ModelConfig(stage_dims=(1,), branch_count=1, decoder_blocks=0, d_out=1, d_head=1,
-                             neighbor_radius=1, fuse_distances=False, use_residual=False,
-                             use_depthwise=False))
+                             neighbor_radius=1, use_residual=False, use_depthwise=False))
     def test_random_config_round_trips(self, tmp_path, cfg):
         for f in fields(ModelConfig):
             if f.type != "bool":

@@ -256,13 +256,6 @@ class TestStageForward:
         x = seq_tensor(rng.standard_normal((9, 6)))
         assert stage_forward(x, stage, config).data.shape == (9, 8)
 
-    def test_alternative_fusion_reading_shape(self):
-        rng = np.random.default_rng(13)
-        stage, config = make_stage(channels=6, d_out=8, radius=2, fuse_distances=False)
-        x = seq_tensor(rng.standard_normal((9, 6)))
-        out = stage_forward(x, stage, config)
-        assert out.data.shape == (9, 8)
-
     def test_constant_input_constant_interior(self):
         rng = np.random.default_rng(14)
         stage, config = make_stage(channels=4, n=4, d_out=6, radius=2)
@@ -273,15 +266,12 @@ class TestStageForward:
         np.testing.assert_allclose(interior, np.tile(interior[0], (len(interior), 1)), atol=1e-10)
 
     def test_matches_straight_line_oracle(self):
-        # the second case is the view reading at stage width 2 * radius, where
-        # the fuse input is as wide as in the distance reading
-        for channels, switches in ((5, {}), (4, {"fuse_distances": False})):
-            rng = np.random.default_rng(15)
-            stage, config = make_stage(seed=16, channels=channels, n=3, d_out=7, radius=2, **switches)
-            x = rng.standard_normal((12, channels))
-            got = stage_forward(seq_tensor(x), stage, config).data
-            want = naive_stage_forward(x, stage, 2, **switches)
-            np.testing.assert_allclose(got, want, atol=1e-8)
+        rng = np.random.default_rng(15)
+        stage, config = make_stage(seed=16, channels=5, n=3, d_out=7, radius=2)
+        x = rng.standard_normal((12, 5))
+        got = stage_forward(seq_tensor(x), stage, config).data
+        want = naive_stage_forward(x, stage, 2)
+        np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_oracle_agreement_without_residual(self):
         rng = np.random.default_rng(17)

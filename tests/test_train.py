@@ -355,7 +355,6 @@ class TestGradientOfLossThroughModel:
 ABLATIONS = {
     "default": {},
     "no_residual": {"use_residual": False},
-    "no_fuse_distances": {"fuse_distances": False},
     "no_depthwise": {"use_depthwise": False},
     "no_decoder": {"decoder_blocks": 0},
     "one_branch": {"branch_count": 1},
