@@ -69,14 +69,12 @@ class RunConfig:
     branch_count: int = ModelConfig.branch_count
     decoder_blocks: int = ModelConfig.decoder_blocks
     use_residual: bool = ModelConfig.use_residual
-    use_depthwise: bool = ModelConfig.use_depthwise
     # training
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     lr_peak: float = TrainConfig.lr_peak
     lr_final: float = TrainConfig.lr_final
     warmup_epochs: int = TrainConfig.warmup_epochs
-    smooth_training: bool = TrainConfig.smooth_training
     # inference
     smooth_inference: bool = True
     clip_mode: bool = False
@@ -84,7 +82,6 @@ class RunConfig:
     overlap_seconds: float = 5.0
     # evaluation
     taus: tuple[float, ...] = eval_mod.DEFAULT_TAUS
-    eval_average: str = "micro"
 
     def __post_init__(self):
         """Check every setting, each by the rule of the field's owner; only
@@ -105,9 +102,9 @@ class RunConfig:
         self.train_config()
         check_clip_settings(self.clip_seconds, self.overlap_seconds)
         try:
-            eval_mod.check_sweep_settings(self.taus, self.eval_average)
+            eval_mod.check_sweep_settings(self.taus)
         except ValueError as e:
-            raise ValueError(f"taus/eval_average: {e}") from None
+            raise ValueError(f"taus: {e}") from None
 
     def model_config(self) -> ModelConfig:
         """The model fields, with the neighbor radius of this fps."""
@@ -132,22 +129,29 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# a comma-separated list: an empty text is (), and an empty item is an error
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",")) if text.strip() else ()
+def _list_parser(item, noun: str):
+    """A parser of comma-separated `item`s: an empty text is (), and an empty
+    or malformed item is an error that says which, as argparse prints it."""
 
+    def parse(text: str) -> tuple:
+        values = []
+        for part in text.split(",") if text.strip() else ():
+            try:
+                values.append(item(part))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"item {part!r} of {text!r} is not {noun}" if part.strip()
+                                                 else f"empty item in {text!r}") from None
+        return tuple(values)
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",")) if text.strip() else ()
+    return parse
 
 
 _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "bool": _parse_bool,
-    "str": str,
-    "tuple[int, ...]": _parse_int_tuple,
-    "tuple[float, ...]": _parse_float_tuple,
+    "tuple[int, ...]": _list_parser(int, "an integer"),
+    "tuple[float, ...]": _list_parser(float, "a number"),
 }
 _FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
@@ -183,7 +187,7 @@ def load_config_file(path: str | Path) -> dict:
         key_lines[key] = lineno
         try:
             overrides[key] = _FIELD_PARSERS[key](value.strip())
-        except ValueError as e:
+        except (ValueError, argparse.ArgumentTypeError) as e:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
     return overrides
 
@@ -473,7 +477,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         (detections[vid].timestamps, list(annotations[vid].boundaries), annotations[vid].duration)
         for vid in sorted(annotations)
     ]
-    report = eval_mod.f1_sweep(corpus, cfg.taus, cfg.eval_average)
+    report = eval_mod.f1_sweep(corpus, cfg.taus)
     eval_mod.write_report_csv(args.out, report)
     print(f"avg F1 over {len(cfg.taus)} thresholds: {report.avg_f1:.4f}")
     return 0
@@ -512,10 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="key = value config file")
     _add_config_flags(p, [
-        "d_out", "d_head", "branch_count", "decoder_blocks",
-        "use_residual", "use_depthwise",
-        "epochs", "batch_size", "lr_peak", "lr_final", "warmup_epochs",
-        "smooth_training", "seed",
+        "d_out", "d_head", "branch_count", "decoder_blocks", "use_residual",
+        "epochs", "batch_size", "lr_peak", "lr_final", "warmup_epochs", "seed",
     ])
     p.set_defaults(func=cmd_train)
 
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True, help="annotation JSON file")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--config", help="key = value config file")
-    _add_config_flags(p, ["taus", "eval_average"])
+    _add_config_flags(p, ["taus"])
     p.set_defaults(func=cmd_eval)
     return parser
 

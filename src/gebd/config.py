@@ -63,7 +63,6 @@ class ModelConfig:
     d_head: int = 128
     neighbor_radius: int = 5
     use_residual: bool = True
-    use_depthwise: bool = True
 
     def __post_init__(self):
         self.stage_dims = tuple(int(d) for d in self.stage_dims)
@@ -88,7 +87,6 @@ class TrainConfig:
     lr_peak: float = 4e-4
     lr_final: float = 4e-6
     warmup_epochs: int = 2
-    smooth_training: bool = True
     seed: int = 0
 
     def __post_init__(self):

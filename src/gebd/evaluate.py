@@ -1,5 +1,6 @@
 """F1 at relative distance: one-to-one matching of detections to ground truth
-and the 10-threshold sweep.
+and the 10-threshold sweep, which pools the match counts of every video
+(micro averaging) before it computes each threshold's P/R/F1.
 
 A detection is correct at threshold tau when |detected - truth| / video_length
 <= tau; per threshold, true positives are counted by a maximum-cardinality
@@ -141,12 +142,10 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def check_sweep_settings(taus: Sequence[float], average: str) -> None:
-    """The averaging mode and the non-empty, finite, positive, distinct
-    thresholds `f1_sweep` takes: a repeated one would be a repeated row of
-    the report, counted twice in its average."""
-    if average not in ("micro", "macro"):
-        raise ValueError(f"average must be 'micro' or 'macro', got {average!r}")
+def check_sweep_settings(taus: Sequence[float]) -> None:
+    """The non-empty, finite, positive, distinct thresholds `f1_sweep` takes:
+    a repeated one would be a repeated row of the report, counted twice in
+    its average."""
     if not len(taus):
         raise ValueError("f1_sweep: empty threshold list")
     seen = set()
@@ -161,25 +160,19 @@ def check_sweep_settings(taus: Sequence[float], average: str) -> None:
 def f1_sweep(
     corpus: Sequence[tuple[Sequence[float], Sequence[float], float]],
     taus: Sequence[float] = DEFAULT_TAUS,
-    average: str = "micro",
 ) -> EvalReport:
-    """Sweep the threshold grid over a corpus of (detections, truths, video_len).
-
-    micro: pool TP/detection/truth counts over the corpus, then one P/R/F1
-    per threshold. macro: mean of per-video P/R/F1.
-    """
+    """Sweep the threshold grid over a corpus of (detections, truths,
+    video_len): pool TP/detection/truth counts over the corpus, then one
+    P/R/F1 per threshold."""
     if not len(corpus):
         raise ValueError("f1_sweep: empty corpus")
-    check_sweep_settings(taus, average)
+    check_sweep_settings(taus)
     videos = [_sorted_video(*video) for video in corpus]  # sorted once, walked at every threshold
     rows = []
     for tau in taus:
         counts = [(len(_walk(*video, tau)), len(dets), len(gts))  # (tp, nd, ng) of each video
                   for video, (dets, gts, _) in zip(videos, corpus)]
-        if average == "micro":
-            p, r, f1 = _prf(*map(sum, zip(*counts)))
-        else:
-            p, r, f1 = map(_mean, zip(*(_prf(*c) for c in counts)))
+        p, r, f1 = _prf(*map(sum, zip(*counts)))
         rows.append(TauMetrics(float(tau), p, r, f1))
     return EvalReport(rows)
 

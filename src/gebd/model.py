@@ -14,9 +14,9 @@ walks the dataclass fields in declaration order, which is the same order.
 Checkpoint layout (little endian):
     magic "GEBW" | u32 version=1 | u32 num_stages | num_stages x u32 stage dims |
     one u32 per `_SIZE_FIELDS` entry (branch_count, decoder_blocks, d_out,
-    d_head, neighbor_radius) | u32 flags (bit 0, the distance fusion, always
-    set; bit i + 1 is `_FLAG_FIELDS[i]`: use_residual, use_depthwise; a clear
-    bit 0 or any other bit is rejected) |
+    d_head, neighbor_radius) | u32 flags (bit 1 is use_residual; bits 0
+    and 2, the distance fusion and the depthwise fronts, are always set; a
+    clear bit 0 or 2, or any higher bit, is rejected) |
     flat f32 blocks for every parameter in `GebdModel.parameters()` order
     (shapes follow from the config).
 """
@@ -52,10 +52,11 @@ from .util import check_fits_in_memory
 
 CHECKPOINT_MAGIC = b"GEBW"
 CHECKPOINT_VERSION = 1
-# `ModelConfig` fields in header order after the stage dims; bit i + 1 of the
-# flags word that follows them is `_FLAG_FIELDS[i]`, and bit 0 is always set
+# `ModelConfig` fields in header order after the stage dims; bit i + 1 of the flags
+# word that follows them is `_FLAG_FIELDS[i]`, and each of `_SET_BITS` is always set
 _SIZE_FIELDS = ("branch_count", "decoder_blocks", "d_out", "d_head", "neighbor_radius")
-_FLAG_FIELDS = ("use_residual", "use_depthwise")
+_FLAG_FIELDS = ("use_residual",)
+_SET_BITS = {0: "distance fusion", 2: "depthwise fronts"}
 # `score_clips` computes a clip as windows that keep WINDOW_HALOS halos of its
 # frames each, so the halos cost at most 2/WINDOW_HALOS more frames. A halo is
 # the receptive field rounded up to a multiple of WINDOW_ALIGN rows, at least
@@ -123,11 +124,10 @@ def parameter_count(config: ModelConfig) -> int:
         return c_out * (c_in * BLOCK_WIDTH + 3)
 
     n, d = config.branch_count, config.d_out
-    fronts = n - 1 if config.use_depthwise else 0  # the dilated branches' depthwise fronts
     fuse_in = (n + 1) * 2 * config.neighbor_radius  # the similarity vector's width
 
-    def stage(c: int) -> int:  # branches, their fronts, compress and fuse
-        return n * block(c, c) + fronts * (BLOCK_WIDTH + 1) * c + c * (n * c + 1) + d * (fuse_in + 1)
+    def stage(c: int) -> int:  # branches, the dilated ones' depthwise fronts, compress and fuse
+        return n * block(c, c) + (n - 1) * (BLOCK_WIDTH + 1) * c + c * (n * c + 1) + d * (fuse_in + 1)
 
     return (sum(stage(c) for c in config.stage_dims) + block(len(config.stage_dims) * d, d)
             + config.decoder_blocks * block(d, d) + config.d_head * (3 * d + 1) + config.d_head + 1)
@@ -285,7 +285,7 @@ def check_fps_compatible(config: ModelConfig, fps: float, video_id: str | None =
 
 def save_checkpoint(path: str | Path, model: GebdModel) -> None:
     cfg = model.config
-    flags = 1 + sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS, 1))
+    flags = sum(1 << b for b in _SET_BITS) + sum(bool(getattr(cfg, f)) << i for i, f in enumerate(_FLAG_FIELDS, 1))
     sizes = [getattr(cfg, name) for name in _SIZE_FIELDS]
     header = (CHECKPOINT_VERSION, len(cfg.stage_dims), *cfg.stage_dims, *sizes, flags)
     write_blocks(path, CHECKPOINT_MAGIC, header, [p.data for _, p in model.parameters()])
@@ -303,12 +303,13 @@ def load_checkpoint(path: str | Path) -> GebdModel:
     dims = tuple(reader.u32(f"stage {k} dim") for k in range(num_stages))
     sizes = {name: reader.u32(name) for name in _SIZE_FIELDS}
     flags = reader.u32("flags")
-    # a bit that no config sets, or a clear bit 0, could never be saved back: reject it
-    if flags >> len(_FLAG_FIELDS) + 1:
+    # a bit that no config sets, or a clear `_SET_BITS` bit, could never be saved back: reject it
+    if flags >> 3:  # bits 0 to 2 are the whole layout
         raise ValueError(f"{reader.path}: unknown bits {flags:#x} in flags at offset {reader.offset - 4}")
-    if not flags & 1:
-        raise ValueError(f"{reader.path}: bit 0 (distance fusion) clear in flags {flags:#x} "
-                         f"at offset {reader.offset - 4}")
+    for bit, design in _SET_BITS.items():
+        if not flags >> bit & 1:
+            raise ValueError(f"{reader.path}: bit {bit} ({design}) clear in flags {flags:#x} "
+                             f"at offset {reader.offset - 4}")
     switches = {name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS, 1)}
     config = ModelConfig(stage_dims=dims, **sizes, **switches)
     model = init_model(lambda shape, kind: reader.f32(shape, f"{kind} block"), config)

@@ -4,12 +4,12 @@ neighbor squared distances of all its views), and the projections that fuse
 them into one T x d_out sequence per stage and overall.
 
 Every constructor and forward reads the structure (sizes, neighbor radius
-and switches) from the `ModelConfig` it takes; none restates any of it.
-A branch is an `nn.ConvBlock`, built by `nn.init_conv_block` and run by
-`nn.conv_block` like the merge and the decoder; `init_stage` alone decides
-which branches get a depthwise front. A branch dilated past a video's
-length keeps only its center tap there, in the forward and in both
-gradients (`nn._tap_loop`).
+and the residual switch) from the `ModelConfig` it takes; none restates any
+of it. A branch is an `nn.ConvBlock`, built by `nn.init_conv_block` and run
+by `nn.conv_block` like the merge and the decoder; every dilated branch (all
+but the first) has a depthwise front. A branch dilated past a video's length
+keeps only its center tap there, in the forward and in both gradients
+(`nn._tap_loop`).
 
 No sum or concatenation stays on the training tape: a residual view is one
 node that keeps the branch output and the stage input and rebuilds their
@@ -26,6 +26,7 @@ splits it into videos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +46,7 @@ from .nn import (
     init_conv1d,
     init_conv_block,
 )
+from .util import check_fits_in_memory
 
 
 @dataclass
@@ -96,7 +98,9 @@ def similarity_vector(views: Sequence[Tensor], radius: int) -> Tensor:
     _require_seq(views[0], "similarity_vector")
     *batch, t, d = views[0].data.shape
     clamped = np.clip(np.arange(-radius, t + radius), 0, t - 1)
-    out = np.empty((*batch, t, len(views) * 2 * radius), dtype=np.result_type(*(v.data for v in views)))
+    shape, dtype = (*batch, t, len(views) * 2 * radius), np.result_type(*(v.data for v in views))
+    check_fits_in_memory(math.prod(shape) * dtype.itemsize, f"a similarity vector of shape {shape}")
+    out = np.empty(shape, dtype=dtype)
     for i, v in enumerate(views):
         mid = (2 * i + 1) * radius  # view i fills columns mid - radius .. mid + radius - 1
         padded = v.data[..., clamped, :]
@@ -173,7 +177,7 @@ def init_stage(new: ParamSource, channels: int, config: ModelConfig) -> TpsStage
     n = config.branch_count
     return TpsStageParams(
         branches=[init_conv_block(new, channels, channels, dilation=doubling_dilation(i),
-                                  depthwise=i > 0 and config.use_depthwise) for i in range(n)],
+                                  depthwise=i > 0) for i in range(n)],
         compress=init_conv1d(new, n * channels, channels, width=1),
         fuse=init_conv1d(new, (n + 1) * 2 * config.neighbor_radius, config.d_out, width=1),
     )

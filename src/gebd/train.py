@@ -1,8 +1,9 @@
 """Training: time smoothing, per-frame BCE loss, warmup + cosine schedule, Adam, and the loop.
 
-The schedule rises linearly from 0 to lr_peak over the warmup epochs, then
-follows a cosine from lr_peak down to lr_final at the last step. The model
-from the last epoch is the result.
+The loss reads predictions Gaussian-smoothed along time, the scores `infer`
+picks peaks from by default; targets stay hard. The schedule rises linearly
+from 0 to lr_peak over the warmup epochs, then follows a cosine from lr_peak
+down to lr_final at the last step. The model from the last epoch is the result.
 """
 
 from __future__ import annotations
@@ -135,8 +136,6 @@ def train(
 ) -> tuple[GebdModel, list[tuple[int, float, float]]]:
     """Seeded mini-batch training; returns the model plus a (step, lr, loss) curve.
 
-    When cfg.smooth_training is on, predictions are Gaussian-smoothed before
-    the loss so training optimizes the smoothed scores; targets stay hard.
     The minibatch loss is the left fold of the per-video losses divided by
     the batch size, and batched passes keep the bits of a video-by-video
     pass (see `_minibatch_gradients`).
@@ -171,7 +170,7 @@ def train(
             lr = lr_schedule(global_step, steps_per_epoch, cfg)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss_value = _minibatch_gradients(dataset, batch, model, params, cfg.smooth_training, global_step)
+                    loss_value = _minibatch_gradients(dataset, batch, model, params, global_step)
                     for name, p in named:
                         if p.grad is not None and not np.all(np.isfinite(p.grad)):
                             raise TrainingDiverged(f"non-finite gradient of {name} at step {global_step}")
@@ -183,8 +182,7 @@ def train(
     return model, curve
 
 
-def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tensor],
-                         smooth_training: bool, step: int) -> float:
+def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tensor], step: int) -> float:
     """Set the grad of every parameter in `params` (all of the model's) to
     the minibatch loss gradient; return the loss.
 
@@ -194,9 +192,7 @@ def _minibatch_gradients(dataset, batch, model: GebdModel, params: Sequence[Tens
     losses = []
     for (_, fps), run in groupby(batch, key=lambda i: (dataset[i][0].num_frames, dataset[i][0].fps)):
         run = list(run)
-        pred = model.forward(stack_videos([dataset[i][0].stages for i in run]))
-        if smooth_training:
-            pred = time_smooth(pred, fps)
+        pred = time_smooth(model.forward(stack_videos([dataset[i][0].stages for i in run])), fps)
         losses.append(bce_loss(pred, np.stack([dataset[i][1] for i in run])))
     total = scale(fold_sum(losses), 1.0 / len(batch))
     loss_value = float(total.data[0, 0])

@@ -41,7 +41,7 @@ SMALL = [
 ]
 
 
-DEFAULT_ECHO_SHA256 = "a3335acb6ba323f6109435f53a9d3da15ee1ea8329b6a0e186b66736d76589d1"
+DEFAULT_ECHO_SHA256 = "e2fbe1e492afb34a2e80f9d4471f0852a6ad9d59ea6f264150e8e11301fdc854"
 
 
 def run(argv):
@@ -282,6 +282,31 @@ class TestTrain:
         assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
         assert err[0].endswith("needs 6453893920 bytes, more than the 1536000000 bytes of address space "
                                "RLIMIT_AS allows"), err
+        assert not out.exists()
+
+    def test_similarity_vector_past_the_address_space_limit_is_one_error(self, tmp_path):
+        # at 1e6 fps the neighbor radius is 1e6 frames, so a batch of two
+        # 30-frame videos has a 1.92 GB similarity vector, past a 1 GB limit;
+        # a one-unit model keeps everything before it well under the limit
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))
+
+        data = synth_small(tmp_path, n=2, extra=["--fps", "1000000", "--stage-dims", "8",
+                                                 "--min-boundaries", "0", "--max-boundaries", "0"])
+        out = tmp_path / "r"
+        argv = ["train", "--features", str(data), "--annotations", str(data / "annotations.json"),
+                "--out", str(out), "--branch-count", "1", "--d-out", "1", "--d-head", "1"]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "gebd.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
+        assert err[0].endswith(f"a similarity vector of shape (2, 30, 4000000) needs 1920000000 bytes, "
+                               f"more than the {1 << 30} bytes of address space RLIMIT_AS allows"), err
         assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sends SIGINT to a process group")
@@ -905,9 +930,12 @@ print(code, len(multiprocessing.active_children()))
         ("missing", None, "No such file or directory"),
         ("flag-bit0-clear", b"GEBW" + struct.pack("<12I", 1, 4, 6, 6, 6, 6, 4, 3, 8, 4, 5, 6),
          "bit 0 (distance fusion) clear in flags 0x6 at offset 48"),
+        ("flag-bit2-clear", b"GEBW" + struct.pack("<12I", 1, 4, 6, 6, 6, 6, 4, 3, 8, 4, 5, 3),
+         "bit 2 (depthwise fronts) clear in flags 0x3 at offset 48"),
         ("flag-bit3", b"GEBW" + struct.pack("<12I", 1, 4, 6, 6, 6, 6, 4, 3, 8, 4, 5, 15),
          "unknown bits 0xf in flags at offset 48"),
-    ], ids=["empty", "short", "header-only", "directory", "missing", "flag-bit0-clear", "flag-bit3"])
+    ], ids=["empty", "short", "header-only", "directory", "missing", "flag-bit0-clear", "flag-bit2-clear",
+            "flag-bit3"])
     def test_empty_short_or_unreadable_checkpoint_clean_error(self, tmp_path, capsys, name, raw, message):
         # an empty file cannot be mapped, so the loader checks its size
         # first and these keep the reader's own messages
@@ -1123,7 +1151,7 @@ class TestConfigFile:
                 if f.name in names:
                     assert getattr(run_defaults, f.name) == f.default, (cls.__name__, f.name)
                     shared += 1
-        assert shared == 7 + 7  # ModelConfig's fields but neighbor_radius; all of TrainConfig's
+        assert shared == 6 + 6  # ModelConfig's fields but neighbor_radius; all of TrainConfig's
         assert run_defaults.fps == ModelConfig.neighbor_radius
 
 
@@ -1153,7 +1181,6 @@ OUT_OF_RANGE = [
     ("clip_seconds", "inf", "clip_seconds > overlap_seconds"),
     ("overlap_seconds", "-1", "clip_seconds > overlap_seconds"),
     ("taus", "", "empty threshold list"),
-    ("eval_average", "foo", "average must be 'micro' or 'macro'"),
     ("min_gap_seconds", "nan", "min_gap_seconds must be finite and >= 0"),
 ]
 
@@ -1171,9 +1198,28 @@ def command_argv(command: str, tmp_path: Path) -> list[str]:
     }[command]
 
 
-def flag_commands(name: str) -> list[str]:
+def subcommands() -> dict[str, argparse.ArgumentParser]:
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [c for c, p in sub.choices.items() if any(a.dest == name for a in p._actions)]
+    return sub.choices
+
+
+def flag_commands(name: str) -> list[str]:
+    return [c for c, p in subcommands().items() if any(a.dest == name for a in p._actions)]
+
+
+# How many values a user can set: the fields of each config class (those of
+# RunConfig are the config file's keys) and each subcommand's option strings
+# but -h/--help. A new knob fails here, so it is seen in review.
+SETTABLE_COUNTS = {"RunConfig": 24, "ModelConfig": 7, "TrainConfig": 6,
+                   "synth": 12, "train": 16, "infer": 11, "eval": 5}
+
+
+def test_settable_value_counts_are_pinned():
+    counts = {cls.__name__: len(fields(cls)) for cls in (cli.RunConfig, ModelConfig, TrainConfig)}
+    for command, parser in subcommands().items():
+        counts[command] = sum(len(a.option_strings) for a in parser._actions
+                              if not isinstance(a, argparse._HelpAction))
+    assert counts == SETTABLE_COUNTS
 
 
 def rejected_cases():
@@ -1184,32 +1230,41 @@ def rejected_cases():
             yield pytest.param(command, "flag", name, value, message, id=f"{name}={value}-{command}-flag")
 
 
-# Settings that went, with a value and the train flags that set each.
+# Settings that went, with a value, the command that had their flags and those flags.
 RETIRED = [
-    ("positive_radius_frames", "1", ["--positive-radius-frames=1"]),
-    ("fuse_distances", "true", ["--fuse-distances", "--no-fuse-distances"]),
+    ("positive_radius_frames", "1", "train", ["--positive-radius-frames=1"]),
+    ("fuse_distances", "true", "train", ["--fuse-distances", "--no-fuse-distances"]),
+    ("use_depthwise", "true", "train", ["--use-depthwise", "--no-use-depthwise"]),
+    ("smooth_training", "true", "train", ["--smooth-training", "--no-smooth-training"]),
+    ("eval_average", "micro", "eval", ["--eval-average=micro"]),
 ]
-# A list value with an empty item, of each list field.
-EMPTY_ITEMS = [("stage_dims", "4,,8,"), ("taus", "0.05,,0.1,")]
+# A malformed list value of each list field, with what its error says.
+EMPTY_ITEMS = [
+    ("stage_dims", "4,,8,", "empty item in '4,,8,'"),
+    ("taus", "0.05,,0.1,", "empty item in '0.05,,0.1,'"),
+    ("stage_dims", "4,x", "item 'x' of '4,x' is not an integer"),
+    ("taus", "0.05,x", "item 'x' of '0.05,x' is not a number"),
+]
 
 
 def unparsed_cases():
     """(command, config line or flag, fragment of its error) of settings
     that never reach a RunConfig: a retired setting's key and flags, and a
-    list with an empty item."""
-    for name, value, flags in RETIRED:
+    list with an empty or malformed item."""
+    for name, value, flag_command, flags in RETIRED:
         for command in ["synth", "train", "infer", "eval"]:
             yield pytest.param(command, f"{name} = {value}", f"unknown config key {name!r}",
                                id=f"{name}-{command}-file")
         for flag in flags:
-            yield pytest.param("train", flag, f"unrecognized arguments: {flag}", id=f"{name}-train{flag}")
-    for name, value in EMPTY_ITEMS:
+            yield pytest.param(flag_command, flag, f"unrecognized arguments: {flag}",
+                               id=f"{name}-{flag_command}{flag}")
+    for name, value, message in EMPTY_ITEMS:
         flag = "--" + name.replace("_", "-")
         for command in ["synth", "train", "infer", "eval"]:
-            yield pytest.param(command, f"{name} = {value}", f"bad value for {name!r}",
+            yield pytest.param(command, f"{name} = {value}", f"bad value for {name!r}: {message}",
                                id=f"{name}={value}-{command}-file")
         for command in flag_commands(name):
-            yield pytest.param(command, f"{flag}={value}", f"argument {flag}: invalid",
+            yield pytest.param(command, f"{flag}={value}", f"argument {flag}: {message}",
                                id=f"{name}={value}-{command}-flag")
 
 
@@ -1243,13 +1298,15 @@ class TestSettingsCheckedOnce:
             with pytest.raises(SystemExit) as exit_info:
                 run(argv + [setting])
             assert exit_info.value.code == 2
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err, err
         else:
             (tmp_path / "cfg.txt").write_text(setting + "\n")
             assert run(argv + ["--config", str(tmp_path / "cfg.txt")]) == 1
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1, err
             assert err.startswith(f"{cli.ERROR_PREFIX}{tmp_path / 'cfg.txt'}:1: {message}"), err
+        assert "_parse" not in err  # the error says what is wrong, not which private function saw it
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [

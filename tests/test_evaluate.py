@@ -171,14 +171,6 @@ class TestF1Sweep:
         assert m.recall == pytest.approx(2 / 3)     # 2 TP / 3 gts
         assert m.f1 == pytest.approx(2 / 3)
 
-    def test_macro_averages_per_video(self):
-        corpus = [
-            ([1.0], [1.0], 10.0),   # perfect -> f1 1
-            ([5.0], [9.0], 10.0),   # miss -> f1 0
-        ]
-        report = f1_sweep(corpus, taus=(0.05,), average="macro")
-        assert report.per_tau[0].f1 == pytest.approx(0.5)
-
     def test_report_values_in_unit_interval_and_avg_exact(self):
         rng = np.random.default_rng(4)
         corpus = [
@@ -198,10 +190,6 @@ class TestF1Sweep:
         with pytest.raises(ValueError, match="empty"):
             f1_sweep([])
 
-    def test_bad_average_rejected(self):
-        with pytest.raises(ValueError, match="average"):
-            f1_sweep([([1.0], [1.0], 10.0)], average="weird")
-
     def test_empty_threshold_list_rejected(self):
         with pytest.raises(ValueError, match="empty threshold list"):
             f1_sweep([([1.0], [1.0], 10.0)], taus=())
@@ -212,9 +200,8 @@ class TestF1Sweep:
             raise AssertionError("matched before the thresholds were checked")
 
         monkeypatch.setattr(evaluate, "match_detections", fail)
-        for average in ("micro", "macro"):
-            with pytest.raises(ValueError, match="finite and positive"):
-                f1_sweep([([1.0], [1.0], 10.0)], taus=(0.05, tau), average=average)
+        with pytest.raises(ValueError, match="finite and positive"):
+            f1_sweep([([1.0], [1.0], 10.0)], taus=(0.05, tau))
 
 
 class TestReportCsv:
@@ -311,17 +298,13 @@ def write_eval_corpus(root):
 
 
 # report.csv of `write_eval_corpus` as numpy's sort and mean computed it
-REPORT_SHA256 = {
-    "micro": "d5886acc31efd3d576659b94dae261e510c4aa90eeff6dc5f0266c631577ada5",
-    "macro": "d547a693327d10c18f73bdb7551e2f82fa0f1d5396e292722f329c7554198d1d",
-}
+REPORT_SHA256 = "d5886acc31efd3d576659b94dae261e510c4aa90eeff6dc5f0266c631577ada5"
 
 
-@pytest.mark.parametrize("average", ["micro", "macro"])
-def test_report_bytes_are_pinned(tmp_path, average):
+def test_report_bytes_are_pinned(tmp_path):
     write_eval_corpus(tmp_path)
     report = tmp_path / "report.csv"
     assert cli.main(["eval", "--detections", str(tmp_path / "detections"),
                      "--annotations", str(tmp_path / "annotations.json"),
-                     "--out", str(report), "--eval-average", average]) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[average]
+                     "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256

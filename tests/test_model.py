@@ -37,12 +37,12 @@ gelu(seq_tensor(np.zeros((1, 1))))  # loads GELU's erf here, so the memory tests
 
 
 TINY = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8, neighbor_radius=2)
-NO_DEPTHWISE = ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12,
-                           d_head=6, neighbor_radius=3, use_depthwise=False)
+THREE_STAGE = ModelConfig(stage_dims=(4, 8, 16), branch_count=3, decoder_blocks=0, d_out=12,
+                          d_head=6, neighbor_radius=3)
 BENCH = ModelConfig(stage_dims=(32, 32, 32, 32), d_out=64, d_head=32, neighbor_radius=5)
 # a 3.9 MB checkpoint whose largest block is 0.8 MB
 FEW_MB = ModelConfig(stage_dims=(96, 96, 96, 96), d_out=128, d_head=64, neighbor_radius=2)
-# every size field drawn off its default; the flags take all four settings
+# every size field drawn off its default; use_residual takes both settings
 OFF_DEFAULT_CONFIGS = st.builds(
     ModelConfig,
     stage_dims=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
@@ -52,7 +52,6 @@ OFF_DEFAULT_CONFIGS = st.builds(
     d_head=st.integers(1, 6),
     neighbor_radius=st.integers(1, 4),
     use_residual=st.booleans(),
-    use_depthwise=st.booleans(),
 )
 
 # sha256 of save_checkpoint(GebdModel.build(cfg, seed)). Seeded checkpoints
@@ -61,8 +60,8 @@ OFF_DEFAULT_CONFIGS = st.builds(
 GOLDEN_CHECKPOINTS = [
     (TINY, 0, "b5ceb6e994f2fe933ecda92a9865225f46a4400b637b5c3402cbd0f22f861196"),
     (TINY, 7, "2958a03d588497ee9f656add8557a2110e36a192bdfccb03f01a5e640aa7d375"),
-    (NO_DEPTHWISE, 0, "2f5cd49dae97ebb2ab0b070ccff5879fed7679e988809d0b8c04af8b0c06ea1e"),
-    (NO_DEPTHWISE, 7, "fe99fd72dce2549ca797dd5996b33449c79816c6f3e3491eb941702b924df729"),
+    (THREE_STAGE, 0, "67b3a03e37c4d4149fa2fa3b8c55eb792e0285218232eed7c463253bccb16645"),
+    (THREE_STAGE, 7, "da95e7c9828fcf866ad7669de903b1b5e7580b642f60355831b9114a62985fc3"),
     (BENCH, 0, "e00d1c4c5e2244193ebf1ba4fe92491565978ad909d6dda6298a9dd7a525ce08"),
     (BENCH, 7, "9d3089410bd34802ded025c154e6aa23205196b90b7b856a673ac538c6a702a9"),
 ]
@@ -71,7 +70,7 @@ GOLDEN_CHECKPOINTS = [
 # config: the names a divergence error prints, which the bytes do not pin.
 GOLDEN_PATHS = [
     (TINY, "77a2545b7494d926f7ea7bcc96d19e9e02f793b3bc3b7e652878b3a3ae64a3bd"),
-    (NO_DEPTHWISE, "59a1793db86e438c471f29332ec1cd14228d053bd2c316836d4166b0d87dad02"),
+    (THREE_STAGE, "0741ab2e5d66de61b213b568ee7e4dfe032c27cfa10d8429a43c89506fc89216"),
     (BENCH, "77a2545b7494d926f7ea7bcc96d19e9e02f793b3bc3b7e652878b3a3ae64a3bd"),
 ]
 
@@ -227,16 +226,10 @@ class TestParameters:
         assert names[-1] == "head/conv2/bias"
         assert len(names) == len(set(names))
 
-    def test_no_depthwise_config_drops_those_params(self):
-        cfg = ModelConfig(stage_dims=(8, 8, 8, 8), d_out=8, d_head=8,
-                          neighbor_radius=2, use_depthwise=False)
-        model = GebdModel.build(cfg, seed=6)
-        assert not any("depthwise" in n for n, _ in model.parameters())
-
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(cfg=OFF_DEFAULT_CONFIGS)
     @example(cfg=TINY)
-    @example(cfg=NO_DEPTHWISE)
+    @example(cfg=THREE_STAGE)
     @example(cfg=BENCH)
     def test_parameter_count_is_the_built_models(self, cfg):
         model = GebdModel.build(cfg, seed=0)
@@ -355,13 +348,13 @@ def test_clip_of_a_loaded_file_reaches_the_forward_without_a_copy(tmp_path, monk
 
 class TestCheckpoint:
     @pytest.mark.parametrize("cfg, seed, digest", GOLDEN_CHECKPOINTS, ids=[
-        "tiny-0", "tiny-7", "no_depthwise-0", "no_depthwise-7", "bench-0", "bench-7"])
+        "tiny-0", "tiny-7", "three_stage-0", "three_stage-7", "bench-0", "bench-7"])
     def test_seeded_checkpoint_bytes_pinned(self, tmp_path, cfg, seed, digest):
         path = tmp_path / "m.gebw"
         save_checkpoint(path, GebdModel.build(cfg, seed=seed))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("cfg, digest", GOLDEN_PATHS, ids=["tiny", "no_depthwise", "bench"])
+    @pytest.mark.parametrize("cfg, digest", GOLDEN_PATHS, ids=["tiny", "three_stage", "bench"])
     def test_parameter_paths_pinned(self, cfg, digest):
         paths = "\n".join(name for name, _ in GebdModel.build(cfg, seed=0).parameters())
         assert hashlib.sha256(paths.encode()).hexdigest() == digest
@@ -411,8 +404,7 @@ class TestCheckpoint:
 
     def test_config_survives(self, tmp_path):
         cfg = ModelConfig(stage_dims=(4, 8, 16, 32), branch_count=3, decoder_blocks=2,
-                          d_out=12, d_head=6, neighbor_radius=3,
-                          use_residual=False, use_depthwise=False)
+                          d_out=12, d_head=6, neighbor_radius=3, use_residual=False)
         model = GebdModel.build(cfg, seed=10)
         path = tmp_path / "cfg.gebw"
         save_checkpoint(path, model)
@@ -422,7 +414,7 @@ class TestCheckpoint:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cfg=OFF_DEFAULT_CONFIGS)
     @example(cfg=ModelConfig(stage_dims=(1,), branch_count=1, decoder_blocks=0, d_out=1, d_head=1,
-                             neighbor_radius=1, use_residual=False, use_depthwise=False))
+                             neighbor_radius=1, use_residual=False))
     def test_random_config_round_trips(self, tmp_path, cfg):
         for f in fields(ModelConfig):
             if f.type != "bool":

@@ -34,7 +34,6 @@ class TestBranchStructure:
             assert br.depthwise is not None
             assert br.depthwise.width == 3 and br.depthwise.dilation == 1
         assert [br.dilation for br in branches] == [1, 2, 4, 8]
-        assert all(br.depthwise is None for br in make_stage(n=4, use_depthwise=False)[0].branches)
 
     def test_shape_preserved_for_every_branch(self):
         rng = np.random.default_rng(1)

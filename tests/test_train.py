@@ -7,7 +7,6 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gebd.autodiff import Tensor, fold_sum
 from gebd.data import frame_labels, load_features, save_features, synth_video
@@ -217,17 +216,6 @@ class TestTrainLoop:
         a, b = run(), run()
         assert a == b  # exact float equality
 
-    def test_smooth_targets_flag_changes_loss(self):
-        def first_loss(smooth):
-            dataset = tiny_dataset(5, 2)
-            model = GebdModel.build(TINY, seed=2)
-            cfg = TrainConfig(epochs=1, batch_size=2, warmup_epochs=0,
-                              smooth_training=smooth, seed=0)
-            _, curve = train(dataset, model, cfg)
-            return curve[0][2]
-
-        assert first_loss(True) != first_loss(False)
-
     def test_parameter_count_constant_and_shapes_stable(self):
         dataset = tiny_dataset(6, 3)
         model = GebdModel.build(TINY, seed=3)
@@ -253,8 +241,8 @@ class TestTrainLoop:
         real = train_mod._minibatch_gradients
         snapshot = []
 
-        def inject(dataset, batch, model, params, smooth_targets, step):
-            loss = real(dataset, batch, model, params, smooth_targets, step)
+        def inject(dataset, batch, model, params, step):
+            loss = real(dataset, batch, model, params, step)
             if step == 2:
                 target.grad = np.array(target.grad)
                 target.grad[1] = np.nan
@@ -320,15 +308,15 @@ class TestTrainLoop:
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(cfg=OFF_DEFAULT_CONFIGS, smooth=st.booleans())
-def test_one_minibatch_gives_every_parameter_a_grad(cfg, smooth):
+@given(cfg=OFF_DEFAULT_CONFIGS)
+def test_one_minibatch_gives_every_parameter_a_grad(cfg):
     # what lets `train` hand Adam every `.grad` without a zeros fallback
     dataset = []
     for i, t in enumerate([6, 9, 6]):
         video, ann = synth_video(i, t, 2.0, cfg.stage_dims, [1.1], snr=4.0)
         dataset.append((video, frame_labels(ann, t, 2.0, 1)))
     model = GebdModel.build(cfg, seed=0)
-    _minibatch_gradients(dataset, [2, 0, 1], model, [p for _, p in model.parameters()], smooth, 0)
+    _minibatch_gradients(dataset, [2, 0, 1], model, [p for _, p in model.parameters()], 0)
     assert [name for name, p in model.parameters() if p.grad is None or p.grad.shape != p.data.shape] == []
 
 
@@ -355,7 +343,6 @@ class TestGradientOfLossThroughModel:
 ABLATIONS = {
     "default": {},
     "no_residual": {"use_residual": False},
-    "no_depthwise": {"use_depthwise": False},
     "no_decoder": {"decoder_blocks": 0},
     "one_branch": {"branch_count": 1},
 }
@@ -400,8 +387,8 @@ def test_step_memory_per_batch_frame(t):
     model = GebdModel.build(config, seed=0)
     params = [p for _, p in model.parameters()]
     batch = np.arange(8)
-    _minibatch_gradients(dataset, batch, model, params, True, 0)  # warm: first-call imports stay out of the peak
-    _, peak = traced_peak(_minibatch_gradients, dataset, batch, model, params, True, 1)
+    _minibatch_gradients(dataset, batch, model, params, 0)  # warm: first-call imports stay out of the peak
+    _, peak = traced_peak(_minibatch_gradients, dataset, batch, model, params, 1)
     assert peak < 42_000 * 8 * t, peak / (8 * t)
 
 
@@ -421,8 +408,8 @@ def test_step_memory_does_not_grow_with_dilation():
         model = GebdModel.build(config, seed=0)
         params = [p for _, p in model.parameters()]
         batch = np.arange(2)
-        _minibatch_gradients(dataset, batch, model, params, True, 0)  # warm: first-call imports stay out of the peak
-        peaks.append(traced_peak(_minibatch_gradients, dataset, batch, model, params, True, 1)[1])
+        _minibatch_gradients(dataset, batch, model, params, 0)  # warm: first-call imports stay out of the peak
+        peaks.append(traced_peak(_minibatch_gradients, dataset, batch, model, params, 1)[1])
     assert peaks[1] < 2 * peaks[0], peaks
 
 

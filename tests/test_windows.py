@@ -42,8 +42,8 @@ def loaded(tmp_path_factory):
 
 @pytest.mark.parametrize("config, r", [
     (ModelConfig(stage_dims=(4,)), 30),  # branch 8 + 1, radius 5, merge 1, decoder 2 + 4 + 8, head 1
-    (ModelConfig(stage_dims=(4, 6), branch_count=3, decoder_blocks=0, neighbor_radius=3,
-                 use_depthwise=False), 9),  # branch 4, radius 3, merge 1, head 1
+    (ModelConfig(stage_dims=(4, 6), branch_count=3, decoder_blocks=0, neighbor_radius=3),
+     10),  # branch 4 + 1, radius 3, merge 1, head 1
     (ModelConfig(stage_dims=(4,), branch_count=1, decoder_blocks=1, neighbor_radius=2), 7),
 ])
 def test_receptive_field_is_the_exact_halo(config, r):
