@@ -28,7 +28,6 @@ from .boundaries import load_annotations, load_detections, save_detections
 from .config import (
     ModelConfig,
     TrainConfig,
-    check_clip_settings,
     check_fps,
     check_snr,
     check_video_size,
@@ -38,7 +37,6 @@ from .util import atomic_write_text, check_fits_in_memory, worker_count
 
 if TYPE_CHECKING:
     from .model import GebdModel
-    from .postprocess import BoundaryScores
 
 PROG = "gebd"
 ERROR_PREFIX = f"{PROG}: error: "
@@ -49,6 +47,10 @@ ERROR_PREFIX = f"{PROG}: error: "
 INFER_GROUP_BYTES = 640 * 1024
 # a training label marks each boundary's nearest frame and this many frames on each side
 POSITIVE_RADIUS_FRAMES = 1
+# `synth` holds every video's id, annotation and boundary times until it writes
+# annotations.json; each video and each boundary time takes at most this many
+# bytes (about 1.5 KB a video and 160 bytes a boundary time, measured)
+SYNTH_ITEM_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,6 @@ class RunConfig:
     lr_peak: float = TrainConfig.lr_peak
     lr_final: float = TrainConfig.lr_final
     warmup_epochs: int = TrainConfig.warmup_epochs
-    # inference
-    smooth_inference: bool = True
-    clip_mode: bool = False
-    clip_seconds: float = 10.0
-    overlap_seconds: float = 5.0
     # evaluation
     taus: tuple[float, ...] = eval_mod.DEFAULT_TAUS
 
@@ -91,6 +88,8 @@ class RunConfig:
         if not 0 <= self.min_boundaries <= self.max_boundaries:
             raise ValueError(f"need 0 <= min_boundaries <= max_boundaries, "
                              f"got {self.min_boundaries}/{self.max_boundaries}")
+        check_fits_in_memory(SYNTH_ITEM_BYTES * self.num_videos * (1 + self.max_boundaries),
+                             f"a corpus of num_videos={self.num_videos} with max_boundaries={self.max_boundaries}")
         if not (math.isfinite(self.min_gap_seconds) and self.min_gap_seconds >= 0):
             raise ValueError(f"min_gap_seconds must be finite and >= 0, got {self.min_gap_seconds}")
         if self.seed < 0:
@@ -100,7 +99,6 @@ class RunConfig:
         check_video_size(self.frames, self.stage_dims)
         check_snr(self.snr)
         self.train_config()
-        check_clip_settings(self.clip_seconds, self.overlap_seconds)
         try:
             eval_mod.check_sweep_settings(self.taus)
         except ValueError as e:
@@ -296,30 +294,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_videos(videos: list, model: GebdModel, cfg: RunConfig) -> list[BoundaryScores]:
-    """Scores of consecutive videos. Each video is scored as clips, frame
-    spans of it: the span (0, T), or in clip mode `split_clips`'s spans (a
-    short video's one span is (0, T) too). A clip's stages are row slices of
-    its video's, views and not copies. `score_clips` computes every clip,
-    each with the bits it would get alone, and `merge_clip_scores` sums each
-    video's scores from its clips'."""
-    from . import data as data_mod
-    from . import postprocess as post_mod
-    from .model import score_clips
-
-    clips = [(i, start, end) for i, video in enumerate(videos)
-             for start, end in (data_mod.split_clips(video, cfg.clip_seconds, cfg.overlap_seconds)
-                                if cfg.clip_mode else [(0, video.num_frames)])]
-    raw = score_clips(model, [[stage[start:end] for stage in videos[i].stages] for i, start, end in clips])
-    scored = [[] for _ in videos]
-    for (i, start, _), x in zip(clips, raw):
-        sc = post_mod.BoundaryScores(videos[i].video_id, videos[i].fps, x)
-        if cfg.smooth_inference:
-            sc = post_mod.gaussian_smooth(sc)
-        scored[i].append((start, sc))
-    return [post_mod.merge_clip_scores(parts) for parts in scored]
-
-
 def _file_groups(files: list[Path], limit: int) -> list[list[Path]]:
     """Consecutive files whose summed size stays within `limit`; a larger
     file is a group of its own."""
@@ -344,17 +318,21 @@ _infer_run: tuple[GebdModel, RunConfig, Path] | None = None
 
 def _infer_group(group: list[Path]) -> list[int]:
     """Score one file group of the `infer` run in progress, write each
-    video's scores and detections, and return its detection counts."""
+    video's scores and detections, and return its detection counts. Each
+    video is scored whole: `score_clips` reads its stages, the loaded file's
+    views, in windows with the bits of one whole-video forward. Its scores
+    are smoothed as training smooths predictions, then picked for peaks."""
     from . import data as data_mod
     from . import postprocess as post_mod
-    from .model import check_features_compatible
+    from .model import check_features_compatible, score_clips
 
     model, cfg, out = _infer_run
     videos = [data_mod.load_features(path, fps=cfg.fps) for path in group]
     for video in videos:
         check_features_compatible(model.config, video)
     counts = []
-    for video, scores in zip(videos, _score_videos(videos, model, cfg)):
+    for video, raw in zip(videos, score_clips(model, [v.stages for v in videos])):
+        scores = post_mod.gaussian_smooth(post_mod.BoundaryScores(video.video_id, video.fps, raw))
         detections = post_mod.pick_peaks(scores)
         post_mod.save_scores(out / "scores" / f"{video.video_id}.json", scores)
         save_detections(out / "detections" / f"{video.video_id}.json", detections)
@@ -526,10 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help=".gebf file or directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--smooth", dest="smooth_inference", default=None,
-                   action=argparse.BooleanOptionalAction,
-                   help="Gaussian-smooth scores before peak picking (default on)")
-    _add_config_flags(p, ["fps", "clip_mode", "clip_seconds", "overlap_seconds"])
+    _add_config_flags(p, ["fps"])
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score detections against annotations")

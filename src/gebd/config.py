@@ -43,14 +43,6 @@ def check_snr(snr: float | None) -> None:
         raise ValueError(f"snr must be positive (at least {MIN_SNR:g}, or None for noiseless), got {snr}")
 
 
-def check_clip_settings(clip_seconds: float, overlap_seconds: float) -> None:
-    """The clip settings from which `split_clips` spans a video: finite
-    clip_seconds > overlap_seconds >= 0."""
-    if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
-        raise ValueError(f"clip settings must be finite with clip_seconds > overlap_seconds >= 0, "
-                         f"got {clip_seconds}/{overlap_seconds}")
-
-
 @dataclass
 class ModelConfig:
     """Structural hyperparameters; neighbor_radius is `neighbor_radius_for(fps)`

@@ -26,7 +26,7 @@ import numpy as np
 
 # save_annotations is only re-exported: perfbench/corpus.py, its one reader, imports it from here
 from .boundaries import Annotation, save_annotations  # noqa: F401
-from .config import check_clip_settings, check_fps, check_snr, check_video_size
+from .config import check_fps, check_snr, check_video_size
 from .util import atomic_writer
 
 FEATURE_MAGIC = b"GEBF"
@@ -270,9 +270,12 @@ def split_clips(video: VideoFeatures, clip_seconds: float, overlap_seconds: floa
     video at stride clip-overlap; a video no longer than a clip is one span.
 
     The final span ends exactly at the last frame, overlapping more than
-    the nominal stride when the length is not a multiple of it.
+    the nominal stride when the length is not a multiple of it. The settings
+    are checked even when the video is one span.
     """
-    check_clip_settings(clip_seconds, overlap_seconds)
+    if not (math.isfinite(clip_seconds) and clip_seconds > overlap_seconds >= 0):
+        raise ValueError(f"clip settings must be finite with clip_seconds > overlap_seconds >= 0, "
+                         f"got {clip_seconds}/{overlap_seconds}")
     t = video.num_frames
     clip_frames = clip_seconds * video.fps  # the stride spans no more, so it is finite when this is
     if not math.isfinite(clip_frames):

@@ -21,18 +21,16 @@ from gebd import cli
 from gebd import model as model_mod
 from gebd import util
 from gebd.boundaries import load_annotations, load_detections, save_detections
-from gebd.data import VideoFeatures, load_features, save_features, split_clips, synth_video
+from gebd.data import load_features, save_features, synth_video
 from gebd.model import GebdModel, ModelConfig, load_checkpoint, model_forward, save_checkpoint
 from gebd.postprocess import (
     gaussian_smooth,
     load_scores,
-    merge_clip_scores,
     pick_peaks,
     save_scores,
     smoothing_matrix,
 )
 from gebd.train import TrainConfig
-from oracles import accumulate_clip_scores
 
 
 SMALL = [
@@ -41,7 +39,7 @@ SMALL = [
 ]
 
 
-DEFAULT_ECHO_SHA256 = "e2fbe1e492afb34a2e80f9d4471f0852a6ad9d59ea6f264150e8e11301fdc854"
+DEFAULT_ECHO_SHA256 = "d3ba6a63a79f8c7cadb3afcee0863cbc19fe7734ff2e03b7dc3bf215c9d161ad"
 
 
 def run(argv):
@@ -185,6 +183,36 @@ class TestSynth:
         assert err.startswith(cli.ERROR_PREFIX)
         assert message in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, corpus", [
+        (["--num-videos", "100000000000", "--frames", "1", "--min-boundaries", "0", "--max-boundaries", "0"],
+         "num_videos=100000000000 with max_boundaries=0"),
+        (["--num-videos", "1", "--frames", "10", "--min-boundaries", "1000000000000",
+          "--max-boundaries", "1000000000000", "--min-gap-seconds", "0"],
+         "num_videos=1 with max_boundaries=1000000000000"),
+    ], ids=["videos", "boundaries"])
+    def test_corpus_past_the_address_space_limit_is_one_error_before_any_file(self, tmp_path, flags, corpus):
+        # synth holds every video's id, annotation and boundary times at once;
+        # these corpora need far more than a 1.5 GB address-space limit set in
+        # the child, as `ulimit -v 1500000` sets it, and used to end in a
+        # MemoryError traceback while their ids or boundary times were made
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000, resource.RLIM_INFINITY))
+
+        out = tmp_path / "x"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "gebd.cli", "synth", "--out", str(out), "--stage-dims", "1",
+                               *flags], env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=cap_address_space)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(cli.ERROR_PREFIX), proc.stderr
+        assert re.search(rf"a corpus of {corpus} needs \d+ bytes, more than the \d+ bytes of "
+                         r"(physical memory|address space RLIMIT_AS allows)$", err[0]), err
+        assert not out.exists()
 
     def test_annotation_fps_matches(self, tmp_path):
         out = synth_small(tmp_path, n=2)
@@ -387,73 +415,30 @@ class TestInfer:
         d = load_detections(det_files[0])
         assert d.timestamps == sorted(d.timestamps)
 
-    def test_no_smooth_changes_detections_on_noisy_input(self, tmp_path):
-        data = synth_small(tmp_path, n=3, seed=2)
-        run_dir = train_small(tmp_path, data, epochs=0)  # random-init model: noisy scores
-
-        def detections(flag):
-            out = tmp_path / f"infer_{flag}"
-            code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
-                        "--features", str(data), "--out", str(out), "--fps", "5",
-                        "--smooth" if flag else "--no-smooth"])
-            assert code == 0
-            return [load_detections(p).timestamps for p in sorted((out / "detections").glob("*.json"))]
-
-        assert detections(True) != detections(False)
-
-    def test_clip_mode_uses_expected_starts(self, tmp_path, monkeypatch):
-        data = tmp_path / "long"
-        code = run(["synth", "--out", str(data), "--num-videos", "1", "--frames", "100",
-                    "--fps", "5", "--stage-dims", "6,6,6,6",
-                    "--min-boundaries", "3", "--max-boundaries", "3"])
-        assert code == 0
-        run_dir = train_small(tmp_path, data, epochs=0)
-
-        seen = []
-        from gebd import postprocess as post_mod
-
-        original = post_mod.merge_clip_scores
-
-        def spy(scored):
-            seen.append([start for start, _ in scored])
-            return original(scored)
-
-        monkeypatch.setattr(post_mod, "merge_clip_scores", spy)
-        out = tmp_path / "clipinfer"
-        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
-                    "--features", str(data), "--out", str(out), "--fps", "5",
-                    "--clip-mode"])
-        assert code == 0
-        assert seen == [[0, 25, 50]]
-        s = load_scores(next((out / "scores").glob("*.json")))
-        assert len(s.scores) == 100
-
-    def test_clip_mode_long_video_sums_smoothed_clip_scores(self, tmp_path):
+    def test_long_video_is_scored_whole_and_smoothed(self, tmp_path):
+        # 3000 frames: more than one scoring window, scored and smoothed as one video
         data = tmp_path / "long"
         code = run(["synth", "--out", str(data), "--num-videos", "1", "--frames", "3000",
                     "--fps", "5", "--stage-dims", "6,6,6,6"])
         assert code == 0
         run_dir = train_small(tmp_path, data, epochs=0)
-        out = tmp_path / "clipinfer"
+        out = tmp_path / "longinfer"
         code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
-                    "--features", str(data), "--out", str(out), "--fps", "5", "--clip-mode"])
+                    "--features", str(data), "--out", str(out), "--fps", "5"])
         assert code == 0
         got = load_scores(next((out / "scores").glob("*.json")))
         assert got.smoothed
 
         model = load_checkpoint(run_dir / "model.gebw")
         video = load_features(next(data.glob("*.gebf")), fps=5.0)
-        spans = split_clips(video, 10.0, 5.0)
-        smoothed = [smoothing_matrix(e - s, 5.0) @ model.forward([stage[s:e] for stage in video.stages]).data[:, 0]
-                    for s, e in spans]
-        want = accumulate_clip_scores(spans, smoothed, video.num_frames)
+        # the dense oracle, uncached: 72 MB at this length
+        want = smoothing_matrix.__wrapped__(video.num_frames, 5.0) @ model.forward(video.stages).data[:, 0]
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("threads", ["1", "2"], ids=["threads1", "threads2"])
     @pytest.mark.parametrize("group_bytes", [cli.INFER_GROUP_BYTES, 12000], ids=["default", "small"])
-    @pytest.mark.parametrize("clip_mode", [False, True], ids=["whole", "clips"])
     def test_batched_groups_write_the_bytes_of_one_file_at_a_time(self, tmp_path, monkeypatch,
-                                                                  clip_mode, group_bytes, threads):
+                                                                  group_bytes, threads):
         data = tmp_path / "data"
         for i, t in enumerate((50, 50, 37, 50, 37, 120)):
             video, _ = synth_video(i, t, 5.0, (6, 6, 6, 6), [1.5, 4.5], video_id=f"v{i}")
@@ -471,10 +456,9 @@ class TestInfer:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        clip_flags = ["--clip-mode", "--clip-seconds", "8", "--overlap-seconds", "4"] if clip_mode else []
         out = tmp_path / "infer"
         assert run(["infer", "--checkpoint", str(ckpt), "--features", str(data), "--out", str(out),
-                    "--fps", "5", *clip_flags]) == 0
+                    "--fps", "5"]) == 0
         workers = min(int(threads), len(cli._file_groups(sorted(data.glob("*.gebf")), group_bytes)))
         assert len(forks) == (0 if workers == 1 else workers)
         assert not multiprocessing.active_children()
@@ -483,14 +467,7 @@ class TestInfer:
         want = tmp_path / "want"
         for path in sorted(data.glob("*.gebf")):
             video = load_features(path, fps=5.0)
-            if clip_mode and video.num_frames > 40:
-                scores = merge_clip_scores([
-                    (s, gaussian_smooth(model_forward(
-                        VideoFeatures(video.video_id, 5.0, [stage[s:e] for stage in video.stages]), model)))
-                    for s, e in split_clips(video, 8.0, 4.0)
-                ])
-            else:
-                scores = gaussian_smooth(model_forward(video, model))
+            scores = gaussian_smooth(model_forward(video, model))
             save_scores(want / "scores" / f"{video.video_id}.json", scores)
             save_detections(want / "detections" / f"{video.video_id}.json", pick_peaks(scores))
         for kind in ("scores", "detections"):
@@ -787,35 +764,6 @@ print(code, len(multiprocessing.active_children()))
             assert err.startswith(cli.ERROR_PREFIX)
             assert "fps must be finite and positive" in err
 
-    def test_non_finite_clip_settings_clean_error(self, tmp_path, capsys):
-        # the clip settings are checked even when clip mode is off
-        data = synth_small(tmp_path, n=1)
-        run_dir = train_small(tmp_path, data, epochs=0)
-        for flags in (["--clip-seconds", "inf"], ["--clip-seconds", "nan"],
-                      ["--overlap-seconds", "inf"], ["--clip-mode", "--clip-seconds", "inf"]):
-            code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"),
-                        "--features", str(data), "--out", str(tmp_path / "bad"), "--fps", "5", *flags])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith(cli.ERROR_PREFIX)
-            assert "must be finite" in err
-
-    def test_clip_settings_checked_without_clip_mode_before_the_checkpoint_is_read(self, tmp_path, capsys,
-                                                                                   monkeypatch):
-        data = synth_small(tmp_path, n=1)
-        run_dir = train_small(tmp_path, data, epochs=0)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("checkpoint read before the clip settings were checked")
-
-        monkeypatch.setattr(model_mod, "load_checkpoint", fail)
-        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
-                    "--out", str(tmp_path / "bad"), "--fps", "5", "--overlap-seconds", "20"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(cli.ERROR_PREFIX)
-        assert "clip_seconds > overlap_seconds" in err
-
     def test_sub_one_fps_round_trip(self, tmp_path):
         # 0.4 fps maps to radius 1 both when training and when scoring
         data = synth_small(tmp_path, n=2, extra=["--fps", "0.4"])
@@ -825,29 +773,6 @@ print(code, len(multiprocessing.active_children()))
         assert run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
                     "--out", str(out), "--fps", "0.4"]) == 0
         assert len(list((out / "detections").glob("*.json"))) == 2
-
-    def test_clip_frame_count_past_float_range_clean_error(self, tmp_path, capsys):
-        data = synth_small(tmp_path, n=1)
-        run_dir = train_small(tmp_path, data, epochs=0)
-        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
-                    "--out", str(tmp_path / "bad"), "--fps", "5", "--clip-mode", "--clip-seconds", "1e308"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(cli.ERROR_PREFIX)
-        assert "more frames than a float holds" in err
-
-    def test_clip_mode_checks_clip_settings_when_every_video_is_short(self, tmp_path, capsys):
-        # every 30-frame video fits in one 20 s clip, but an overlap longer
-        # than the clip is rejected all the same
-        data = synth_small(tmp_path, n=2)
-        run_dir = train_small(tmp_path, data, epochs=0)
-        code = run(["infer", "--checkpoint", str(run_dir / "model.gebw"), "--features", str(data),
-                    "--out", str(tmp_path / "bad"), "--fps", "5", "--clip-mode",
-                    "--clip-seconds", "20", "--overlap-seconds", "25"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(cli.ERROR_PREFIX)
-        assert "clip_seconds > overlap_seconds" in err
 
     def test_gelu_and_infer_load_scipys_erf_module_alone(self, tmp_path):
         # GELU takes erf from scipy's compiled ufunc module, without the
@@ -1131,7 +1056,6 @@ class TestConfigFile:
         parsed = cli.load_config_file(echo)
         assert parsed["frames"] == 30
         assert parsed["stage_dims"] == (6, 6, 6, 6)
-        assert parsed["smooth_inference"] is True
         defaults = tmp_path / "defaults.txt"
         defaults.write_text(cli.format_config(cli.RunConfig()))
         assert cli.load_config_file(defaults) == asdict(cli.RunConfig())
@@ -1178,8 +1102,6 @@ OUT_OF_RANGE = [
     ("lr_peak", "inf", "need 0 < lr_final < lr_peak < inf"),
     ("lr_final", "0", "need 0 < lr_final < lr_peak"),
     ("warmup_epochs", "-1", "warmup_epochs must be >= 0"),
-    ("clip_seconds", "inf", "clip_seconds > overlap_seconds"),
-    ("overlap_seconds", "-1", "clip_seconds > overlap_seconds"),
     ("taus", "", "empty threshold list"),
     ("min_gap_seconds", "nan", "min_gap_seconds must be finite and >= 0"),
 ]
@@ -1210,8 +1132,8 @@ def flag_commands(name: str) -> list[str]:
 # How many values a user can set: the fields of each config class (those of
 # RunConfig are the config file's keys) and each subcommand's option strings
 # but -h/--help. A new knob fails here, so it is seen in review.
-SETTABLE_COUNTS = {"RunConfig": 24, "ModelConfig": 7, "TrainConfig": 6,
-                   "synth": 12, "train": 16, "infer": 11, "eval": 5}
+SETTABLE_COUNTS = {"RunConfig": 20, "ModelConfig": 7, "TrainConfig": 6,
+                   "synth": 12, "train": 16, "infer": 5, "eval": 5}
 
 
 def test_settable_value_counts_are_pinned():
@@ -1237,6 +1159,10 @@ RETIRED = [
     ("use_depthwise", "true", "train", ["--use-depthwise", "--no-use-depthwise"]),
     ("smooth_training", "true", "train", ["--smooth-training", "--no-smooth-training"]),
     ("eval_average", "micro", "eval", ["--eval-average=micro"]),
+    ("smooth_inference", "true", "infer", ["--smooth", "--no-smooth"]),
+    ("clip_mode", "false", "infer", ["--clip-mode", "--no-clip-mode"]),
+    ("clip_seconds", "10.0", "infer", ["--clip-seconds=10.0"]),
+    ("overlap_seconds", "5.0", "infer", ["--overlap-seconds=5.0"]),
 ]
 # A malformed list value of each list field, with what its error says.
 EMPTY_ITEMS = [
@@ -1311,7 +1237,6 @@ class TestSettingsCheckedOnce:
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--epochs", "2", "--warmup-epochs", "2"], "warmup_epochs 2 must be < epochs 2"),
-        (["infer", "--clip-seconds", "5", "--overlap-seconds", "5"], "clip_seconds > overlap_seconds"),
         (["synth", "--stage-dims", ""], "stage_dims must be positive"),
     ])
     def test_rules_across_fields_rejected_before_any_file_or_directory(self, tmp_path, capsys, argv, message):

@@ -215,28 +215,14 @@ class TestSplitClips:
                 assert 0 <= s < e <= t and e - s <= 50
             assert covered.all()
 
-    def test_sliced_data_matches_parent(self, monkeypatch):
-        from gebd import cli
-        from gebd import model as model_mod
-
-        v = self.make_video(100)
-        seen = []
-
-        def spy(model, clips):
-            seen.extend(clips)
-            return [np.zeros(len(stages[0])) for stages in clips]
-
-        monkeypatch.setattr(model_mod, "score_clips", spy)
-        cli._score_videos([v], None, cli.RunConfig(clip_mode=True, clip_seconds=10.0, overlap_seconds=5.0))
-        assert len(seen) == 3
-        np.testing.assert_array_equal(seen[1][0], v.stages[0][25:75])
-        assert np.shares_memory(seen[1][0], v.stages[0])
-
     def test_param_validation(self):
+        # a 10-frame video is one clip, and its settings are checked all the same
         with pytest.raises(ValueError, match="overlap"):
             split_clips(self.make_video(10), 5.0, 5.0)
-        with pytest.raises(ValueError, match="finite"):
-            split_clips(self.make_video(10), float("inf"), 5.0)
+        for clip_seconds, overlap_seconds in ((float("inf"), 5.0), (float("nan"), 5.0), (10.0, float("inf")),
+                                              (10.0, -1.0), (20.0, 25.0)):
+            with pytest.raises(ValueError, match=r"must be finite with clip_seconds > overlap_seconds >= 0"):
+                split_clips(self.make_video(10), clip_seconds, overlap_seconds)
 
     def test_clip_frame_count_past_float_range_rejected(self):
         # 1e308 s is finite, but 1e308 s at 5 fps is not

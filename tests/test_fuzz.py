@@ -309,7 +309,9 @@ def test_random_config_file_resolves_or_value_error(work, lines, junk):
 # far past physical memory, and the block counts: decoder_blocks and
 # branch_count also draw 24 and 40, whose dilations (up to 2^40) reach past
 # every 12-frame video of the corpus, so no buffer may be sized from a
-# dilation. A large num_videos, epochs or batch_size would run for real.
+# dilation. synth's num_videos and boundary counts draw those sizes too: the
+# corpus they ask for is checked against memory before anything is made. A
+# large epochs or batch_size would run for real.
 # Every value parses: a list with an empty item is argparse's usage error
 # (exit 2), which test_cli pins.
 SMALL_INTS = ["-1", "0", "1", "2", "3", "12"]
@@ -324,7 +326,7 @@ ARGV_VALUES = {
     "tuple[float, ...]": st.sampled_from(["", "nan", "inf", "-1", "0", "0.1,0.5", "0.5,1e308"]),
 }
 ARGV_VALUES["seed"] = st.sampled_from(["-1", "0", "7", str(2 ** 64)])
-for name in ("frames", "d_out", "d_head"):
+for name in ("frames", "d_out", "d_head", "num_videos", "min_boundaries", "max_boundaries"):
     ARGV_VALUES[name] = st.sampled_from(SMALL_INTS + HUGE_SIZES)
 for name in ("branch_count", "decoder_blocks"):
     ARGV_VALUES[name] = st.sampled_from(SMALL_INTS + ["24", "40"])

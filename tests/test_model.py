@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gebd.autodiff import seq_tensor
-from gebd.data import Annotation, VideoFeatures, load_features, save_annotations, save_features, split_clips
+from gebd.boundaries import load_detections
+from gebd.data import Annotation, VideoFeatures, load_features, save_annotations, save_features
 from gebd.model import (
     GebdModel,
     ModelConfig,
@@ -321,28 +322,37 @@ def test_stacked_and_cast_forward_inputs_are_held_once(tmp_path, monkeypatch):
         assert arr.dtype == np.float64 and t.data is arr
 
 
-def test_clip_of_a_loaded_file_reaches_the_forward_without_a_copy(tmp_path, monkeypatch):
+def test_a_loaded_file_reaches_the_forward_without_a_copy(tmp_path, monkeypatch):
+    # `infer` hands `score_clips` each video's stages as the loaded file's
+    # views, and a float32 model's forward reads them without a copy
+    import gebd.data as data_mod
     import gebd.model as model_mod
     from gebd import cli
 
     save_checkpoint(tmp_path / "m.gebw", GebdModel.build(TINY, seed=20))
     loaded = load_checkpoint(tmp_path / "m.gebw")
     save_features(tmp_path / "v.gebf", VideoFeatures("v", 2.0, tiny_stages(20, t=30)))
-    video = load_features(tmp_path / "v.gebf", fps=2.0)
-    clips = []
+    videos, clips = [], []
+    load = data_mod.load_features
     score_clips = model_mod.score_clips
 
-    def spy(model, stages):
+    def load_spy(path, fps):
+        videos.append(load(path, fps))
+        return videos[-1]
+
+    def score_spy(model, stages):
         clips.extend(stages)
         return score_clips(model, stages)
 
-    monkeypatch.setattr(model_mod, "score_clips", spy)
-    cli._score_videos([video], loaded, cli.RunConfig(clip_mode=True, clip_seconds=10.0, overlap_seconds=5.0))
-    start, end = split_clips(video, 10.0, 5.0)[1]
-    for stage, whole in zip(clips[1], video.stages):
-        np.testing.assert_array_equal(stage, whole[start:end])
-        assert np.shares_memory(stage, whole)
-    for stage, (arr, t) in zip(clips[1], _forward_inputs(loaded, stack_videos([clips[1]]), monkeypatch)):
+    monkeypatch.setattr(data_mod, "load_features", load_spy)
+    monkeypatch.setattr(model_mod, "score_clips", score_spy)
+    monkeypatch.setattr(cli, "_infer_run", (loaded, cli.RunConfig(fps=2.0), tmp_path / "out"))
+    counts = cli._infer_group([tmp_path / "v.gebf"])
+    assert counts == [len(load_detections(tmp_path / "out" / "detections" / "v.json").timestamps)]
+    (video,), (clip,) = videos, clips
+    for stage, whole in zip(clip, video.stages):
+        assert stage is whole and not stage.flags.owndata
+    for stage, (arr, t) in zip(clip, _forward_inputs(loaded, stack_videos([clip]), monkeypatch)):
         assert np.shares_memory(t.data, stage)
 
 

@@ -5,7 +5,6 @@ forward while its activations never span more than one window."""
 import numpy as np
 import pytest
 
-from gebd import cli
 from gebd.data import VideoFeatures, split_clips, synth_video
 from gebd.model import (
     WINDOW_ALIGN,
@@ -104,13 +103,6 @@ def test_clip_mode_gets_the_bits_of_each_clip_alone(loaded, monkeypatch, clip_se
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     assert max(batch_frames) <= ONE_WINDOW and len(batch_frames) >= 3, batch_frames
-    cfg = cli.RunConfig(stage_dims=BENCH.stage_dims, clip_mode=True, clip_seconds=clip_seconds,
-                        overlap_seconds=overlap_seconds, smooth_inference=False)
-    (merged,) = cli._score_videos([video], loaded, cfg)
-    total = np.zeros(t)
-    for (s, e), w in zip(spans, want):
-        total[s:e] += w
-    np.testing.assert_array_equal(merged.scores, total)
 
 
 def test_scoring_memory_does_not_grow_with_t(loaded):
